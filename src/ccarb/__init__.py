@@ -10,8 +10,6 @@ from .counting import (
     find,
 )
 from .determinant import (
-    PrimeBasis,
-    PrimeSelectionError,
     det_mod_p,
     det_poly,
     det_poly_mod_p,
@@ -44,8 +42,6 @@ __all__ = [
     "GraphParseError",
     "IntPoly",
     "ModPoly",
-    "PrimeBasis",
-    "PrimeSelectionError",
     "SymbolicMatrix",
     "WeightedInstance",
     "bidirect",

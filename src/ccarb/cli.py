@@ -8,11 +8,11 @@
     ccarb find-min weighted.g --root s --alpha 1
     ccarb spanning-trees undirected.g --alpha 2,1
 
-Every subcommand accepts `--workers K` (parallelism of the determinant
-engine, default 1) and `--json` (one structured object mirroring the text
-output).  Exit codes: 0 success, 1 negative answer (no / none / infeasible),
-2 usage or input errors.  Output is deterministic: identical runs, at any
-worker count, print identical bytes.
+Every subcommand accepts `--json` (one structured object mirroring the
+text output) and `--workers K`, which is accepted for compatibility and has
+no effect.  Exit codes: 0 success, 1 negative answer (no / none /
+infeasible), 2 usage or input errors.  Output is deterministic: identical
+runs print identical bytes.
 """
 
 from __future__ import annotations
@@ -31,10 +31,7 @@ from .graph import (
     parse_graph,
 )
 from .minweight import WeightedInstance, find_min, min_weight
-from .oracle import oracle_count
 from .polynomials import IntPoly, render_poly
-
-_VISIBLE_COMMANDS = "{count,count-all,decide,find,min-weight,find-min,spanning-trees}"
 
 
 class _UsageError(Exception):
@@ -46,9 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ccarb",
         description="Count, decide, find, and weight-minimize color-constrained arborescences.",
     )
-    commands = parser.add_subparsers(dest="command", required=True, metavar=_VISIBLE_COMMANDS)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    def subcommand(name: str, *, root: bool, alpha: bool, help_text: str | None = None):
+    def subcommand(name: str, *, root: bool, alpha: bool, help_text: str):
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("graph", type=Path, help="graph file")
         if root:
@@ -59,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="comma-separated color constraint a1,...,a_{q-1} (omit when q = 1)",
             )
-        sub.add_argument("--workers", type=int, default=1, help="determinant worker threads")
+        sub.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
         sub.add_argument("--json", action="store_true", help="emit one JSON object")
         return sub
 
@@ -71,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     subcommand("min-weight", root=True, alpha=True, help_text="print the minimum weight")
     subcommand("find-min", root=True, alpha=True, help_text="print a minimum-weight arborescence")
     subcommand("spanning-trees", root=False, alpha=True, help_text="print the spanning-tree count")
-    subcommand("oracle-count", root=True, alpha=True)  # brute force, test tooling only
     return parser
 
 
@@ -153,7 +149,7 @@ def _run_count(args) -> int:
     graph = _need_digraph(_load(args.graph), "count")
     root = _resolve_root(graph, args.root)
     alpha = _parse_alpha(args.alpha, graph.q)
-    value = count(graph, root, alpha, workers=args.workers)
+    value = count(graph, root, alpha)
     _emit(args, f"{value}\n", {"count": value})
     return 0
 
@@ -161,7 +157,7 @@ def _run_count(args) -> int:
 def _run_count_all(args) -> int:
     graph = _need_digraph(_load(args.graph), "count-all")
     root = _resolve_root(graph, args.root)
-    table = count_table(graph, root, workers=args.workers)
+    table = count_table(graph, root)
     rows = [(alpha, table[alpha]) for alpha in sorted(table)]
     lines = [f"{','.join(str(a) for a in alpha)}\t{value}\n" for alpha, value in rows]
     payload: dict = {"counts": [{"alpha": list(alpha), "count": value} for alpha, value in rows]}
@@ -177,7 +173,7 @@ def _run_decide(args) -> int:
     graph = _need_digraph(_load(args.graph), "decide")
     root = _resolve_root(graph, args.root)
     alpha = _parse_alpha(args.alpha, graph.q)
-    answer = count(graph, root, alpha, workers=args.workers) > 0
+    answer = count(graph, root, alpha) > 0
     _emit(args, "yes\n" if answer else "no\n", {"decision": answer})
     return 0 if answer else 1
 
@@ -186,7 +182,7 @@ def _run_find(args) -> int:
     graph = _need_digraph(_load(args.graph), "find")
     root = _resolve_root(graph, args.root)
     alpha = _parse_alpha(args.alpha, graph.q)
-    arb = find(graph, root, alpha, workers=args.workers)
+    arb = find(graph, root, alpha)
     if arb is None:
         _emit(args, "none\n", {"arborescence": None})
         return 1
@@ -200,7 +196,7 @@ def _run_min_weight(args) -> int:
     root = _resolve_root(graph, args.root)
     alpha = _parse_alpha(args.alpha, graph.q)
     inst = _weighted_instance(graph, root, alpha)
-    weight = min_weight(inst, workers=args.workers)
+    weight = min_weight(inst)
     if weight is None:
         _emit(args, "infeasible\n", {"min_weight": None})
         return 1
@@ -213,7 +209,7 @@ def _run_find_min(args) -> int:
     root = _resolve_root(graph, args.root)
     alpha = _parse_alpha(args.alpha, graph.q)
     inst = _weighted_instance(graph, root, alpha)
-    result = find_min(inst, workers=args.workers)
+    result = find_min(inst)
     if result is None:
         _emit(args, "infeasible\n", {"min_weight": None, "arborescence": None})
         return 1
@@ -229,16 +225,7 @@ def _run_spanning_trees(args) -> int:
     if not isinstance(graph, ColoredMultigraph):
         raise _UsageError("spanning-trees needs an undirected graph file")
     alpha = _parse_alpha(args.alpha, graph.q)
-    value = count_spanning_trees(graph, alpha, workers=args.workers)
-    _emit(args, f"{value}\n", {"count": value})
-    return 0
-
-
-def _run_oracle_count(args) -> int:
-    graph = _need_digraph(_load(args.graph), "oracle-count")
-    root = _resolve_root(graph, args.root)
-    alpha = _parse_alpha(args.alpha, graph.q)
-    value = oracle_count(graph, root, alpha)
+    value = count_spanning_trees(graph, alpha)
     _emit(args, f"{value}\n", {"count": value})
     return 0
 
@@ -251,7 +238,6 @@ _HANDLERS = {
     "min-weight": _run_min_weight,
     "find-min": _run_find_min,
     "spanning-trees": _run_spanning_trees,
-    "oracle-count": _run_oracle_count,
 }
 
 

@@ -44,35 +44,32 @@ def _require_loopless(graph: ColoredDigraph) -> None:
         raise ValueError("self-loops are not allowed here")
 
 
-def count_table(graph: ColoredDigraph, root: int, *, workers: int = 1) -> dict[tuple[int, ...], int]:
+def count_table(graph: ColoredDigraph, root: int) -> dict[tuple[int, ...], int]:
     """Counts of root-arborescences for every color constraint at once.
 
     Returns a map from exponent vectors (edge counts of colors 1..q-1; the
     color-q count is implied by the n-1 total) to positive counts.  Absent
     vectors mean count zero; a graph with no arborescence yields an empty
-    table.  The determinant coefficients are bounded by m^n with m the edge
-    count including parallel duplicates, and the primes sit above
-    max(distinct-edge count, 2n).
+    table.  `det_poly` bounds every coefficient by the product over the
+    minor's rows of their absolute sums, each at most twice the in-degree of
+    that row's vertex (parallel edges included).
     """
     _checked_root(graph, root)
     _require_loopless(graph)
     trimmed = remove_in_arcs(graph, root)
     reduced = minor(build_laplacian(trimmed, "in"), root)
-    bound = max(len(trimmed.edges), 1) ** graph.n
-    floor = max(len(trimmed.multiplicity_index), 2 * graph.n)
-    determinant = det_poly(reduced, bound, min_prime=floor, workers=workers)
-    return dict(determinant.terms)
+    return dict(det_poly(reduced).terms)
 
 
-def count(graph: ColoredDigraph, root: int, alpha, *, workers: int = 1) -> int:
+def count(graph: ColoredDigraph, root: int, alpha) -> int:
     """Number of root-arborescences with exactly alpha_c edges of color c."""
     constraint = _checked_alpha(graph.q, alpha)
-    return count_table(graph, root, workers=workers).get(constraint, 0)
+    return count_table(graph, root).get(constraint, 0)
 
 
-def decide(graph: ColoredDigraph, root: int, alpha, *, workers: int = 1) -> bool:
+def decide(graph: ColoredDigraph, root: int, alpha) -> bool:
     """Whether at least one arborescence satisfies the color constraint."""
-    return count(graph, root, alpha, workers=workers) > 0
+    return count(graph, root, alpha) > 0
 
 
 def _drop_duplicate_colors(graph: ColoredDigraph) -> ColoredDigraph:
@@ -88,7 +85,7 @@ def _drop_duplicate_colors(graph: ColoredDigraph) -> ColoredDigraph:
     return ColoredDigraph(graph.n, graph.q, tuple(kept), graph.labels)
 
 
-def find(graph: ColoredDigraph, root: int, alpha, *, workers: int = 1) -> Arborescence | None:
+def find(graph: ColoredDigraph, root: int, alpha) -> Arborescence | None:
     """Find one arborescence matching the color constraint, or None.
 
     Runs the deletion search: walk the edges in ascending id and delete any
@@ -99,17 +96,17 @@ def find(graph: ColoredDigraph, root: int, alpha, *, workers: int = 1) -> Arbore
     constraint = _checked_alpha(graph.q, alpha)
     _checked_root(graph, root)
     _require_loopless(graph)
-    if not decide(graph, root, constraint, workers=workers):
+    if not decide(graph, root, constraint):
         return None
     current = _drop_duplicate_colors(graph)
     for edge_id in [e.id for e in current.edges]:
         candidate = remove_edge(current, edge_id)
-        if decide(candidate, root, constraint, workers=workers):
+        if decide(candidate, root, constraint):
             current = candidate
     return Arborescence(root, tuple(e.id for e in current.edges))
 
 
-def count_spanning_trees(graph: ColoredMultigraph, alpha, *, workers: int = 1) -> int:
+def count_spanning_trees(graph: ColoredMultigraph, alpha) -> int:
     """Number of spanning trees of an undirected graph with histogram alpha.
 
     Reduction: orient every edge both ways; spanning trees of the original
@@ -120,10 +117,10 @@ def count_spanning_trees(graph: ColoredMultigraph, alpha, *, workers: int = 1) -
         raise ValueError("count_spanning_trees expects an undirected graph")
     from .graph import bidirect
 
-    return count(bidirect(graph), 1, alpha, workers=workers)
+    return count(bidirect(graph), 1, alpha)
 
 
-def count_functional(graph: ColoredDigraph, alpha, *, workers: int = 1) -> int:
+def count_functional(graph: ColoredDigraph, alpha) -> int:
     """Spanning functional subgraphs whose every cycle is a self-loop.
 
     Counts subgraphs choosing one outgoing edge per vertex with histogram
@@ -131,8 +128,4 @@ def count_functional(graph: ColoredDigraph, alpha, *, workers: int = 1) -> int:
     no row or column is deleted from the Laplacian.
     """
     constraint = _checked_alpha(graph.q, alpha)
-    lap = build_laplacian(graph, "out")
-    bound = max(len(graph.edges), 1) ** graph.n
-    floor = max(len(graph.multiplicity_index), 2 * graph.n)
-    determinant = det_poly(lap, bound, min_prime=floor, workers=workers)
-    return determinant.coeff(constraint)
+    return det_poly(build_laplacian(graph, "out")).coeff(constraint)

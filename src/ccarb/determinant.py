@@ -9,8 +9,7 @@ Chinese-Remainder reconstruction of the exact integer coefficients.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import math
 from typing import Sequence
 
 from .laplacian import SymbolicMatrix
@@ -22,17 +21,8 @@ PRIME_LIMIT = 1 << 31
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-
-class PrimeSelectionError(ValueError):
-    """No admissible prime basis: range exhausted or budget exceeded."""
-
-
-@dataclass(frozen=True)
-class PrimeBasis:
-    """Distinct primes above a lower bound whose product beats a coefficient bound."""
-
-    primes: tuple[int, ...]
-    product: int
+# Primes below PRIME_LIMIT in descending order, grown by select_primes.
+_PRIMES: list[int] = []
 
 
 def _is_prime(value: int) -> bool:
@@ -67,31 +57,23 @@ def next_prime(value: int) -> int:
     return candidate
 
 
-def select_primes(lower_bound: int, coeff_bound: int, max_count: int | None = None) -> PrimeBasis:
-    """Smallest consecutive primes > lower_bound whose product exceeds coeff_bound.
+def select_primes(bound: int) -> tuple[int, ...]:
+    """Largest primes below PRIME_LIMIT, descending, whose product exceeds `bound`.
 
-    Always returns at least one prime.  Raises PrimeSelectionError when the
-    bound cannot be beaten below PRIME_LIMIT, or when more than `max_count`
-    primes would be needed (the message reports the required count).
+    Always returns at least one prime.  The primes are found on first use
+    and kept for later calls.
     """
-    if lower_bound < 2:
-        raise ValueError("prime lower bound must be at least 2")
-    primes: list[int] = []
     product = 1
-    candidate = lower_bound
-    while product <= coeff_bound or not primes:
-        candidate = next_prime(candidate)
-        if candidate >= PRIME_LIMIT:
-            raise PrimeSelectionError(
-                f"cannot exceed coefficient bound with primes below {PRIME_LIMIT}"
-            )
-        primes.append(candidate)
-        product *= candidate
-    if max_count is not None and len(primes) > max_count:
-        raise PrimeSelectionError(
-            f"coefficient bound needs {len(primes)} primes, budget is {max_count}"
-        )
-    return PrimeBasis(tuple(primes), product)
+    count = 0
+    while product <= bound or not count:
+        if count == len(_PRIMES):
+            candidate = _PRIMES[-1] - 1 if _PRIMES else PRIME_LIMIT - 1
+            while not _is_prime(candidate):
+                candidate -= 1
+            _PRIMES.append(candidate)
+        product *= _PRIMES[count]
+        count += 1
+    return tuple(_PRIMES[:count])
 
 
 def det_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
@@ -127,14 +109,13 @@ def det_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
     return det % p
 
 
-def det_poly_mod_p(matrix: SymbolicMatrix, p: int, points_per_var: int | None = None) -> ModPoly:
+def det_poly_mod_p(matrix: SymbolicMatrix, p: int) -> ModPoly:
     """Determinant of a symbolic matrix reduced mod p, by evaluate-interpolate.
 
     Each of the dim rows contributes degree at most one per variable, so
-    dim+1 evaluation points per variable suffice (the default).  Requires
-    p > points_per_var.
+    dim+1 evaluation points per variable suffice.  Requires p > dim+1.
     """
-    size = points_per_var if points_per_var is not None else matrix.dim + 1
+    size = matrix.dim + 1
     if p <= size:
         raise ValueError(f"prime {p} must exceed the {size} evaluation points per variable")
     axis = tuple(range(size))
@@ -145,28 +126,16 @@ def det_poly_mod_p(matrix: SymbolicMatrix, p: int, points_per_var: int | None = 
     return interpolate(values, grid, p)
 
 
-def det_poly(
-    matrix: SymbolicMatrix,
-    coeff_bound: int,
-    *,
-    min_prime: int,
-    workers: int = 1,
-    max_primes: int | None = None,
-) -> IntPoly:
+def det_poly(matrix: SymbolicMatrix) -> IntPoly:
     """Exact integer determinant polynomial of a symbolic matrix.
 
-    Valid when the true determinant has nonnegative coefficients bounded by
-    `coeff_bound`.  Primes are the smallest ones above `min_prime` (raised
-    internally so each prime exceeds the evaluation-point count) whose
-    product beats the bound; per-prime determinants are independent, so they
-    may run on `workers` threads, and results are combined in a fixed order
-    to keep output deterministic.
+    Valid when the determinant has nonnegative coefficients, as every
+    Laplacian minor and Laplacian does.  Every coefficient is at most the
+    product over rows of the summed absolute coefficients of the row's
+    entries: in the Leibniz expansion, the absolute coefficients of a product
+    sum to at most the product of the factors' sums.  The residues modulo
+    primes whose product exceeds that bound fix each coefficient by CRT.
     """
-    points = matrix.dim + 1
-    basis = select_primes(max(min_prime, points), coeff_bound, max_count=max_primes)
-    if workers > 1 and len(basis.primes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            residues = list(pool.map(lambda p: det_poly_mod_p(matrix, p), basis.primes))
-    else:
-        residues = [det_poly_mod_p(matrix, p) for p in basis.primes]
+    bound = math.prod(sum(abs(c) for entry in row for c in entry) for row in matrix.rows)
+    residues = [det_poly_mod_p(matrix, p) for p in select_primes(bound)]
     return crt_combine(residues)

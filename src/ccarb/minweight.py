@@ -18,9 +18,6 @@ from .determinant import det_poly, next_prime
 from .graph import ColoredDigraph, remove_edge, remove_in_arcs
 from .laplacian import build_laplacian, minor
 
-DEFAULT_PRIME_BUDGET = 512
-
-
 @dataclass(frozen=True)
 class WeightedInstance:
     """A weighted problem instance: deduplicated graph, root, color constraint."""
@@ -44,14 +41,11 @@ class WeightedInstance:
         return max((e.weight for e in self.graph.edges), default=1)
 
 
-def c_alpha_r(
-    inst: WeightedInstance, r: int, *, workers: int = 1, max_primes: int | None = None
-) -> int:
+def c_alpha_r(inst: WeightedInstance, r: int) -> int:
     """sum of r^w(T) over the arborescences T matching the constraint.
 
     Computed as the constraint's coefficient in the determinant of the
     weighted in-degree Laplacian minor under the transformed weights r^w(e).
-    The coefficient bound is m^n * r^(n*W).
     """
     trimmed = remove_in_arcs(inst.graph, inst.root)
     transformed = ColoredDigraph(
@@ -61,12 +55,7 @@ def c_alpha_r(
         trimmed.labels,
     )
     reduced = minor(build_laplacian(transformed, "in", weighted=True), inst.root)
-    m = len(trimmed.edges)
-    w_max = max((e.weight for e in trimmed.edges), default=1)
-    bound = max(m, 1) ** inst.graph.n * r ** (inst.graph.n * w_max)
-    floor = max(m, 2 * inst.graph.n)
-    determinant = det_poly(reduced, bound, min_prime=floor, workers=workers, max_primes=max_primes)
-    return determinant.coeff(inst.alpha)
+    return det_poly(reduced).coeff(inst.alpha)
 
 
 def valuation(value: int, r: int) -> int:
@@ -81,8 +70,8 @@ def valuation(value: int, r: int) -> int:
 
 
 def _weight_primes(inst: WeightedInstance) -> list[int]:
-    # n distinct primes above max(m, 2n): the grid constraint and the
-    # divisibility argument share one selection rule.
+    # n distinct primes above max(m, 2n); each exceeds m, so the number of
+    # minimizers (at most m^n) cannot be divisible by all of them.
     lower = max(len(inst.graph.edges), 2 * inst.graph.n)
     primes: list[int] = []
     candidate = lower
@@ -92,9 +81,7 @@ def _weight_primes(inst: WeightedInstance) -> list[int]:
     return primes
 
 
-def min_weight(
-    inst: WeightedInstance, *, workers: int = 1, prime_budget: int = DEFAULT_PRIME_BUDGET
-) -> int | None:
+def min_weight(inst: WeightedInstance) -> int | None:
     """Minimum weight of an arborescence matching the constraint, or None.
 
     Evaluates the transformed coefficient for each of the n chosen primes
@@ -103,21 +90,21 @@ def min_weight(
     depend on the prime), reported as None.
     """
     primes = _weight_primes(inst)
-    first = c_alpha_r(inst, primes[0], workers=workers, max_primes=prime_budget)
+    first = c_alpha_r(inst, primes[0])
     if first == 0:
         return None
     best = valuation(first, primes[0])
     for r in primes[1:]:
-        value = c_alpha_r(inst, r, workers=workers, max_primes=prime_budget)
+        value = c_alpha_r(inst, r)
         best = min(best, valuation(value, r))
     return best
 
 
-def _attains_min(inst: WeightedInstance, target: int, workers: int, prime_budget: int) -> bool:
+def _attains_min(inst: WeightedInstance, target: int) -> bool:
     # Deleting edges can only raise the minimum, so every valuation is at
     # least `target`; one hit at `target` settles the question early.
     for r in _weight_primes(inst):
-        value = c_alpha_r(inst, r, workers=workers, max_primes=prime_budget)
+        value = c_alpha_r(inst, r)
         if value == 0:
             return False
         if valuation(value, r) == target:
@@ -125,22 +112,20 @@ def _attains_min(inst: WeightedInstance, target: int, workers: int, prime_budget
     return False
 
 
-def find_min(
-    inst: WeightedInstance, *, workers: int = 1, prime_budget: int = DEFAULT_PRIME_BUDGET
-) -> tuple[Arborescence, int] | None:
+def find_min(inst: WeightedInstance) -> tuple[Arborescence, int] | None:
     """A minimum-weight arborescence matching the constraint, with its weight.
 
     Computes the minimum once, then walks the edges in ascending id and
     deletes any edge whose removal leaves the minimum unchanged.  The edges
     that survive form a minimum-weight solution.
     """
-    target = min_weight(inst, workers=workers, prime_budget=prime_budget)
+    target = min_weight(inst)
     if target is None:
         return None
     current = inst.graph
     for edge_id in [e.id for e in current.edges]:
         candidate = remove_edge(current, edge_id)
         sub = WeightedInstance(candidate, inst.root, inst.alpha)
-        if _attains_min(sub, target, workers, prime_budget):
+        if _attains_min(sub, target):
             current = candidate
     return Arborescence(inst.root, tuple(e.id for e in current.edges)), target

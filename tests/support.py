@@ -9,7 +9,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from ccarb.graph import ColoredDigraph, ColoredMultigraph, Edge
+from hypothesis import strategies as st
+
+from ccarb.graph import ColoredDigraph, ColoredMultigraph, Edge, dedup_min_weight
 from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor
 from ccarb.polynomials import ModPoly
 
@@ -106,6 +108,29 @@ def bareiss_det(matrix) -> int:
     return sign * rows[-1][-1]
 
 
+def is_prime_below_2_32(value: int) -> bool:
+    """Miller-Rabin with bases 2, 7 and 61, which is exact below 4,759,123,141."""
+    if value < 2:
+        return False
+    for small in (2, 3, 5, 7, 61):
+        if value % small == 0:
+            return value == small
+    d, s = value - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in (2, 7, 61):
+        x = pow(base, d, value)
+        if x in (1, value - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % value
+            if x == value - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def classical_in_laplacian_minor(graph: ColoredDigraph, root: int):
     """Uncolored in-degree Laplacian with row/column `root` removed."""
     size = graph.n
@@ -187,6 +212,48 @@ def random_laplacian_style_matrix(rng: random.Random, dim: int, nvars: int) -> S
     for i in range(dim):
         rows[i][i][0] += rng.randint(0, 2)
     return SymbolicMatrix(nvars, tuple(tuple(tuple(e) for e in row) for row in rows))
+
+
+@st.composite
+def small_digraphs(draw, weighted=False):
+    """Loopless colored multidigraphs small enough for the oracle.
+
+    Usually a random arborescence rooted at vertex 1 plus up to 9 further
+    arcs, so that most instances have solutions.  Weighted graphs
+    come deduplicated, as the weighted operations require.
+    """
+    n = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 3))
+    picks = []
+    if draw(st.integers(0, 3)):
+        for head in range(2, n + 1):
+            picks.append((draw(st.integers(1, head - 1)), head, draw(st.integers(1, q))))
+    slots = [(t, h, c) for t in range(1, n + 1) for h in range(1, n + 1) if t != h for c in range(1, q + 1)]
+    picks += draw(st.lists(st.sampled_from(slots), max_size=9)) if slots else []
+    edges = []
+    for t, h, c in picks:
+        w = draw(st.integers(1, 6)) if weighted else None
+        edges.append(Edge(len(edges), t, h, c, w))
+    graph = ColoredDigraph(n, q, tuple(edges))
+    return dedup_min_weight(graph) if weighted else graph
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Undirected colored multigraphs, usually a random spanning tree plus extra edges."""
+    n = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 3))
+    picks = []
+    if draw(st.integers(0, 3)):
+        picks += [(draw(st.integers(1, b - 1)), b, draw(st.integers(1, q))) for b in range(2, n + 1)]
+    slots = [(a, b, c) for a in range(1, n + 1) for b in range(a + 1, n + 1) for c in range(1, q + 1)]
+    picks += draw(st.lists(st.sampled_from(slots), max_size=6)) if slots else []
+    return ColoredMultigraph(n, q, tuple(Edge(i, a, b, c) for i, (a, b, c) in enumerate(picks)))
+
+
+def alphas(q: int, total: int):
+    """Color constraints for q colors with entries summing to at most `total`."""
+    return st.lists(st.integers(0, total), min_size=q - 1, max_size=q - 1).map(tuple)
 
 
 # -------------------------------------------------------------- undirected

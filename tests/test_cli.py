@@ -1,0 +1,150 @@
+"""The command-line contract: exit codes, --json mirroring the text, --workers inertness."""
+
+import json
+import re
+
+import pytest
+
+from ccarb.cli import main
+
+DIRECTED = "3 2\ns a 1\ns b 2\na b 1\nb a 2\n"
+WEIGHTED = "3 2\ns a 1 1\ns b 2 2\na b 1 3\nb a 2 1\n"
+UNDIRECTED = "3 2\nundirected\na b 1\nb c 2\na c 1\n"
+
+# (argv after the graph path, graph text, exit code, text output).  On the
+# directed graph rooted at s: {sa, sb} has alpha 1 and weight 3, {sa, ab}
+# alpha 2 and weight 4, {ba, sb} alpha 0 and weight 3.
+CASES = [
+    (["count", "--root", "s", "--alpha", "2"], DIRECTED, 0, "1\n"),
+    (["count", "--root", "s", "--alpha", "3"], DIRECTED, 0, "0\n"),
+    (["count-all", "--root", "s"], DIRECTED, 0, "0\t1\n1\t1\n2\t1\n"),
+    (["count-all", "--root", "s", "--poly"], DIRECTED, 0, "0\t1\n1\t1\n2\t1\n1 + 1 * x1^1 + 1 * x1^2\n"),
+    (["count-all", "--root", "a"], "2 1\ns a 1\n", 0, ""),
+    (["decide", "--root", "s", "--alpha", "1"], DIRECTED, 0, "yes\n"),
+    (["decide", "--root", "s", "--alpha", "3"], DIRECTED, 1, "no\n"),
+    (["find", "--root", "s", "--alpha", "1"], DIRECTED, 0, "s a 1\ns b 2\n"),
+    (["find", "--root", "s", "--alpha", "3"], DIRECTED, 1, "none\n"),
+    (["min-weight", "--root", "s", "--alpha", "2"], WEIGHTED, 0, "4\n"),
+    (["min-weight", "--root", "s", "--alpha", "3"], WEIGHTED, 1, "infeasible\n"),
+    (["find-min", "--root", "s", "--alpha", "0"], WEIGHTED, 0, "3\ns b 2 2\nb a 2 1\n"),
+    (["find-min", "--root", "s", "--alpha", "3"], WEIGHTED, 1, "infeasible\n"),
+    (["spanning-trees", "--alpha", "1"], UNDIRECTED, 0, "2\n"),
+    (["spanning-trees", "--alpha", "0"], UNDIRECTED, 0, "0\n"),
+]
+
+# Inputs every subcommand must reject with exit code 2 and a message.
+ERRORS = [
+    (["count", "--root", "s", "--alpha", "1"], UNDIRECTED),
+    (["count", "--root", "zz", "--alpha", "1"], DIRECTED),
+    (["count-all", "--root", "zz"], DIRECTED),
+    (["count-all", "--root", "a"], UNDIRECTED),
+    (["decide", "--root", "s", "--alpha", "x"], DIRECTED),
+    (["decide", "--root", "s"], DIRECTED),
+    (["find", "--root", "s", "--alpha", "1,1"], DIRECTED),
+    (["find", "--root", "s", "--alpha", "-1"], DIRECTED),
+    (["min-weight", "--root", "s", "--alpha", "1"], DIRECTED),
+    (["min-weight", "--root", "s", "--alpha", "1"], "3 2\ns a 1 1\na s 1 1\nb b 1 1\n"),
+    (["find-min", "--root", "s", "--alpha", "1"], DIRECTED),
+    (["find-min", "--root", "s", "--alpha", "1"], UNDIRECTED),
+    (["spanning-trees", "--alpha", "1"], DIRECTED),
+    (["spanning-trees", "--alpha", "1,2"], UNDIRECTED),
+]
+
+COMMANDS = ["count", "count-all", "decide", "find", "min-weight", "find-min", "spanning-trees"]
+
+
+def run(tmp_path, capsys, argv, text):
+    path = tmp_path / "graph.g"
+    path.write_text(text, encoding="utf-8")
+    code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def edge_objects(lines):
+    objects = []
+    for line in lines:
+        tail, head, color, *weight = line.split()
+        obj = {"tail": tail, "head": head, "color": int(color)}
+        if weight:
+            obj["weight"] = int(weight[0])
+        objects.append(obj)
+    return objects
+
+
+def payload_from_text(argv, text):
+    """The --json object that the text output of `argv` stands for."""
+    command, lines = argv[0], text.splitlines()
+    if command in ("count", "spanning-trees"):
+        return {"count": int(lines[0])}
+    if command == "count-all":
+        poly = "--poly" in argv
+        rows = [line.split("\t") for line in (lines[:-1] if poly else lines)]
+        payload = {"counts": [{"alpha": [int(a) for a in alpha.split(",")], "count": int(c)} for alpha, c in rows]}
+        if poly:
+            payload["polynomial"] = lines[-1]
+        return payload
+    if command == "decide":
+        return {"decision": lines == ["yes"]}
+    if command == "find":
+        return {"arborescence": None if lines == ["none"] else edge_objects(lines)}
+    if command == "min-weight":
+        return {"min_weight": None if lines == ["infeasible"] else int(lines[0])}
+    if lines == ["infeasible"]:
+        return {"min_weight": None, "arborescence": None}
+    return {"min_weight": int(lines[0]), "arborescence": edge_objects(lines[1:])}
+
+
+def test_cases_cover_every_subcommand():
+    assert {argv[0] for argv, *_ in CASES} == set(COMMANDS)
+    assert {argv[0] for argv, _ in ERRORS} == set(COMMANDS)
+    assert {argv[0] for argv, _, code, _ in CASES if code == 1} == {"decide", "find", "min-weight", "find-min"}
+
+
+@pytest.mark.parametrize("argv, text, code, out", CASES)
+def test_exit_code_and_output(tmp_path, capsys, argv, text, code, out):
+    assert run(tmp_path, capsys, argv, text) == (code, out, "")
+
+
+@pytest.mark.parametrize("argv, text", ERRORS)
+def test_bad_input_exits_2_with_message(tmp_path, capsys, argv, text):
+    code, out, err = run(tmp_path, capsys, argv, text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_missing_file_exits_2(tmp_path, capsys):
+    assert main(["count-all", str(tmp_path / "absent.g"), "--root", "s"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("argv, text, code, out", CASES)
+def test_json_mirrors_text(tmp_path, capsys, argv, text, code, out):
+    json_code, json_out, _ = run(tmp_path, capsys, argv + ["--json"], text)
+    assert json_code == code
+    assert json_out.endswith("\n") and json_out.count("\n") == 1
+    assert json.loads(json_out) == payload_from_text(argv, out)
+
+
+@pytest.mark.parametrize("argv, text, code, out", CASES)
+def test_workers_do_not_change_output(tmp_path, capsys, argv, text, code, out):
+    results = [run(tmp_path, capsys, argv + ["--workers", k], text) for k in ("1", "4")]
+    assert results[0] == results[1] == (code, out, "")
+
+
+def test_oracle_count_is_not_a_subcommand(tmp_path, capsys):
+    path = tmp_path / "graph.g"
+    path.write_text(DIRECTED, encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["oracle-count", str(path), "--root", "s", "--alpha", "1"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'oracle-count'" in capsys.readouterr().err
+
+
+def test_help_lists_the_seven_subcommands(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(COMMANDS) + "}" in out
+    assert re.findall(r"^    (\S+)", out, re.MULTILINE) == COMMANDS

@@ -1,0 +1,89 @@
+"""Counting, deciding and finding, checked against the brute-force oracle (n <= 6)."""
+
+import itertools
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ccarb.counting import count, count_functional, count_spanning_trees, count_table, decide, find
+from ccarb.graph import ColoredDigraph, Edge
+from ccarb.oracle import color_histogram, enumerate_arborescences, enumerate_functional, is_arborescence
+
+from support import alphas, small_digraphs, small_multigraphs, spanning_tree_histogram
+
+ORACLE = settings(max_examples=100, deadline=None)
+
+
+def arborescence_histogram(graph, root) -> Counter:
+    return Counter(
+        color_histogram(graph, arb.edge_ids)[: graph.q - 1] for arb in enumerate_arborescences(graph, root)
+    )
+
+
+@st.composite
+def rooted(draw):
+    graph = draw(small_digraphs())
+    root = draw(st.one_of(st.just(1), st.integers(1, graph.n)))
+    return graph, root, draw(alphas(graph.q, graph.n))
+
+
+@st.composite
+def functional_digraphs(draw):
+    # Usually one functional subgraph by construction (each vertex points to
+    # itself or a smaller vertex), plus random arcs and self-loops.
+    n = draw(st.integers(1, 5))
+    q = draw(st.integers(1, 3))
+    picks = []
+    if draw(st.integers(0, 3)):
+        picks += [(v, draw(st.integers(1, v)), draw(st.integers(1, q))) for v in range(1, n + 1)]
+    slots = [(t, h, c) for t in range(1, n + 1) for h in range(1, n + 1) for c in range(1, q + 1)]
+    picks += draw(st.lists(st.sampled_from(slots), max_size=6))
+    return ColoredDigraph(n, q, tuple(Edge(i, t, h, c) for i, (t, h, c) in enumerate(picks)))
+
+
+@ORACLE
+@given(rooted())
+def test_count_table_matches_enumeration(case):
+    graph, root, _ = case
+    assert count_table(graph, root) == dict(arborescence_histogram(graph, root))
+
+
+@ORACLE
+@given(rooted())
+def test_count_and_decide_match_enumeration(case):
+    graph, root, alpha = case
+    expected = arborescence_histogram(graph, root)[alpha]
+    assert count(graph, root, alpha) == expected
+    assert decide(graph, root, alpha) == (expected > 0)
+
+
+@ORACLE
+@given(rooted(), st.data())
+def test_find_returns_a_certified_arborescence(case, data):
+    graph, root, drawn = case
+    histogram = arborescence_histogram(graph, root)
+    feasible = [data.draw(st.sampled_from(sorted(histogram)))] if histogram else []
+    for alpha in feasible + [drawn]:
+        arb = find(graph, root, alpha)
+        if histogram[alpha] == 0:
+            assert arb is None
+            continue
+        assert arb is not None and arb.root == root
+        assert is_arborescence(graph, root, arb.edge_ids)
+        assert color_histogram(graph, arb.edge_ids)[: graph.q - 1] == alpha
+
+
+@ORACLE
+@given(small_multigraphs(), st.data())
+def test_count_spanning_trees_matches_enumeration(graph, data):
+    histogram = spanning_tree_histogram(graph)
+    for alpha in list(histogram) + [data.draw(alphas(graph.q, graph.n))]:
+        assert count_spanning_trees(graph, alpha) == histogram.get(alpha, 0)
+
+
+@ORACLE
+@given(functional_digraphs())
+def test_count_functional_matches_enumeration(graph):
+    for alpha in itertools.product(range(graph.n + 1), repeat=graph.q - 1):
+        assert count_functional(graph, alpha) == enumerate_functional(graph, alpha)

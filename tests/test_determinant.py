@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
 from ccarb.determinant import (
-    PrimeSelectionError,
+    PRIME_LIMIT,
     det_mod_p,
     det_poly,
     det_poly_mod_p,
@@ -15,6 +16,7 @@ from ccarb.laplacian import SymbolicMatrix
 from support import (
     cofactor_det,
     dict_poly_mod,
+    is_prime_below_2_32,
     random_laplacian_style_matrix,
     random_symbolic_matrix,
 )
@@ -22,24 +24,28 @@ from support import (
 
 class TestSelectPrimes:
     def test_two_primes_needed(self):
-        basis = select_primes(10, 100)
-        assert basis.primes == (11, 13)
-        assert basis.product == 143
+        largest = select_primes(0)[0]
+        primes = select_primes(largest)
+        assert len(primes) == 2
+        assert primes[0] == largest
 
     def test_single_prime_floor(self):
-        assert select_primes(2, 1).primes == (3,)
+        assert select_primes(0) == select_primes(1) == (PRIME_LIMIT - 1,)
 
     def test_consecutive_above_bound(self):
-        basis = select_primes(8, 10**4)
-        assert basis.primes == (11, 13, 17, 19)
+        for bound in (10**4, 2**62, 10**100, 3**2000):
+            primes = select_primes(bound)
+            assert list(primes) == sorted(set(primes), reverse=True)
+            assert all(is_prime_below_2_32(p) and p < PRIME_LIMIT for p in primes)
+            assert math.prod(primes) > bound
+            assert math.prod(primes[:-1]) <= bound
+            # Consecutive: no prime lies between two selected ones.
+            for high, low in zip(primes, primes[1:]):
+                assert not any(is_prime_below_2_32(v) for v in range(low + 1, high))
 
-    def test_budget_reports_needed(self):
-        with pytest.raises(PrimeSelectionError, match="needs 4 primes"):
-            select_primes(8, 10**4, max_count=2)
-
-    def test_lower_bound_validated(self):
-        with pytest.raises(ValueError):
-            select_primes(1, 10)
+    def test_smaller_bound_gives_prefix(self):
+        big = select_primes(10**300)
+        assert select_primes(10**30) == big[: len(select_primes(10**30))]
 
     def test_next_prime(self):
         assert next_prime(10) == 11
@@ -77,7 +83,7 @@ class TestDetModP:
 class TestDetPolyModP:
     def test_linear_entry(self):
         m = SymbolicMatrix(1, (((2, 1),),))
-        poly = det_poly_mod_p(m, 101, 2)
+        poly = det_poly_mod_p(m, 101)
         assert poly.terms == {(1,): 1, (0,): 2}
 
     def test_two_by_two_symbolic(self):
@@ -103,11 +109,18 @@ class TestDetPolyModP:
 class TestDetPoly:
     def test_constant(self):
         m = SymbolicMatrix(0, (((5,),),))
-        assert det_poly(m, 10, min_prime=2).terms == {(): 5}
+        assert det_poly(m).terms == {(): 5}
+
+    def test_entry_equal_to_largest_prime(self):
+        # The bound equals the largest prime, so a second prime is needed;
+        # with one the determinant would come back as 0.
+        largest = select_primes(0)[0]
+        m = SymbolicMatrix(0, (((largest,),),))
+        assert det_poly(m).terms == {(): largest}
 
     def test_empty_matrix(self):
         m = SymbolicMatrix(2, ())
-        assert det_poly(m, 10, min_prime=2).terms == {(0, 0): 1}
+        assert det_poly(m).terms == {(0, 0): 1}
 
     def test_matches_cofactor_on_nonnegative_dets(self):
         rng = random.Random(13)
@@ -115,31 +128,24 @@ class TestDetPoly:
             m = random_laplacian_style_matrix(rng, rng.randint(1, 4), rng.randint(0, 3))
             expected = cofactor_det(m)
             assert all(v >= 0 for v in expected.values())
-            bound = max(expected.values(), default=0)
-            result = det_poly(m, bound, min_prime=2 * (m.dim + 1))
-            assert result.terms == expected
+            assert det_poly(m).terms == expected
 
-    def test_workers_do_not_change_result(self):
-        rng = random.Random(14)
-        for _ in range(10):
-            m = random_laplacian_style_matrix(rng, 4, 2)
-            bound = max(cofactor_det(m).values(), default=0)
-            serial = det_poly(m, bound, min_prime=12)
-            threaded = det_poly(m, bound, min_prime=12, workers=4)
-            assert serial == threaded
+    def test_large_coefficients_exact(self):
+        # Entries far above 2^31 force several primes.
+        rng = random.Random(16)
+        for _ in range(20):
+            m = random_laplacian_style_matrix(rng, rng.randint(1, 4), rng.randint(0, 2))
+            scale = rng.randint(2**40, 2**90)
+            scaled = SymbolicMatrix(m.nvars, tuple(tuple(tuple(c * scale for c in e) for e in row) for row in m.rows))
+            expected = cofactor_det(scaled)
+            assert det_poly(scaled).terms == expected
 
     def test_evaluation_consistency(self):
         rng = random.Random(15)
         for _ in range(20):
             m = random_laplacian_style_matrix(rng, 3, 2)
-            bound = max(cofactor_det(m).values(), default=0)
-            poly = det_poly(m, bound, min_prime=8)
+            poly = det_poly(m)
             for p in (10007, 65537):
                 point = tuple(rng.randint(0, p - 1) for _ in range(2))
                 reduced = dict_poly_mod(dict(poly.terms), p)
                 assert reduced.evaluate(point) == det_mod_p(m.evaluate(point, p), p)
-
-    def test_budget_propagates(self):
-        m = SymbolicMatrix(0, (((10**6,),),))
-        with pytest.raises(PrimeSelectionError, match="budget"):
-            det_poly(m, 10**40, min_prime=2, max_primes=3)

@@ -1,0 +1,95 @@
+"""Minimum-weight operations, checked against the brute-force oracle (n <= 6)."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ccarb.cli import main
+from ccarb.graph import parse_graph
+from ccarb.minweight import WeightedInstance, c_alpha_r, find_min, min_weight
+from ccarb.oracle import color_histogram, enumerate_arborescences, is_arborescence, oracle_min_weight
+
+from support import alphas, small_digraphs
+
+ORACLE = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def instances(draw):
+    graph = draw(small_digraphs(weighted=True))
+    root = draw(st.one_of(st.just(1), st.integers(1, graph.n)))
+    if draw(st.booleans()):
+        # A constraint met by some arborescence, when there is one.
+        hists = sorted(
+            {color_histogram(graph, arb.edge_ids)[: graph.q - 1] for arb in enumerate_arborescences(graph, root)}
+        )
+        if hists:
+            return WeightedInstance(graph, root, draw(st.sampled_from(hists)))
+    return WeightedInstance(graph, root, draw(alphas(graph.q, graph.n)))
+
+
+@ORACLE
+@given(instances())
+def test_min_weight_matches_oracle(inst):
+    expected = oracle_min_weight(inst)
+    assert min_weight(inst) == (None if expected is None else expected[0])
+
+
+@ORACLE
+@given(instances())
+def test_find_min_returns_a_certified_minimizer(inst):
+    expected = oracle_min_weight(inst)
+    result = find_min(inst)
+    if expected is None:
+        assert result is None
+        return
+    arb, weight = result
+    graph = inst.graph
+    assert weight == expected[0]
+    assert is_arborescence(graph, inst.root, arb.edge_ids)
+    assert color_histogram(graph, arb.edge_ids)[: graph.q - 1] == inst.alpha
+    assert sum(graph.edge(i).weight for i in arb.edge_ids) == weight
+
+
+@ORACLE
+@given(instances(), st.sampled_from((2, 3, 17, 101)))
+def test_c_alpha_r_is_the_weight_enumerator_at_r(inst, r):
+    graph = inst.graph
+    expected = sum(
+        r ** sum(graph.edge(i).weight for i in arb.edge_ids)
+        for arb in enumerate_arborescences(graph, inst.root)
+        if color_histogram(graph, arb.edge_ids)[: graph.q - 1] == inst.alpha
+    )
+    assert c_alpha_r(inst, r) == expected
+
+
+# Seven vertices, weights 150-300.  An engine with a fixed budget of 512 CRT
+# primes above max(m, 2n) refused this instance ("coefficient bound needs 787
+# primes, budget is 512"); the minimum is 1200, attained twice.
+HEAVY = """7 2
+s a 1 150
+s b 2 300
+a b 1 210
+b a 2 180
+a c 1 260
+b c 2 170
+c d 1 290
+b d 1 230
+d e 2 160
+c e 1 240
+e f 2 280
+d f 1 190
+f a 2 220
+e b 1 270
+f c 2 200
+"""
+
+
+def test_heavy_weights_are_not_refused(tmp_path, capsys):
+    path = tmp_path / "heavy.g"
+    path.write_text(HEAVY, encoding="utf-8")
+    expected = oracle_min_weight(WeightedInstance(parse_graph(HEAVY), 1, (3,)))
+    assert expected == (1200, 2)
+    assert main(["min-weight", str(path), "--root", "s", "--alpha", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"{expected[0]}\n"
+    assert captured.err == ""
