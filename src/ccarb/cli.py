@@ -22,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .counting import count, count_table, count_spanning_trees, find
+from .counting import count, count_table, count_spanning_trees, decide, find
 from .graph import (
     ColoredDigraph,
     ColoredMultigraph,
@@ -173,7 +173,7 @@ def _run_decide(args) -> int:
     graph = _need_digraph(_load(args.graph), "decide")
     root = _resolve_root(graph, args.root)
     alpha = _parse_alpha(args.alpha, graph.q)
-    answer = count(graph, root, alpha) > 0
+    answer = decide(graph, root, alpha)
     _emit(args, "yes\n" if answer else "no\n", {"decision": answer})
     return 0 if answer else 1
 

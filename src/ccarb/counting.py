@@ -13,7 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .determinant import det_poly
-from .graph import ColoredDigraph, ColoredMultigraph, remove_edge, remove_in_arcs
+from .graph import (
+    ColoredDigraph,
+    ColoredMultigraph,
+    bidirect,
+    color_histogram,
+    is_arborescence,
+    remove_edge,
+    remove_in_arcs,
+)
 from .laplacian import build_laplacian, minor
 
 
@@ -42,6 +50,13 @@ def _checked_root(graph: ColoredDigraph, root: int) -> None:
 def _require_loopless(graph: ColoredDigraph) -> None:
     if graph.has_self_loops:
         raise ValueError("self-loops are not allowed here")
+
+
+def _certify(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], edge_ids) -> None:
+    if not is_arborescence(graph, root, edge_ids):
+        raise ValueError("certificate check failed: the result is not an arborescence")
+    if color_histogram(graph, edge_ids)[: graph.q - 1] != alpha:
+        raise ValueError("certificate check failed: the color histogram differs from alpha")
 
 
 def count_table(graph: ColoredDigraph, root: int) -> dict[tuple[int, ...], int]:
@@ -90,8 +105,9 @@ def find(graph: ColoredDigraph, root: int, alpha) -> Arborescence | None:
 
     Runs the deletion search: walk the edges in ascending id and delete any
     edge whose removal keeps the answer feasible.  What remains is itself an
-    arborescence with the requested histogram.  Edge ids refer to the input
-    graph, whose duplicate same-color parallels are dropped up front.
+    arborescence with the requested histogram; that is checked before it is
+    returned, and a failed check raises ValueError.  Edge ids refer to the
+    input graph, whose duplicate same-color parallels are dropped up front.
     """
     constraint = _checked_alpha(graph.q, alpha)
     _checked_root(graph, root)
@@ -103,7 +119,9 @@ def find(graph: ColoredDigraph, root: int, alpha) -> Arborescence | None:
         candidate = remove_edge(current, edge_id)
         if decide(candidate, root, constraint):
             current = candidate
-    return Arborescence(root, tuple(e.id for e in current.edges))
+    edge_ids = tuple(e.id for e in current.edges)
+    _certify(graph, root, constraint, edge_ids)
+    return Arborescence(root, edge_ids)
 
 
 def count_spanning_trees(graph: ColoredMultigraph, alpha) -> int:
@@ -115,8 +133,6 @@ def count_spanning_trees(graph: ColoredMultigraph, alpha) -> int:
     """
     if not isinstance(graph, ColoredMultigraph):
         raise ValueError("count_spanning_trees expects an undirected graph")
-    from .graph import bidirect
-
     return count(bidirect(graph), 1, alpha)
 
 

@@ -3,7 +3,11 @@
 The determinant polynomial is computed by evaluating the matrix on a dense
 grid over a prime field, taking scalar determinants, interpolating the grid
 values back into a polynomial, and repeating over enough primes for a
-Chinese-Remainder reconstruction of the exact integer coefficients.
+Chinese-Remainder reconstruction of the exact integer coefficients.  Every
+row is linear in each variable, so the determinant's degree in x_c is at
+most the number of rows that contain x_c; the grid axis for x_c holds the
+nodes 0..d_c for that count d_c, and the scalar determinants are taken in
+row-major order over the grid (the last axis varying fastest).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 from typing import Sequence
 
 from .laplacian import SymbolicMatrix
-from .polynomials import EvalGrid, IntPoly, ModPoly, crt_combine, interpolate
+from .polynomials import IntPoly, ModPoly, crt_combine, interpolate
 
 # Primes must fit in half a 64-bit word so products reduce before overflow
 # would matter on fixed-width platforms.
@@ -28,7 +32,7 @@ _PRIMES: list[int] = []
 def _is_prime(value: int) -> bool:
     if value < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if value % small == 0:
             return value == small
     d = value - 1
@@ -112,18 +116,17 @@ def det_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
 def det_poly_mod_p(matrix: SymbolicMatrix, p: int) -> ModPoly:
     """Determinant of a symbolic matrix reduced mod p, by evaluate-interpolate.
 
-    Each of the dim rows contributes degree at most one per variable, so
-    dim+1 evaluation points per variable suffice.  Requires p > dim+1.
+    Each row has degree at most one in each variable, so variable c gets
+    one more node than the number of rows with a nonzero x_c coefficient; a
+    variable no row contains gets the single node 0.  Requires p to exceed
+    the longest axis.
     """
-    size = matrix.dim + 1
-    if p <= size:
-        raise ValueError(f"prime {p} must exceed the {size} evaluation points per variable")
-    axis = tuple(range(size))
-    grid = EvalGrid(tuple(axis for _ in range(matrix.nvars)))
-    values: dict[tuple[int, ...], int] = {}
-    for point in itertools.product(axis, repeat=matrix.nvars):
-        values[point] = det_mod_p(matrix.evaluate(point, p), p)
-    return interpolate(values, grid, p)
+    shape = tuple(
+        1 + sum(any(entry[c] for entry in row) for row in matrix.rows) for c in range(1, matrix.nvars + 1)
+    )
+    grid = itertools.product(*(range(size) for size in shape))
+    values = [det_mod_p(matrix.evaluate(point, p), p) for point in grid]
+    return interpolate(values, shape, p)
 
 
 def det_poly(matrix: SymbolicMatrix) -> IntPoly:

@@ -129,6 +129,41 @@ class ColoredMultigraph(_GraphBase):
         _validate_edges(self.n, self.q, self.edges, self.labels)
 
 
+def color_histogram(graph: ColoredDigraph, edge_ids) -> tuple[int, ...]:
+    """Edge counts per color 1..q for the given edge ids."""
+    counts = [0] * graph.q
+    for edge_id in edge_ids:
+        counts[graph.edge(edge_id).color - 1] += 1
+    return tuple(counts)
+
+
+def is_arborescence(graph: ColoredDigraph, root: int, edge_ids) -> bool:
+    """Check the spanning out-tree invariants directly."""
+    ids = list(edge_ids)
+    if len(ids) != graph.n - 1 or len(set(ids)) != len(ids):
+        return False
+    parent: dict[int, int] = {}
+    for edge_id in ids:
+        try:
+            e = graph.edge(edge_id)
+        except ValueError:
+            return False
+        if e.head == root or e.head in parent or e.head == e.tail:
+            return False
+        parent[e.head] = e.tail
+    for v in range(1, graph.n + 1):
+        if v == root:
+            continue
+        seen = set()
+        w = v
+        while w != root:
+            if w in seen or w not in parent:
+                return False
+            seen.add(w)
+            w = parent[w]
+    return True
+
+
 def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
     """Parse a graph file.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .counting import Arborescence, _checked_alpha, _checked_root
+from .counting import Arborescence, _certify, _checked_alpha, _checked_root
 from .determinant import det_poly, next_prime
 from .graph import ColoredDigraph, remove_edge, remove_in_arcs
 from .laplacian import build_laplacian, minor
@@ -35,10 +35,6 @@ class WeightedInstance:
             raise ValueError("all edges must carry weights")
         if any(count > 1 for count in self.graph.multiplicity_index.values()):
             raise ValueError("duplicate same-color parallel edges; run dedup_min_weight first")
-
-    @property
-    def max_weight(self) -> int:
-        return max((e.weight for e in self.graph.edges), default=1)
 
 
 def c_alpha_r(inst: WeightedInstance, r: int) -> int:
@@ -117,7 +113,8 @@ def find_min(inst: WeightedInstance) -> tuple[Arborescence, int] | None:
 
     Computes the minimum once, then walks the edges in ascending id and
     deletes any edge whose removal leaves the minimum unchanged.  The edges
-    that survive form a minimum-weight solution.
+    that survive form a minimum-weight solution; that is checked before it
+    is returned, and a failed check raises ValueError.
     """
     target = min_weight(inst)
     if target is None:
@@ -128,4 +125,8 @@ def find_min(inst: WeightedInstance) -> tuple[Arborescence, int] | None:
         sub = WeightedInstance(candidate, inst.root, inst.alpha)
         if _attains_min(sub, target):
             current = candidate
-    return Arborescence(inst.root, tuple(e.id for e in current.edges)), target
+    edge_ids = tuple(e.id for e in current.edges)
+    _certify(inst.graph, inst.root, inst.alpha, edge_ids)
+    if sum(inst.graph.edge(i).weight for i in edge_ids) != target:
+        raise ValueError("certificate check failed: the weight differs from the minimum")
+    return Arborescence(inst.root, edge_ids), target

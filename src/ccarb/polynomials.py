@@ -2,14 +2,17 @@
 
 Exponent vectors are plain tuples of nonnegative ints, one entry per
 variable.  The module provides exactly what the determinant engine needs:
-evaluation, dense-grid Lagrange interpolation (variable by variable), and
-Chinese-Remainder reconstruction of integer coefficients from residues.
+Lagrange interpolation from a dense grid whose axis for variable c holds
+the nodes 0, 1, ..., d_c (values given as one flat list in row-major order,
+the last axis varying fastest), and Chinese-Remainder reconstruction of
+integer coefficients from residues.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,20 +38,6 @@ class ModPoly:
                 cleaned[tuple(exps)] = residue
         self.terms = cleaned
 
-    def evaluate(self, point: Sequence[int]) -> int:
-        """Value of the polynomial at `point`, reduced mod p."""
-        p = self.modulus
-        total = 0
-        for exps, coeff in self.terms.items():
-            if len(exps) != len(point):
-                raise ValueError("point length does not match variable count")
-            term = coeff
-            for base, exp in zip(point, exps):
-                if exp:
-                    term = term * pow(base, exp, p) % p
-            total = (total + term) % p
-        return total
-
 
 @dataclass
 class IntPoly:
@@ -70,73 +59,62 @@ class IntPoly:
         return self.terms.get(tuple(alpha), 0)
 
 
-@dataclass(frozen=True)
-class EvalGrid:
-    """Evaluation points per variable; axis c holds the residues for x_{c+1}."""
-
-    points: tuple[tuple[int, ...], ...]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(axis) for axis in self.points)
-
-
-def _lagrange_matrix(points: Sequence[int], p: int) -> list[list[int]]:
-    # Rows are coefficient slots: coeffs[k] = sum_i matrix[k][i] * values[i] mod p.
-    size = len(points)
-    residues = [t % p for t in points]
-    if len(set(residues)) != size:
-        raise ValueError("grid points must be pairwise distinct mod p")
+def _lagrange_matrix(size: int, p: int) -> list[list[int]]:
+    # Nodes 0..size-1.  Rows are coefficient slots:
+    # coeffs[k] = sum_i matrix[k][i] * values[i] mod p.
     full = [1]
-    for t in residues:
+    for t in range(size):
         nxt = [0] * (len(full) + 1)
         for i, c in enumerate(full):
             nxt[i] = (nxt[i] - c * t) % p
             nxt[i + 1] = (nxt[i + 1] + c) % p
         full = nxt
     matrix = [[0] * size for _ in range(size)]
-    for i, t_i in enumerate(residues):
+    for i in range(size):
         quotient = [0] * size
         quotient[size - 1] = full[size]
         for k in range(size - 1, 0, -1):
-            quotient[k - 1] = (full[k] + t_i * quotient[k]) % p
-        denom = 1
-        for j, t_j in enumerate(residues):
-            if j != i:
-                denom = denom * (t_i - t_j) % p
+            quotient[k - 1] = (full[k] + i * quotient[k]) % p
+        # prod over j != i of (i - j), for the nodes 0..size-1.
+        denom = (-1) ** (size - 1 - i) * math.factorial(i) * math.factorial(size - 1 - i)
         scale = pow(denom, -1, p)
         for k in range(size):
             matrix[k][i] = quotient[k] * scale % p
     return matrix
 
 
-def interpolate(values: dict[tuple[int, ...], int], grid: EvalGrid, p: int) -> ModPoly:
-    """Recover the unique polynomial matching `values` on the grid.
+def interpolate(values: Sequence[int], shape: Sequence[int], p: int) -> ModPoly:
+    """Recover the unique polynomial matching `values` on the grid of `shape`.
 
-    `values` maps grid index tuples (position along each axis, not the point
-    values themselves) to residues.  One-dimensional Lagrange interpolation
-    is applied along each axis in turn; the result has per-variable degree
-    below the axis length.
+    Axis c has the nodes 0..shape[c]-1; `values` lists the grid in
+    `itertools.product` order (row-major, the last axis varying fastest).
+    One-dimensional Lagrange interpolation is applied along each axis in
+    turn, so the result has degree below shape[c] in variable c.
     """
-    shape = grid.shape
-    if len(values) != math.prod(shape):
+    shape = tuple(shape)
+    if any(size < 1 for size in shape) or len(values) != math.prod(shape):
         raise ValueError("grid shape mismatch")
-    for key in values:
-        if len(key) != len(shape) or any(not 0 <= k < d for k, d in zip(key, shape)):
-            raise ValueError("grid shape mismatch")
-    tensor = {key: value % p for key, value in values.items()}
-    for axis, axis_points in enumerate(grid.points):
-        matrix = _lagrange_matrix(axis_points, p)
-        size = len(axis_points)
-        other_ranges = [range(d) for j, d in enumerate(shape) if j != axis]
-        transformed: dict[tuple[int, ...], int] = {}
-        for rest in itertools.product(*other_ranges):
-            fiber = [tensor[rest[:axis] + (i,) + rest[axis:]] for i in range(size)]
-            for k in range(size):
-                coeff = sum(matrix[k][i] * fiber[i] for i in range(size)) % p
-                transformed[rest[:axis] + (k,) + rest[axis:]] = coeff
+    longest = max(shape, default=0)
+    if p <= longest:
+        raise ValueError(f"prime {p} must exceed the longest axis, {longest}, so nodes 0..{longest - 1} are distinct")
+    matrices = {size: _lagrange_matrix(size, p) for size in set(shape)}
+    tensor = [value % p for value in values]
+    block = len(tensor)
+    for size in shape:
+        # Each fiber along this axis holds `size` values `stride` apart inside
+        # a run of `block` consecutive values.
+        stride = block // size
+        matrix = matrices[size]
+        transformed = [0] * len(tensor)
+        for start in range(0, len(tensor), block):
+            for offset in range(start, start + stride):
+                fiber = tensor[offset : offset + block : stride]
+                for k, row in enumerate(matrix):
+                    transformed[offset + k * stride] = sum(map(operator.mul, row, fiber)) % p
         tensor = transformed
-    return ModPoly(p, tensor)
+        block = stride
+    indices = itertools.product(*(range(size) for size in shape))
+    return ModPoly(p, dict(zip(indices, tensor)))
 
 
 def crt_combine(residue_polys: Sequence[ModPoly]) -> IntPoly:

@@ -3,11 +3,14 @@
 import itertools
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccarb import counting, determinant
+from ccarb.cli import main
 from ccarb.counting import count, count_functional, count_spanning_trees, count_table, decide, find
-from ccarb.graph import ColoredDigraph, Edge
+from ccarb.graph import ColoredDigraph, Edge, parse_graph
 from ccarb.oracle import color_histogram, enumerate_arborescences, enumerate_functional, is_arborescence
 
 from support import alphas, small_digraphs, small_multigraphs, spanning_tree_histogram
@@ -87,3 +90,51 @@ def test_count_spanning_trees_matches_enumeration(graph, data):
 def test_count_functional_matches_enumeration(graph):
     for alpha in itertools.product(range(graph.n + 1), repeat=graph.q - 1):
         assert count_functional(graph, alpha) == enumerate_functional(graph, alpha)
+
+
+def complete_digraph(q: int) -> ColoredDigraph:
+    """The complete 6-vertex digraph with one arc of each of colors 1 and 2 per ordered pair."""
+    arcs = [(t, h, c) for t in range(1, 7) for h in range(1, 7) if t != h for c in (1, 2)]
+    return ColoredDigraph(6, q, tuple(Edge(i, t, h, c) for i, (t, h, c) in enumerate(arcs)))
+
+
+def test_unused_colors_do_not_grow_the_grid(monkeypatch):
+    narrow = count_table(complete_digraph(2), 1)
+    calls = []
+    real = determinant.det_mod_p
+    monkeypatch.setattr(determinant, "det_mod_p", lambda rows, p: calls.append(p) or real(rows, p))
+    wide = count_table(complete_digraph(6), 1)
+    # Colors 3-6 are declared but unused, so only x1 and x2 need more than
+    # one node: 6 x 6 points with one prime, where n^(q-1) = 7,776.
+    assert len(calls) <= 36
+    # Each alpha's full histogram (a, 5 - a) padded with zeros to q-1 = 5 colors.
+    assert wide == {(a, 5 - a, 0, 0, 0): value for (a,), value in narrow.items()}
+
+
+# Rooted at s: {sa, sb} has alpha 1, {sa, ab} alpha 2 and {ba, sb} alpha 0.
+DIRECTED = "3 2\ns a 1\ns b 2\na b 1\nb a 2\n"
+
+
+def approve_every_deletion(graph, root, alpha):
+    # The search then deletes every edge.
+    return True
+
+
+def decide_for_alpha_2(graph, root, alpha):
+    # The search then ends on {sa, ab}.
+    return decide(graph, root, (2,))
+
+
+@pytest.mark.parametrize(
+    "lie, check", [(approve_every_deletion, "not an arborescence"), (decide_for_alpha_2, "color histogram")]
+)
+def test_find_refuses_an_uncertified_result(monkeypatch, tmp_path, capsys, lie, check):
+    monkeypatch.setattr(counting, "decide", lie)
+    with pytest.raises(ValueError, match=check):
+        find(parse_graph(DIRECTED), 1, (1,))
+    path = tmp_path / "graph.g"
+    path.write_text(DIRECTED, encoding="utf-8")
+    assert main(["find", str(path), "--root", "s", "--alpha", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: certificate check failed") and check in captured.err

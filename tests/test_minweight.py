@@ -1,8 +1,10 @@
 """Minimum-weight operations, checked against the brute-force oracle (n <= 6)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccarb import minweight
 from ccarb.cli import main
 from ccarb.graph import parse_graph
 from ccarb.minweight import WeightedInstance, c_alpha_r, find_min, min_weight
@@ -93,3 +95,36 @@ def test_heavy_weights_are_not_refused(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == f"{expected[0]}\n"
     assert captured.err == ""
+
+
+# Rooted at s: {sa, sb} has alpha 1 and weight 3, {sa, ab} alpha 2 and
+# weight 4, {ba, sb} alpha 0 and weight 3.
+WEIGHTED = "3 2\ns a 1 1\ns b 2 2\na b 1 3\nb a 2 1\n"
+
+
+def approve_every_deletion(monkeypatch):
+    # The search then deletes every edge.
+    monkeypatch.setattr(minweight, "_attains_min", lambda inst, target: True)
+
+
+def misreport_the_minimum(monkeypatch):
+    # Report one more than the minimum but search for the true one, so the
+    # search ends on {sa, sb}, whose weight is not the reported minimum.
+    real_min, real_attains = minweight.min_weight, minweight._attains_min
+    monkeypatch.setattr(minweight, "min_weight", lambda inst: real_min(inst) + 1)
+    monkeypatch.setattr(minweight, "_attains_min", lambda inst, target: real_attains(inst, target - 1))
+
+
+@pytest.mark.parametrize(
+    "lie, check", [(approve_every_deletion, "not an arborescence"), (misreport_the_minimum, "weight")]
+)
+def test_find_min_refuses_an_uncertified_result(monkeypatch, tmp_path, capsys, lie, check):
+    lie(monkeypatch)
+    with pytest.raises(ValueError, match=check):
+        find_min(WeightedInstance(parse_graph(WEIGHTED), 1, (1,)))
+    path = tmp_path / "weighted.g"
+    path.write_text(WEIGHTED, encoding="utf-8")
+    assert main(["find-min", str(path), "--root", "s", "--alpha", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: certificate check failed") and check in captured.err

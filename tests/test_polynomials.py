@@ -1,19 +1,13 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ccarb.polynomials import (
-    EvalGrid,
-    IntPoly,
-    ModPoly,
-    crt_combine,
-    interpolate,
-    render_poly,
-)
+from ccarb.polynomials import IntPoly, ModPoly, crt_combine, interpolate, render_poly
 
-from support import poly_add, poly_mul
+from support import poly_eval
 
 
 @st.composite
@@ -27,77 +21,47 @@ def mod_polys(draw, p=101, nvars=None, max_degree=3):
     return ModPoly(p, terms)
 
 
-class TestEvaluate:
-    def test_linear(self):
-        poly = ModPoly(7, {(1,): 1, (0,): 2})
-        assert poly.evaluate((3,)) == 5
-
-    def test_zero_poly(self):
-        assert ModPoly(7, {}).evaluate((4,)) == 0
-
-    def test_product_monomial(self):
-        poly = ModPoly(5, {(1, 1): 1})
-        assert poly.evaluate((2, 3)) == 1
-
-    @given(mod_polys(nvars=2), mod_polys(nvars=2), st.tuples(st.integers(0, 100), st.integers(0, 100)))
-    def test_ring_homomorphism(self, a, b, point):
-        p = 101
-        total = ModPoly(p, poly_add(a.terms, b.terms))
-        assert total.evaluate(point) == (a.evaluate(point) + b.evaluate(point)) % p
-        product = ModPoly(p, poly_mul(a.terms, b.terms))
-        assert product.evaluate(point) == a.evaluate(point) * b.evaluate(point) % p
-
-
 class TestInterpolate:
     def test_line_through_two_points(self):
-        grid = EvalGrid(((0, 1),))
-        poly = interpolate({(0,): 1, (1,): 2}, grid, 101)
+        poly = interpolate([1, 2], (2,), 101)
         assert poly.terms == {(1,): 1, (0,): 1}
 
     def test_constant(self):
-        grid = EvalGrid(((0, 1, 2), (0, 1)))
-        values = {key: 9 for key in [(i, j) for i in range(3) for j in range(2)]}
-        poly = interpolate(values, grid, 101)
+        poly = interpolate([9] * 6, (3, 2), 101)
         assert poly.terms == {(0, 0): 9}
 
     def test_two_variable_round_trip(self):
         p = 101
-        target = ModPoly(p, {(1, 1): 1, (0, 0): 3})
-        grid = EvalGrid(((0, 1), (0, 1)))
-        values = {
-            (i, j): target.evaluate((grid.points[0][i], grid.points[1][j]))
-            for i in range(2)
-            for j in range(2)
-        }
-        assert interpolate(values, grid, p) == target
+        target = {(1, 1): 1, (0, 0): 3}
+        values = [poly_eval(target, (i, j)) % p for i in range(2) for j in range(2)]
+        assert interpolate(values, (2, 2), p) == ModPoly(p, target)
+
+    def test_axes_of_different_lengths(self):
+        # Row-major order: the last axis varies fastest.
+        p = 101
+        target = {(2, 0): 5, (1, 1): 7, (0, 0): 1}
+        values = [poly_eval(target, (i, j)) % p for i in range(3) for j in range(2)]
+        assert interpolate(values, (3, 2), p) == ModPoly(p, target)
+
+    def test_no_variables(self):
+        assert interpolate([4], (), 7).terms == {(): 4}
 
     def test_shape_mismatch(self):
-        grid = EvalGrid(((0, 1),))
         with pytest.raises(ValueError, match="grid shape mismatch"):
-            interpolate({(0,): 1}, grid, 101)
+            interpolate([1], (2,), 101)
 
     def test_points_must_be_distinct(self):
-        grid = EvalGrid(((0, 101),))
+        # Nodes 0, 1, 2 are not distinct mod 2.
         with pytest.raises(ValueError, match="distinct"):
-            interpolate({(0,): 1, (1,): 2}, grid, 101)
+            interpolate([1, 2, 3], (3,), 2)
 
     @given(mod_polys(max_degree=3))
     def test_round_trip_random(self, poly):
         p = poly.modulus
         nvars = len(next(iter(poly.terms))) if poly.terms else 2
-        size = 4
-        grid = EvalGrid(tuple(tuple(range(size)) for _ in range(nvars)))
-        import itertools
-
-        values = {
-            idx: poly.evaluate(idx) if poly.terms else 0
-            for idx in itertools.product(range(size), repeat=nvars)
-        }
-        recovered = interpolate(values, grid, p)
-        if poly.terms:
-            assert recovered == poly
-        else:
-            assert recovered.terms == {}
+        shape = (4,) * nvars
+        values = [poly_eval(poly.terms, idx) % p for idx in itertools.product(range(4), repeat=nvars)]
+        assert interpolate(values, shape, p) == poly
 
 
 class TestCrt:
