@@ -11,11 +11,13 @@ determinant of the full out-degree Laplacian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .determinant import det_poly
 from .graph import (
     ColoredDigraph,
     ColoredMultigraph,
+    Edge,
     bidirect,
     color_histogram,
     is_arborescence,
@@ -90,35 +92,47 @@ def decide(graph: ColoredDigraph, root: int, alpha) -> bool:
 def _drop_duplicate_colors(graph: ColoredDigraph) -> ColoredDigraph:
     # Parallel same-color edges are interchangeable for existence; keep the
     # smallest id of each group so the search is deterministic.
-    seen: set[tuple[int, int, int]] = set()
-    kept = []
+    first: dict[tuple[int, int, int], Edge] = {}
     for e in graph.edges:
-        key = (e.tail, e.head, e.color)
-        if key not in seen:
-            seen.add(key)
-            kept.append(e)
-    return ColoredDigraph(graph.n, graph.q, tuple(kept), graph.labels)
+        first.setdefault((e.tail, e.head, e.color), e)
+    return ColoredDigraph(graph.n, graph.q, tuple(first.values()), graph.labels)
+
+
+def _halve_in_arcs(graph: ColoredDigraph, root: int, feasible) -> ColoredDigraph:
+    # A solution uses exactly one in-arc of each non-root vertex and none of
+    # the root's.  Halve each vertex's candidates in ascending id: drop the
+    # first half when `feasible` still holds without it; otherwise every
+    # solution uses an arc of that half, so drop the rest unasked.
+    current = remove_in_arcs(graph, root)
+    for v in range(1, graph.n + 1):
+        candidates = [e.id for e in current.edges if e.head == v]
+        while len(candidates) > 1:
+            half, rest = candidates[: len(candidates) // 2], candidates[len(candidates) // 2 :]
+            without = reduce(remove_edge, half, current)
+            if feasible(without):
+                current, candidates = without, rest
+            else:
+                current, candidates = reduce(remove_edge, rest, current), half
+    return current
 
 
 def find(graph: ColoredDigraph, root: int, alpha) -> Arborescence | None:
     """Find one arborescence matching the color constraint, or None.
 
-    Runs the deletion search: walk the edges in ascending id and delete any
-    edge whose removal keeps the answer feasible.  What remains is itself an
-    arborescence with the requested histogram; that is checked before it is
-    returned, and a failed check raises ValueError.  Edge ids refer to the
-    input graph, whose duplicate same-color parallels are dropped up front.
+    After one decide on the whole graph, drops the root's in-arcs and halves
+    each other vertex's in-arcs in ascending id: the first half goes if the
+    constraint stays feasible without it, the rest goes otherwise, so at most
+    sum(ceil(log2 indegree)) more decides are made.  The arcs left are
+    checked to be an arborescence with the requested histogram (ValueError
+    if not).  Edge ids refer to the input graph, whose duplicate same-color
+    parallels are dropped up front.
     """
     constraint = _checked_alpha(graph.q, alpha)
     _checked_root(graph, root)
     _require_loopless(graph)
     if not decide(graph, root, constraint):
         return None
-    current = _drop_duplicate_colors(graph)
-    for edge_id in [e.id for e in current.edges]:
-        candidate = remove_edge(current, edge_id)
-        if decide(candidate, root, constraint):
-            current = candidate
+    current = _halve_in_arcs(_drop_duplicate_colors(graph), root, lambda sub: decide(sub, root, constraint))
     edge_ids = tuple(e.id for e in current.edges)
     _certify(graph, root, constraint, edge_ids)
     return Arborescence(root, edge_ids)

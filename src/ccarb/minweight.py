@@ -1,21 +1,24 @@
 """Minimum-weight color-constrained arborescences.
 
-For a prime r, replacing every weight w(e) by r^w(e) turns the weighted
-determinant coefficient for a constraint into sum_T r^w(T) over the matching
-arborescences T.  The r-adic valuation of that value is at least the minimum
-weight, with equality exactly when the number of minimum-weight solutions is
-not divisible by r.  Taking the minimum valuation over n distinct primes
-larger than the edge count m is therefore exact: the number of minimizers is
-at most m^n, so it cannot be divisible by all n primes at once.
+For an integer r > 1, replacing every weight w(e) by r^w(e) turns the
+weighted determinant coefficient for a constraint into sum_T r^w(T) over the
+matching arborescences T, which is r^W times (N + a multiple of r) for the
+minimum weight W and the number N of minimizers.  Its r-adic valuation is
+therefore W exactly when r does not divide N.  Every arborescence uses one
+in-arc of each non-root vertex, so N is at most B, the product of the
+non-root in-degrees, and the one prime r = next_prime(B) > B >= N makes a
+single valuation exact.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
+from math import prod
 
-from .counting import Arborescence, _certify, _checked_alpha, _checked_root
+from .counting import Arborescence, _certify, _checked_alpha, _checked_root, _halve_in_arcs
 from .determinant import det_poly, next_prime
-from .graph import ColoredDigraph, remove_edge, remove_in_arcs
+from .graph import ColoredDigraph, remove_in_arcs
 from .laplacian import build_laplacian, minor
 
 @dataclass(frozen=True)
@@ -65,66 +68,48 @@ def valuation(value: int, r: int) -> int:
     return k
 
 
-def _weight_primes(inst: WeightedInstance) -> list[int]:
-    # n distinct primes above max(m, 2n); each exceeds m, so the number of
-    # minimizers (at most m^n) cannot be divisible by all of them.
-    lower = max(len(inst.graph.edges), 2 * inst.graph.n)
-    primes: list[int] = []
-    candidate = lower
-    for _ in range(inst.graph.n):
-        candidate = next_prime(candidate)
-        primes.append(candidate)
-    return primes
+def _valuation_base(inst: WeightedInstance) -> int:
+    # A prime above the product of the non-root in-degrees, which bounds
+    # the number of minimizers, so that number is not a multiple of it.
+    indegree = Counter(e.head for e in inst.graph.edges)
+    return next_prime(prod(indegree[v] for v in range(1, inst.graph.n + 1) if v != inst.root))
 
 
 def min_weight(inst: WeightedInstance) -> int | None:
     """Minimum weight of an arborescence matching the constraint, or None.
 
-    Evaluates the transformed coefficient for each of the n chosen primes
-    and returns the smallest valuation.  A zero coefficient at the first
-    prime means no matching arborescence exists at all (the count does not
-    depend on the prime), reported as None.
+    One valuation of the transformed coefficient at the valuation base, a
+    prime above the number of arborescences, is the minimum weight.  A zero
+    coefficient means no matching arborescence exists, reported as None.
     """
-    primes = _weight_primes(inst)
-    first = c_alpha_r(inst, primes[0])
-    if first == 0:
-        return None
-    best = valuation(first, primes[0])
-    for r in primes[1:]:
-        value = c_alpha_r(inst, r)
-        best = min(best, valuation(value, r))
-    return best
+    r = _valuation_base(inst)
+    value = c_alpha_r(inst, r)
+    return valuation(value, r) if value else None
 
 
 def _attains_min(inst: WeightedInstance, target: int) -> bool:
-    # Deleting edges can only raise the minimum, so every valuation is at
-    # least `target`; one hit at `target` settles the question early.
-    for r in _weight_primes(inst):
-        value = c_alpha_r(inst, r)
-        if value == 0:
-            return False
-        if valuation(value, r) == target:
-            return True
-    return False
+    r = _valuation_base(inst)
+    value = c_alpha_r(inst, r)
+    return value != 0 and valuation(value, r) == target
 
 
 def find_min(inst: WeightedInstance) -> tuple[Arborescence, int] | None:
     """A minimum-weight arborescence matching the constraint, with its weight.
 
-    Computes the minimum once, then walks the edges in ascending id and
-    deletes any edge whose removal leaves the minimum unchanged.  The edges
-    that survive form a minimum-weight solution; that is checked before it
-    is returned, and a failed check raises ValueError.
+    Computes the minimum once, then drops the root's in-arcs and halves each
+    other vertex's candidate in-arcs in ascending id, as `find` does: the
+    first half goes if the minimum is unchanged without it, and otherwise the
+    rest goes.  The arcs left form a minimum-weight solution; that is checked
+    before it is returned, and a failed check raises ValueError.
     """
     target = min_weight(inst)
     if target is None:
         return None
-    current = inst.graph
-    for edge_id in [e.id for e in current.edges]:
-        candidate = remove_edge(current, edge_id)
-        sub = WeightedInstance(candidate, inst.root, inst.alpha)
-        if _attains_min(sub, target):
-            current = candidate
+    current = _halve_in_arcs(
+        inst.graph,
+        inst.root,
+        lambda candidate: _attains_min(WeightedInstance(candidate, inst.root, inst.alpha), target),
+    )
     edge_ids = tuple(e.id for e in current.edges)
     _certify(inst.graph, inst.root, inst.alpha, edge_ids)
     if sum(inst.graph.edge(i).weight for i in edge_ids) != target:

@@ -111,12 +111,25 @@ def test_unused_colors_do_not_grow_the_grid(monkeypatch):
     assert wide == {(a, 5 - a, 0, 0, 0): value for (a,), value in narrow.items()}
 
 
+def test_find_halves_the_in_arcs_of_each_vertex(monkeypatch):
+    graph = complete_digraph(2)
+    calls = []
+    real = counting.decide
+    monkeypatch.setattr(counting, "decide", lambda *args: calls.append(args) or real(*args))
+    arb = find(graph, 1, (2,))
+    assert arb is not None and color_histogram(graph, arb.edge_ids)[:1] == (2,)
+    # One decide on the whole graph, then ceil(log2 10) = 4 for each of the
+    # five non-root vertices, where one decide per arc would make 1 + 60.
+    assert len(calls) <= 1 + 5 * 4
+
+
 # Rooted at s: {sa, sb} has alpha 1, {sa, ab} alpha 2 and {ba, sb} alpha 0.
 DIRECTED = "3 2\ns a 1\ns b 2\na b 1\nb a 2\n"
 
 
 def approve_every_deletion(graph, root, alpha):
-    # The search then deletes every edge.
+    # The search then keeps only the last in-arc of each vertex: the cycle
+    # {ab, ba}.
     return True
 
 

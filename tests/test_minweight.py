@@ -97,13 +97,63 @@ def test_heavy_weights_are_not_refused(tmp_path, capsys):
     assert captured.err == ""
 
 
+@ORACLE
+@given(instances())
+def test_valuation_base_exceeds_the_number_of_arborescences(inst):
+    assert minweight._valuation_base(inst) > len(enumerate_arborescences(inst.graph, inst.root))
+
+
+# Four vertices, m = 12, every weight 1: the 13 arborescences with alpha 2
+# all weigh 3.  One valuation at 13, the first prime above max(m, 2n), would
+# read 4, because 13 divides the number of minimizers.
+THIRTEEN = """4 2
+s a 2 1
+s b 1 1
+s c 1 1
+a c 1 1
+b a 1 1
+c b 1 1
+a s 2 1
+a b 2 1
+a c 2 1
+s a 1 1
+b c 1 1
+b c 2 1
+"""
+
+
+def test_one_valuation_is_exact_when_a_small_prime_divides_the_minimizers(monkeypatch):
+    inst = WeightedInstance(parse_graph(THIRTEEN), 1, (2,))
+    assert oracle_min_weight(inst) == (3, 13)
+    calls = []
+    monkeypatch.setattr(minweight, "c_alpha_r", lambda inst, r: calls.append(r) or c_alpha_r(inst, r))
+    assert min_weight(inst) == 3
+    assert len(calls) == 1
+
+
+def test_find_min_halves_the_in_arcs_of_each_vertex(monkeypatch):
+    # The complete 5-vertex digraph with one arc of each of colors 1 and 2
+    # per ordered pair, weights 1-9.
+    arcs = [(t, h, c) for t in range(1, 6) for h in range(1, 6) if t != h for c in (1, 2)]
+    lines = [f"{t} {h} {c} {1 + (3 * t + 5 * h + 7 * c) % 9}" for t, h, c in arcs]
+    inst = WeightedInstance(parse_graph("5 2\n" + "\n".join(lines) + "\n"), 1, (2,))
+    calls = []
+    monkeypatch.setattr(minweight, "c_alpha_r", lambda inst, r: calls.append(r) or c_alpha_r(inst, r))
+    _, weight = find_min(inst)
+    assert weight == oracle_min_weight(inst)[0]
+    # min_weight, then ceil(log2 8) = 3 for each of the four non-root
+    # vertices, where one question per arc would make n + m = 5 + 40.
+    assert len(calls) <= 2 + 4 * 3
+
+
 # Rooted at s: {sa, sb} has alpha 1 and weight 3, {sa, ab} alpha 2 and
 # weight 4, {ba, sb} alpha 0 and weight 3.
 WEIGHTED = "3 2\ns a 1 1\ns b 2 2\na b 1 3\nb a 2 1\n"
 
 
 def approve_every_deletion(monkeypatch):
-    # The search then deletes every edge.
+    # The search then keeps only the last in-arc of each vertex: the cycle
+    # {ab, ba}.
     monkeypatch.setattr(minweight, "_attains_min", lambda inst, target: True)
 
 
