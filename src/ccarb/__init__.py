@@ -29,7 +29,7 @@ from .graph import (
 )
 from .laplacian import SymbolicMatrix, build_laplacian, minor
 from .minweight import WeightedInstance, c_alpha_r, find_min, min_weight, valuation
-from .polynomials import IntPoly, ModPoly, crt_combine, interpolate, render_poly
+from .polynomials import crt_combine, interpolate, render_poly
 
 __version__ = "0.1.0"
 
@@ -39,8 +39,6 @@ __all__ = [
     "ColoredMultigraph",
     "Edge",
     "GraphParseError",
-    "IntPoly",
-    "ModPoly",
     "SymbolicMatrix",
     "WeightedInstance",
     "bidirect",

@@ -31,7 +31,7 @@ from .graph import (
     parse_graph,
 )
 from .minweight import WeightedInstance, find_min, min_weight
-from .polynomials import IntPoly, render_poly
+from .polynomials import render_poly
 
 
 class _UsageError(Exception):
@@ -162,7 +162,7 @@ def _run_count_all(args) -> int:
     lines = [f"{','.join(str(a) for a in alpha)}\t{value}\n" for alpha, value in rows]
     payload: dict = {"counts": [{"alpha": list(alpha), "count": value} for alpha, value in rows]}
     if args.poly:
-        rendering = render_poly(IntPoly(dict(table)))
+        rendering = render_poly(table)
         lines.append(rendering + "\n")
         payload["polynomial"] = rendering
     _emit(args, "".join(lines), payload)

@@ -73,9 +73,9 @@ def count_table(graph: ColoredDigraph, root: int) -> dict[tuple[int, ...], int]:
     """
     _checked_root(graph, root)
     _require_loopless(graph)
-    trimmed = remove_in_arcs(graph, root)
-    reduced = minor(build_laplacian(trimmed, "in"), root)
-    return dict(det_poly(reduced).terms)
+    # Arcs into the root touch only the root's row, which the minor deletes.
+    reduced = minor(build_laplacian(graph, "in"), root)
+    return det_poly(reduced)
 
 
 def count(graph: ColoredDigraph, root: int, alpha) -> int:
@@ -158,4 +158,4 @@ def count_functional(graph: ColoredDigraph, alpha) -> int:
     no row or column is deleted from the Laplacian.
     """
     constraint = _checked_alpha(graph.q, alpha)
-    return det_poly(build_laplacian(graph, "out")).coeff(constraint)
+    return det_poly(build_laplacian(graph, "out")).get(constraint, 0)

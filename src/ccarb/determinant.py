@@ -17,7 +17,7 @@ import math
 from typing import Sequence
 
 from .laplacian import SymbolicMatrix
-from .polynomials import IntPoly, ModPoly, crt_combine, interpolate
+from .polynomials import Poly, crt_combine, interpolate
 
 # Primes must fit in half a 64-bit word so products reduce before overflow
 # would matter on fixed-width platforms.
@@ -51,14 +51,6 @@ def _is_prime(value: int) -> bool:
         else:
             return False
     return True
-
-
-def next_prime(value: int) -> int:
-    """Smallest prime strictly greater than `value`."""
-    candidate = value + 1
-    while not _is_prime(candidate):
-        candidate += 1
-    return candidate
 
 
 def select_primes(bound: int) -> tuple[int, ...]:
@@ -113,7 +105,7 @@ def det_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
     return det % p
 
 
-def det_poly_mod_p(matrix: SymbolicMatrix, p: int) -> ModPoly:
+def det_poly_mod_p(matrix: SymbolicMatrix, p: int) -> Poly:
     """Determinant of a symbolic matrix reduced mod p, by evaluate-interpolate.
 
     Each row has degree at most one in each variable, so variable c gets
@@ -129,7 +121,7 @@ def det_poly_mod_p(matrix: SymbolicMatrix, p: int) -> ModPoly:
     return interpolate(values, shape, p)
 
 
-def det_poly(matrix: SymbolicMatrix) -> IntPoly:
+def det_poly(matrix: SymbolicMatrix) -> Poly:
     """Exact integer determinant polynomial of a symbolic matrix.
 
     Valid when the determinant has nonnegative coefficients, as every
@@ -140,5 +132,5 @@ def det_poly(matrix: SymbolicMatrix) -> IntPoly:
     primes whose product exceeds that bound fix each coefficient by CRT.
     """
     bound = math.prod(sum(abs(c) for entry in row for c in entry) for row in matrix.rows)
-    residues = [det_poly_mod_p(matrix, p) for p in select_primes(bound)]
+    residues = {p: det_poly_mod_p(matrix, p) for p in select_primes(bound)}
     return crt_combine(residues)

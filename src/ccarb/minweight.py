@@ -6,8 +6,8 @@ matching arborescences T, which is r^W times (N + a multiple of r) for the
 minimum weight W and the number N of minimizers.  Its r-adic valuation is
 therefore W exactly when r does not divide N.  Every arborescence uses one
 in-arc of each non-root vertex, so N is at most B, the product of the
-non-root in-degrees, and the one prime r = next_prime(B) > B >= N makes a
-single valuation exact.
+non-root in-degrees, and the one base r = B + 1 > N makes a single
+valuation exact (r need not be prime: 0 < N < r, so r does not divide N).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 from math import prod
 
 from .counting import Arborescence, _certify, _checked_alpha, _checked_root, _halve_in_arcs
-from .determinant import det_poly, next_prime
-from .graph import ColoredDigraph, remove_in_arcs
+from .determinant import det_poly
+from .graph import ColoredDigraph
 from .laplacian import build_laplacian, minor
 
 @dataclass(frozen=True)
@@ -45,16 +45,18 @@ def c_alpha_r(inst: WeightedInstance, r: int) -> int:
 
     Computed as the constraint's coefficient in the determinant of the
     weighted in-degree Laplacian minor under the transformed weights r^w(e).
+    Arcs into the root are left in: they touch only the root's row, which
+    the minor deletes.
     """
-    trimmed = remove_in_arcs(inst.graph, inst.root)
+    graph = inst.graph
     transformed = ColoredDigraph(
-        trimmed.n,
-        trimmed.q,
-        tuple(replace(e, weight=r ** e.weight) for e in trimmed.edges),
-        trimmed.labels,
+        graph.n,
+        graph.q,
+        tuple(replace(e, weight=r ** e.weight) for e in graph.edges),
+        graph.labels,
     )
     reduced = minor(build_laplacian(transformed, "in", weighted=True), inst.root)
-    return det_poly(reduced).coeff(inst.alpha)
+    return det_poly(reduced).get(inst.alpha, 0)
 
 
 def valuation(value: int, r: int) -> int:
@@ -69,28 +71,24 @@ def valuation(value: int, r: int) -> int:
 
 
 def _valuation_base(inst: WeightedInstance) -> int:
-    # A prime above the product of the non-root in-degrees, which bounds
-    # the number of minimizers, so that number is not a multiple of it.
+    # One more than the product of the non-root in-degrees, which bounds the
+    # number of minimizers, so a positive number of them is not a multiple
+    # of it.  The base is 1 only when a non-root vertex has no in-arc; then
+    # the coefficient is 0 and no valuation is taken.
     indegree = Counter(e.head for e in inst.graph.edges)
-    return next_prime(prod(indegree[v] for v in range(1, inst.graph.n + 1) if v != inst.root))
+    return prod(indegree[v] for v in range(1, inst.graph.n + 1) if v != inst.root) + 1
 
 
 def min_weight(inst: WeightedInstance) -> int | None:
     """Minimum weight of an arborescence matching the constraint, or None.
 
-    One valuation of the transformed coefficient at the valuation base, a
-    prime above the number of arborescences, is the minimum weight.  A zero
+    One valuation of the transformed coefficient at the valuation base, an
+    integer above the number of arborescences, is the minimum weight.  A zero
     coefficient means no matching arborescence exists, reported as None.
     """
     r = _valuation_base(inst)
     value = c_alpha_r(inst, r)
     return valuation(value, r) if value else None
-
-
-def _attains_min(inst: WeightedInstance, target: int) -> bool:
-    r = _valuation_base(inst)
-    value = c_alpha_r(inst, r)
-    return value != 0 and valuation(value, r) == target
 
 
 def find_min(inst: WeightedInstance) -> tuple[Arborescence, int] | None:
@@ -108,7 +106,7 @@ def find_min(inst: WeightedInstance) -> tuple[Arborescence, int] | None:
     current = _halve_in_arcs(
         inst.graph,
         inst.root,
-        lambda candidate: _attains_min(WeightedInstance(candidate, inst.root, inst.alpha), target),
+        lambda candidate: min_weight(WeightedInstance(candidate, inst.root, inst.alpha)) == target,
     )
     edge_ids = tuple(e.id for e in current.edges)
     _certify(inst.graph, inst.root, inst.alpha, edge_ids)

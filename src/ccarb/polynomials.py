@@ -1,11 +1,13 @@
 """Sparse multivariate polynomials over Z_p and Z.
 
-Exponent vectors are plain tuples of nonnegative ints, one entry per
-variable.  The module provides exactly what the determinant engine needs:
-Lagrange interpolation from a dense grid whose axis for variable c holds
-the nodes 0, 1, ..., d_c (values given as one flat list in row-major order,
-the last axis varying fastest), and Chinese-Remainder reconstruction of
-integer coefficients from residues.
+A polynomial is a plain dict mapping exponent vectors (tuples of
+nonnegative ints, one entry per variable) to coefficients; zero
+coefficients are left out, so an empty dict is the zero polynomial.
+Residues mod p lie in [0, p).  The module provides exactly what the
+determinant engine needs: Lagrange interpolation from a dense grid whose
+axis for variable c holds the nodes 0, 1, ..., d_c (values given as one
+flat list in row-major order, the last axis varying fastest), and
+Chinese-Remainder reconstruction of integer coefficients from residues.
 """
 
 from __future__ import annotations
@@ -13,50 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
-
-@dataclass
-class ModPoly:
-    """Polynomial with coefficients in Z_p.
-
-    `terms` maps exponent tuples to residues; zero coefficients are never
-    stored and everything is reduced into [0, p).
-    """
-
-    modulus: int
-    terms: dict[tuple[int, ...], int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
-        cleaned: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self.terms.items():
-            residue = coeff % self.modulus
-            if residue:
-                cleaned[tuple(exps)] = residue
-        self.terms = cleaned
-
-
-@dataclass
-class IntPoly:
-    """Polynomial with arbitrary-precision nonnegative integer coefficients."""
-
-    terms: dict[tuple[int, ...], int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        cleaned: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self.terms.items():
-            if coeff < 0:
-                raise ValueError("coefficients must be nonnegative")
-            if coeff:
-                cleaned[tuple(exps)] = coeff
-        self.terms = cleaned
-
-    def coeff(self, alpha: Sequence[int]) -> int:
-        """Coefficient of the monomial with exponent vector `alpha` (0 if absent)."""
-        return self.terms.get(tuple(alpha), 0)
+Poly = dict[tuple[int, ...], int]
 
 
 def _lagrange_matrix(size: int, p: int) -> list[list[int]]:
@@ -83,7 +44,7 @@ def _lagrange_matrix(size: int, p: int) -> list[list[int]]:
     return matrix
 
 
-def interpolate(values: Sequence[int], shape: Sequence[int], p: int) -> ModPoly:
+def interpolate(values: Sequence[int], shape: Sequence[int], p: int) -> Poly:
     """Recover the unique polynomial matching `values` on the grid of `shape`.
 
     Axis c has the nodes 0..shape[c]-1; `values` lists the grid in
@@ -114,43 +75,40 @@ def interpolate(values: Sequence[int], shape: Sequence[int], p: int) -> ModPoly:
         tensor = transformed
         block = stride
     indices = itertools.product(*(range(size) for size in shape))
-    return ModPoly(p, dict(zip(indices, tensor)))
+    return {mono: residue for mono, residue in zip(indices, tensor) if residue}
 
 
-def crt_combine(residue_polys: Sequence[ModPoly]) -> IntPoly:
+def crt_combine(residue_polys: Mapping[int, Poly]) -> Poly:
     """Reconstruct integer coefficients from residues modulo distinct primes.
 
+    `residue_polys` maps each prime to the polynomial's residues modulo it.
     Each monomial's coefficient is the unique integer in [0, prod p_i)
     matching all residues; a monomial missing from an input counts as
     residue 0 there.
     """
-    polys = list(residue_polys)
-    if not polys:
+    if not residue_polys:
         raise ValueError("at least one residue polynomial is required")
-    moduli = [poly.modulus for poly in polys]
-    if len(set(moduli)) != len(moduli):
-        raise ValueError("duplicate moduli")
-    product = math.prod(moduli)
-    weights = []
-    for p in moduli:
+    product = math.prod(residue_polys)
+    weights = {}
+    for p in residue_polys:
         rest = product // p
-        weights.append(rest * pow(rest, -1, p))
-    monomials = sorted({mono for poly in polys for mono in poly.terms})
-    terms: dict[tuple[int, ...], int] = {}
+        weights[p] = rest * pow(rest, -1, p)
+    monomials = sorted({mono for poly in residue_polys.values() for mono in poly})
+    terms: Poly = {}
     for mono in monomials:
-        combined = sum(w * poly.terms.get(mono, 0) for w, poly in zip(weights, polys)) % product
+        combined = sum(w * residue_polys[p].get(mono, 0) for p, w in weights.items()) % product
         if combined:
             terms[mono] = combined
-    return IntPoly(terms)
+    return terms
 
 
-def render_poly(poly: IntPoly) -> str:
+def render_poly(terms: Poly) -> str:
     """Canonical text form: lexicographic monomial order, x_c^0 factors omitted."""
-    if not poly.terms:
+    if not terms:
         return "0"
     parts = []
-    for exps in sorted(poly.terms):
-        factors = [str(poly.terms[exps])]
+    for exps in sorted(terms):
+        factors = [str(terms[exps])]
         factors.extend(f"x{i}^{e}" for i, e in enumerate(exps, start=1) if e)
         parts.append(" * ".join(factors))
     return " + ".join(parts)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from ccarb.graph import ColoredDigraph, ColoredMultigraph, Edge, dedup_min_weight
 from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor
-from ccarb.polynomials import ModPoly
 
 # ---------------------------------------------------------------- dict polys
 
@@ -81,8 +80,9 @@ def _cofactor(rows, nvars: int) -> DictPoly:
     return {k: v for k, v in total.items() if v}
 
 
-def dict_poly_mod(poly: DictPoly, p: int) -> ModPoly:
-    return ModPoly(p, dict(poly))
+def dict_poly_mod(poly: DictPoly, p: int) -> DictPoly:
+    """Residues mod p in [0, p), zero residues left out."""
+    return {exps: coeff % p for exps, coeff in poly.items() if coeff % p}
 
 
 def bareiss_det(matrix) -> int:

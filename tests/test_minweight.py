@@ -152,17 +152,23 @@ WEIGHTED = "3 2\ns a 1 1\ns b 2 2\na b 1 3\nb a 2 1\n"
 
 
 def approve_every_deletion(monkeypatch):
-    # The search then keeps only the last in-arc of each vertex: the cycle
+    # Every minimum reads 3, the true one, so every deletion is approved and
+    # the search keeps only the last in-arc of each vertex: the cycle
     # {ab, ba}.
-    monkeypatch.setattr(minweight, "_attains_min", lambda inst, target: True)
+    monkeypatch.setattr(minweight, "min_weight", lambda inst: 3)
 
 
 def misreport_the_minimum(monkeypatch):
-    # Report one more than the minimum but search for the true one, so the
-    # search ends on {sa, sb}, whose weight is not the reported minimum.
-    real_min, real_attains = minweight.min_weight, minweight._attains_min
-    monkeypatch.setattr(minweight, "min_weight", lambda inst: real_min(inst) + 1)
-    monkeypatch.setattr(minweight, "_attains_min", lambda inst, target: real_attains(inst, target - 1))
+    # Report one more than every minimum, so the search still follows the
+    # true one and ends on {sa, sb}, whose weight is not the reported
+    # minimum.
+    real_min = minweight.min_weight
+
+    def misreported(inst):
+        weight = real_min(inst)
+        return None if weight is None else weight + 1
+
+    monkeypatch.setattr(minweight, "min_weight", misreported)
 
 
 @pytest.mark.parametrize(
