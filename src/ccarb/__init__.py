@@ -9,12 +9,7 @@ from .counting import (
     decide,
     find,
 )
-from .determinant import (
-    det_mod_p,
-    det_poly,
-    det_poly_mod_p,
-    select_primes,
-)
+from .determinant import det_poly
 from .graph import (
     ColoredDigraph,
     ColoredMultigraph,
@@ -28,8 +23,8 @@ from .graph import (
     reverse,
 )
 from .laplacian import SymbolicMatrix, build_laplacian, minor
-from .minweight import WeightedInstance, c_alpha_r, find_min, min_weight, valuation
-from .polynomials import crt_combine, interpolate, render_poly
+from .minweight import WeightedInstance, c_alpha_r, find_min, min_weight
+from .polynomials import render_poly
 
 __version__ = "0.1.0"
 
@@ -48,15 +43,11 @@ __all__ = [
     "count_functional",
     "count_spanning_trees",
     "count_table",
-    "crt_combine",
     "decide",
     "dedup_min_weight",
-    "det_mod_p",
     "det_poly",
-    "det_poly_mod_p",
     "find",
     "find_min",
-    "interpolate",
     "min_weight",
     "minor",
     "parse_graph",
@@ -64,6 +55,4 @@ __all__ = [
     "remove_in_arcs",
     "render_poly",
     "reverse",
-    "select_primes",
-    "valuation",
 ]

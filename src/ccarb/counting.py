@@ -23,6 +23,7 @@ from .graph import (
     is_arborescence,
     remove_edge,
     remove_in_arcs,
+    reverse,
 )
 from .laplacian import build_laplacian, minor
 
@@ -74,7 +75,7 @@ def count_table(graph: ColoredDigraph, root: int) -> dict[tuple[int, ...], int]:
     _checked_root(graph, root)
     _require_loopless(graph)
     # Arcs into the root touch only the root's row, which the minor deletes.
-    reduced = minor(build_laplacian(graph, "in"), root)
+    reduced = minor(build_laplacian(graph), root)
     return det_poly(reduced)
 
 
@@ -158,4 +159,5 @@ def count_functional(graph: ColoredDigraph, alpha) -> int:
     no row or column is deleted from the Laplacian.
     """
     constraint = _checked_alpha(graph.q, alpha)
-    return det_poly(build_laplacian(graph, "out")).get(constraint, 0)
+    # The out-degree Laplacian of a graph is the in-degree Laplacian of its reverse.
+    return det_poly(build_laplacian(reverse(graph))).get(constraint, 0)

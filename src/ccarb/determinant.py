@@ -13,7 +13,6 @@ row-major order over the grid (the last axis varying fastest).
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Sequence
 
 from .laplacian import SymbolicMatrix
@@ -108,14 +107,11 @@ def det_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
 def det_poly_mod_p(matrix: SymbolicMatrix, p: int) -> Poly:
     """Determinant of a symbolic matrix reduced mod p, by evaluate-interpolate.
 
-    Each row has degree at most one in each variable, so variable c gets
-    one more node than the number of rows with a nonzero x_c coefficient; a
-    variable no row contains gets the single node 0.  Requires p to exceed
-    the longest axis.
+    The axis of x_c holds one more node than `matrix.variable_rows` counts
+    rows containing x_c; a variable no row contains gets the single node 0.
+    Requires p to exceed the longest axis.
     """
-    shape = tuple(
-        1 + sum(any(entry[c] for entry in row) for row in matrix.rows) for c in range(1, matrix.nvars + 1)
-    )
+    shape = tuple(1 + rows for rows in matrix.variable_rows)
     grid = itertools.product(*(range(size) for size in shape))
     values = [det_mod_p(matrix.evaluate(point, p), p) for point in grid]
     return interpolate(values, shape, p)
@@ -125,12 +121,8 @@ def det_poly(matrix: SymbolicMatrix) -> Poly:
     """Exact integer determinant polynomial of a symbolic matrix.
 
     Valid when the determinant has nonnegative coefficients, as every
-    Laplacian minor and Laplacian does.  Every coefficient is at most the
-    product over rows of the summed absolute coefficients of the row's
-    entries: in the Leibniz expansion, the absolute coefficients of a product
-    sum to at most the product of the factors' sums.  The residues modulo
-    primes whose product exceeds that bound fix each coefficient by CRT.
+    Laplacian minor and Laplacian does.  The residues modulo primes whose
+    product exceeds `matrix.coefficient_bound` fix each coefficient by CRT.
     """
-    bound = math.prod(sum(abs(c) for entry in row for c in entry) for row in matrix.rows)
-    residues = {p: det_poly_mod_p(matrix, p) for p in select_primes(bound)}
+    residues = {p: det_poly_mod_p(matrix, p) for p in select_primes(matrix.coefficient_bound)}
     return crt_combine(residues)

@@ -1,99 +1,108 @@
-"""Symbolic degree Laplacians of colored multidigraphs and their minors.
+"""Symbolic in-degree Laplacians of colored multidigraphs and their minors.
 
-Every matrix entry is a polynomial of degree at most one in each of the
-q-1 color variables x_1..x_{q-1}; color q contributes to the constant term
-(x_q is fixed to 1).
+Row v holds only v's in-arcs, so rows are stored sparsely as terms; this is
+the only module that reads that layout.  Color q contributes to the
+constant term (x_q is fixed to 1).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .graph import ColoredDigraph
 
-LinearEntry = tuple[int, ...]
+Term = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class SymbolicMatrix:
-    """Square matrix of degree-<=1-per-variable polynomials.
+    """Square matrix whose entries have degree at most one in each variable.
 
-    Entry (i, j) is a coefficient vector of length nvars+1: slot 0 is the
-    constant term, slot c the coefficient of x_c.
+    Row i is a tuple of terms (column, slot, coefficient): columns are
+    0-based, slot 0 is the constant term and slot c the coefficient of x_c.
+    Terms with the same (column, slot) add up; an entry without terms is 0.
     """
 
     nvars: int
-    rows: tuple[tuple[LinearEntry, ...], ...]
+    rows: tuple[tuple[Term, ...], ...]
 
     def __post_init__(self):
         if self.nvars < 0:
             raise ValueError("variable count must be nonnegative")
-        width = self.nvars + 1
-        for row in self.rows:
-            if len(row) != len(self.rows):
-                raise ValueError("matrix must be square")
-            for entry in row:
-                if len(entry) != width:
-                    raise ValueError(f"entries must have {width} coefficient slots")
+        for i, row in enumerate(self.rows):
+            for term in row:
+                if not (0 <= term[0] < self.dim and 0 <= term[1] <= self.nvars):
+                    raise ValueError(
+                        f"row {i}: term {term} is outside columns 0..{self.dim - 1} or slots 0..{self.nvars}"
+                    )
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    @property
+    def variable_rows(self) -> tuple[int, ...]:
+        """Number of rows with a nonzero x_c term (the determinant's degree bound), for c = 1..nvars."""
+        counts = [0] * (self.nvars + 1)
+        for row in self.rows:
+            for slot in {slot for _, slot, coeff in row if coeff}:
+                counts[slot] += 1
+        return tuple(counts[1:])
+
+    @property
+    def coefficient_bound(self) -> int:
+        """Product over rows of the summed absolute term coefficients.
+
+        It bounds the absolute value of every determinant coefficient: in
+        the Leibniz expansion, the absolute coefficients of a product sum
+        to at most the product of the factors' sums.
+        """
+        return math.prod(sum(abs(coeff) for _, _, coeff in row) for row in self.rows)
+
     def evaluate(self, point: tuple[int, ...], p: int) -> list[list[int]]:
         """Substitute residues for x_1..x_nvars and reduce every entry mod p."""
         if len(point) != self.nvars:
             raise ValueError("point length does not match variable count")
+        values = (1, *point)
         scalar = []
         for row in self.rows:
-            out = []
-            for entry in row:
-                value = entry[0]
-                for coeff, x in zip(entry[1:], point):
-                    if coeff:
-                        value += coeff * x
-                out.append(value % p)
-            scalar.append(out)
+            out = [0] * len(self.rows)
+            for column, slot, coeff in row:
+                out[column] += coeff * values[slot]
+            scalar.append([value % p for value in out])
         return scalar
 
 
-def build_laplacian(
-    graph: ColoredDigraph, orientation: str = "out", weighted: bool = False
-) -> SymbolicMatrix:
-    """Build the symbolic out-degree or in-degree Laplacian.
+def build_laplacian(graph: ColoredDigraph, weighted: bool = False) -> SymbolicMatrix:
+    """Build the symbolic in-degree Laplacian.
 
-    For orientation "out", entry (i, j) with i != j is -sum_c d_ijc x_c and
-    the diagonal (i, i) is the full row sum sum_k sum_c d_ikc x_c
-    (self-loops count only toward the diagonal).  Orientation "in" swaps the
-    roles of tail and head, which equals the out-degree Laplacian of the
-    reversed graph.  In weighted mode, edge weights replace multiplicities;
-    this requires at most one edge per (tail, head, color).
+    Each arc u -> v of color c adds the term (v, c, +value) to row v and,
+    unless u = v, the term (u, c, -value), so the terms of one entry share
+    a sign.  The value is 1, or in weighted mode the arc's weight, which
+    requires at most one edge per (tail, head, color).
     """
-    if orientation not in ("out", "in"):
-        raise ValueError(f"orientation must be 'out' or 'in', got {orientation!r}")
     if weighted:
         if not graph.weighted:
             raise ValueError("weighted Laplacian requires all edges to carry weights")
         if any(count > 1 for count in graph.multiplicity_index.values()):
             raise ValueError("weighted Laplacian requires duplicate same-color parallel edges to be removed")
-    nvars = graph.q - 1
-    width = nvars + 1
-    entries = [[[0] * width for _ in range(graph.n)] for _ in range(graph.n)]
+    rows: list[list[Term]] = [[] for _ in range(graph.n)]
     for e in graph.edges:
         value = e.weight if weighted else 1
         slot = 0 if e.color == graph.q else e.color
-        a, b = (e.tail, e.head) if orientation == "out" else (e.head, e.tail)
-        if a != b:
-            entries[a - 1][b - 1][slot] -= value
-        entries[a - 1][a - 1][slot] += value
-    rows = tuple(tuple(tuple(entry) for entry in row) for row in entries)
-    return SymbolicMatrix(nvars, rows)
+        row = rows[e.head - 1]
+        row.append((e.head - 1, slot, value))
+        if e.tail != e.head:
+            row.append((e.tail - 1, slot, -value))
+    return SymbolicMatrix(graph.q - 1, tuple(map(tuple, rows)))
 
 
 def minor(matrix: SymbolicMatrix, index: int) -> SymbolicMatrix:
     """Delete row and column `index` (1-based); remaining order is preserved."""
     if not (1 <= index <= matrix.dim):
         raise ValueError(f"index {index} out of range 1..{matrix.dim}")
-    keep = [i for i in range(matrix.dim) if i != index - 1]
-    rows = tuple(tuple(matrix.rows[i][j] for j in keep) for i in keep)
-    return SymbolicMatrix(matrix.nvars, rows)
+    drop = index - 1
+    rows = (row for i, row in enumerate(matrix.rows) if i != drop)
+    renumbered = tuple(tuple((j - (j > drop), slot, coeff) for j, slot, coeff in row if j != drop) for row in rows)
+    return SymbolicMatrix(matrix.nvars, renumbered)

@@ -55,12 +55,14 @@ def c_alpha_r(inst: WeightedInstance, r: int) -> int:
         tuple(replace(e, weight=r ** e.weight) for e in graph.edges),
         graph.labels,
     )
-    reduced = minor(build_laplacian(transformed, "in", weighted=True), inst.root)
+    reduced = minor(build_laplacian(transformed, weighted=True), inst.root)
     return det_poly(reduced).get(inst.alpha, 0)
 
 
 def valuation(value: int, r: int) -> int:
     """Largest k with r^k dividing `value`; zero is rejected (no valuation)."""
+    if r < 2:
+        raise ValueError(f"valuation needs a base r >= 2, got {r}")
     if value <= 0:
         raise ValueError("valuation needs a positive integer")
     k = 0

@@ -57,9 +57,18 @@ def entry_poly(entry, nvars: int) -> DictPoly:
     return poly
 
 
+def dense_rows(matrix: SymbolicMatrix) -> list[list[tuple[int, ...]]]:
+    """The matrix as rows of coefficient vectors: slot 0 constant, slot c for x_c."""
+    dense = [[[0] * (matrix.nvars + 1) for _ in range(matrix.dim)] for _ in range(matrix.dim)]
+    for out, row in zip(dense, matrix.rows):
+        for column, slot, coeff in row:
+            out[column][slot] += coeff
+    return [[tuple(entry) for entry in row] for row in dense]
+
+
 def cofactor_det(matrix: SymbolicMatrix) -> DictPoly:
     """Symbolic determinant by expansion along the first row."""
-    rows = [[entry_poly(e, matrix.nvars) for e in row] for row in matrix.rows]
+    rows = [[entry_poly(e, matrix.nvars) for e in row] for row in dense_rows(matrix)]
     return _cofactor(rows, matrix.nvars)
 
 
@@ -131,14 +140,19 @@ def is_prime_below_2_32(value: int) -> bool:
     return True
 
 
-def classical_in_laplacian_minor(graph: ColoredDigraph, root: int):
-    """Uncolored in-degree Laplacian with row/column `root` removed."""
+def classical_in_laplacian_minor(graph: ColoredDigraph, root: int, point):
+    """Integer in-degree Laplacian at x = point (x_q = 1), row/column `root` removed.
+
+    Built from the arc list: an arc of color c weighs point[c - 1].
+    """
     size = graph.n
+    values = (*point, 1)
     mat = [[0] * size for _ in range(size)]
     for e in graph.edges:
+        value = values[e.color - 1]
         if e.tail != e.head:
-            mat[e.head - 1][e.tail - 1] -= 1
-        mat[e.head - 1][e.head - 1] += 1
+            mat[e.head - 1][e.tail - 1] -= value
+        mat[e.head - 1][e.head - 1] += value
     keep = [i for i in range(size) if i != root - 1]
     return [[mat[i][j] for j in keep] for i in keep]
 
@@ -173,30 +187,23 @@ def random_digraph(
     return ColoredDigraph(n, q, tuple(edges), labels)
 
 
-def random_multigraph(
-    rng: random.Random, n: int, q: int, *, density: float = 0.4, double_chance: float = 0.15
-) -> ColoredMultigraph:
-    labels = tuple(f"v{i}" for i in range(1, n + 1))
-    edges: list[Edge] = []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            for color in range(1, q + 1):
-                if rng.random() >= density:
-                    continue
-                multiplicity = 2 if rng.random() < double_chance else 1
-                for _ in range(multiplicity):
-                    edges.append(Edge(len(edges), a, b, color))
-    return ColoredMultigraph(n, q, tuple(edges), labels)
-
-
 def random_symbolic_matrix(
     rng: random.Random, dim: int, nvars: int, low: int = -3, high: int = 3
 ) -> SymbolicMatrix:
-    rows = tuple(
-        tuple(tuple(rng.randint(low, high) for _ in range(nvars + 1)) for _ in range(dim))
-        for _ in range(dim)
-    )
-    return SymbolicMatrix(nvars, rows)
+    """Each entry's coefficients drawn from [low, high]; some split into two terms."""
+    rows = []
+    for _ in range(dim):
+        row = []
+        for column in range(dim):
+            for slot in range(nvars + 1):
+                coeff = rng.randint(low, high)
+                if coeff and rng.random() < 0.2:
+                    part = rng.randint(low, high)
+                    row += [(column, slot, part), (column, slot, coeff - part)]
+                elif coeff:
+                    row.append((column, slot, coeff))
+        rows.append(tuple(row))
+    return SymbolicMatrix(nvars, tuple(rows))
 
 
 def random_laplacian_style_matrix(rng: random.Random, dim: int, nvars: int) -> SymbolicMatrix:
@@ -207,11 +214,9 @@ def random_laplacian_style_matrix(rng: random.Random, dim: int, nvars: int) -> S
     """
     graph = random_digraph(rng, dim + 1, nvars + 1, density=rng.uniform(0.2, 0.5))
     root = rng.randint(1, dim + 1)
-    base = minor(build_laplacian(graph, "in"), root)
-    rows = [list(list(entry) for entry in row) for row in base.rows]
-    for i in range(dim):
-        rows[i][i][0] += rng.randint(0, 2)
-    return SymbolicMatrix(nvars, tuple(tuple(tuple(e) for e in row) for row in rows))
+    base = minor(build_laplacian(graph), root)
+    rows = tuple(row + ((i, 0, rng.randint(0, 2)),) for i, row in enumerate(base.rows))
+    return SymbolicMatrix(nvars, rows)
 
 
 @st.composite
@@ -286,16 +291,3 @@ def spanning_tree_histogram(graph: ColoredMultigraph) -> dict[tuple[int, ...], i
         alpha = tuple(counts[: graph.q - 1])
         hist[alpha] = hist.get(alpha, 0) + 1
     return hist
-
-
-def graph_file(graph: ColoredDigraph | ColoredMultigraph) -> str:
-    """Serialize a fully labeled graph back into the file format."""
-    lines = [f"{graph.n} {graph.q}"]
-    if isinstance(graph, ColoredMultigraph):
-        lines.append("undirected")
-    for e in graph.edges:
-        parts = [graph.vertex_label(e.tail), graph.vertex_label(e.head), str(e.color)]
-        if e.weight is not None:
-            parts.append(str(e.weight))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"

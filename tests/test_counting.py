@@ -1,6 +1,7 @@
-"""Counting, deciding and finding, checked against the brute-force oracle (n <= 6)."""
+"""Counting, deciding and finding, checked against the brute-force oracle (n <= 6) and exact determinants."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -13,7 +14,16 @@ from ccarb.counting import count, count_functional, count_spanning_trees, count_
 from ccarb.graph import ColoredDigraph, Edge, parse_graph
 from ccarb.oracle import color_histogram, enumerate_arborescences, enumerate_functional, is_arborescence
 
-from support import alphas, small_digraphs, small_multigraphs, spanning_tree_histogram
+from support import (
+    alphas,
+    bareiss_det,
+    classical_in_laplacian_minor,
+    poly_eval,
+    random_digraph,
+    small_digraphs,
+    small_multigraphs,
+    spanning_tree_histogram,
+)
 
 ORACLE = settings(max_examples=100, deadline=None)
 
@@ -90,6 +100,18 @@ def test_count_spanning_trees_matches_enumeration(graph, data):
 def test_count_functional_matches_enumeration(graph):
     for alpha in itertools.product(range(graph.n + 1), repeat=graph.q - 1):
         assert count_functional(graph, alpha) == enumerate_functional(graph, alpha)
+
+
+def test_count_table_matches_the_laplacian_minor_beyond_the_oracle():
+    # Graphs of 10 to 16 vertices, too large to enumerate: the table, read as
+    # a polynomial, must equal the minor's determinant at an integer point.
+    rng = random.Random(21)
+    for _ in range(6):
+        graph = random_digraph(rng, rng.randint(10, 16), rng.randint(2, 3), density=0.12)
+        root = rng.randint(1, graph.n)
+        table = count_table(graph, root)
+        point = tuple(rng.randint(-9, 9) for _ in range(graph.q - 1))
+        assert poly_eval(table, point) == bareiss_det(classical_in_laplacian_minor(graph, root, point))
 
 
 def complete_digraph(q: int) -> ColoredDigraph:

@@ -14,6 +14,7 @@ from ccarb.laplacian import SymbolicMatrix
 
 from support import (
     cofactor_det,
+    dense_rows,
     dict_poly_mod,
     is_prime_below_2_32,
     poly_eval,
@@ -23,7 +24,7 @@ from support import (
 
 
 def zero_some_variables(rng: random.Random, m: SymbolicMatrix) -> SymbolicMatrix:
-    """Zero a random subset of the x_c coefficients in each row.
+    """Drop the x_c terms of a random subset of variables in each row.
 
     A variable then appears in fewer rows than the dimension, so its grid
     axis is shorter than dim+1.
@@ -31,7 +32,7 @@ def zero_some_variables(rng: random.Random, m: SymbolicMatrix) -> SymbolicMatrix
     rows = []
     for row in m.rows:
         dropped = set(rng.sample(range(1, m.nvars + 1), rng.randint(0, m.nvars)))
-        rows.append(tuple(tuple(0 if k in dropped else c for k, c in enumerate(entry)) for entry in row))
+        rows.append(tuple(term for term in row if term[1] not in dropped))
     return SymbolicMatrix(m.nvars, tuple(rows))
 
 
@@ -82,7 +83,7 @@ class TestDetModP:
         for _ in range(100):
             dim = rng.randint(1, 4)
             m = random_symbolic_matrix(rng, dim, 0, low=-5, high=5)
-            scalar = [[e[0] for e in row] for row in m.rows]
+            scalar = [[e[0] for e in row] for row in dense_rows(m)]
             expected = cofactor_det(m).get((), 0)
             for p in (10007, 101):
                 assert det_mod_p(scalar, p) == expected % p
@@ -90,15 +91,15 @@ class TestDetModP:
 
 class TestDetPolyModP:
     def test_linear_entry(self):
-        m = SymbolicMatrix(1, (((2, 1),),))
+        m = SymbolicMatrix(1, (((0, 0, 2), (0, 1, 1)),))
         assert det_poly_mod_p(m, 101) == {(1,): 1, (0,): 2}
 
     def test_two_by_two_symbolic(self):
-        m = SymbolicMatrix(1, (((0, 1), (1, 0)), ((1, 0), (0, 1))))
+        m = SymbolicMatrix(1, (((0, 1, 1), (1, 0, 1)), ((0, 0, 1), (1, 1, 1))))
         assert det_poly_mod_p(m, 101) == {(2,): 1, (0,): 100}
 
     def test_prime_must_exceed_points(self):
-        m = SymbolicMatrix(1, (((0, 1),),))
+        m = SymbolicMatrix(1, (((0, 1, 1),),))
         with pytest.raises(ValueError, match="must exceed"):
             det_poly_mod_p(m, 2)
 
@@ -115,15 +116,17 @@ class TestDetPolyModP:
 
 class TestDetPoly:
     def test_constant(self):
-        m = SymbolicMatrix(0, (((5,),),))
+        m = SymbolicMatrix(0, (((0, 0, 5),),))
         assert det_poly(m) == {(): 5}
 
     def test_entry_equal_to_largest_prime(self):
         # The bound equals the largest prime, so a second prime is needed;
-        # with one the determinant would come back as 0.
+        # with one the determinant would come back as 0.  Split into two
+        # terms, the entry still needs the bound to sum them.
         largest = select_primes(0)[0]
-        m = SymbolicMatrix(0, (((largest,),),))
-        assert det_poly(m) == {(): largest}
+        half = largest // 2
+        for row in (((0, 0, largest),), ((0, 0, half), (0, 0, largest - half))):
+            assert det_poly(SymbolicMatrix(0, (row,))) == {(): largest}
 
     def test_empty_matrix(self):
         m = SymbolicMatrix(2, ())
@@ -143,7 +146,7 @@ class TestDetPoly:
         for _ in range(20):
             m = random_laplacian_style_matrix(rng, rng.randint(1, 4), rng.randint(0, 2))
             scale = rng.randint(2**40, 2**90)
-            scaled = SymbolicMatrix(m.nvars, tuple(tuple(tuple(c * scale for c in e) for e in row) for row in m.rows))
+            scaled = SymbolicMatrix(m.nvars, tuple(tuple((j, k, c * scale) for j, k, c in row) for row in m.rows))
             expected = cofactor_det(scaled)
             assert det_poly(scaled) == expected
 

@@ -1,53 +1,44 @@
 import random
+import re
 
 import pytest
 
 from ccarb.graph import ColoredDigraph, Edge, reverse
 from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor
 
-from support import poly_add, entry_poly, random_digraph
-
-
-def entry(matrix, i, j):
-    return matrix.rows[i - 1][j - 1]
+from support import dense_rows, entry_poly, poly_add, random_digraph
 
 
 class TestBuild:
     def test_single_arc_out(self):
         g = ColoredDigraph(2, 2, (Edge(0, 1, 2, 1),))
-        lap = build_laplacian(g, "out")
-        assert lap.rows == (((0, 1), (0, -1)), ((0, 0), (0, 0)))
+        lap = build_laplacian(reverse(g))
+        assert lap.rows == (((0, 1, 1), (1, 1, -1)), ())
 
     def test_single_arc_in(self):
         g = ColoredDigraph(2, 2, (Edge(0, 1, 2, 1),))
-        lap = build_laplacian(g, "in")
-        assert lap.rows == (((0, 0), (0, 0)), ((0, -1), (0, 1)))
+        lap = build_laplacian(g)
+        assert lap.rows == ((), ((1, 1, 1), (0, 1, -1)))
 
     def test_weighted_color_q_constant(self):
         g = ColoredDigraph(2, 2, (Edge(0, 1, 2, 2, 7),))
-        lap = build_laplacian(g, "out", weighted=True)
-        assert lap.rows == (((7, 0), (-7, 0)), ((0, 0), (0, 0)))
+        lap = build_laplacian(g, weighted=True)
+        assert lap.rows == ((), ((1, 0, 7), (0, 0, -7)))
 
     def test_weighted_requires_dedup(self):
         g = ColoredDigraph(2, 1, (Edge(0, 1, 2, 1, 2), Edge(1, 1, 2, 1, 5)))
         with pytest.raises(ValueError, match="duplicate"):
-            build_laplacian(g, "out", weighted=True)
+            build_laplacian(g, weighted=True)
 
     def test_weighted_requires_weights(self):
         g = ColoredDigraph(2, 1, (Edge(0, 1, 2, 1),))
         with pytest.raises(ValueError, match="weights"):
-            build_laplacian(g, "out", weighted=True)
+            build_laplacian(g, weighted=True)
 
     def test_self_loop_only_on_diagonal(self):
         g = ColoredDigraph(2, 1, (Edge(0, 1, 1, 1),))
-        lap = build_laplacian(g, "out")
-        assert entry(lap, 1, 1) == (1,)
-        assert entry(lap, 1, 2) == (0,)
-
-    def test_bad_orientation(self):
-        g = ColoredDigraph(1, 1, ())
-        with pytest.raises(ValueError, match="orientation"):
-            build_laplacian(g, "sideways")
+        lap = build_laplacian(g)
+        assert lap.rows == (((0, 0, 1),), ())
 
 
 class TestProperties:
@@ -55,40 +46,45 @@ class TestProperties:
         rng = random.Random(3)
         for _ in range(20):
             g = random_digraph(rng, rng.randint(1, 5), rng.randint(1, 3))
-            lap = build_laplacian(g, "out")
-            for row in lap.rows:
-                total = (0,) * (lap.nvars + 1)
-                for e in row:
-                    total = tuple(a + b for a, b in zip(total, e))
-                assert all(v == 0 for v in total)
+            lap = build_laplacian(g)
+            for row in dense_rows(lap):
+                assert all(sum(slot) == 0 for slot in zip(*row))
 
     def test_in_equals_out_of_reverse(self):
         rng = random.Random(4)
         for _ in range(20):
-            g = random_digraph(rng, rng.randint(1, 5), rng.randint(1, 3))
-            assert build_laplacian(g, "in") == build_laplacian(reverse(g), "out")
+            g = random_digraph(rng, rng.randint(1, 5), rng.randint(1, 3), allow_loops=True)
+            # Out-degree Laplacian from the arc list: row i holds i's out-arcs.
+            out = [[[0] * g.q for _ in range(g.n)] for _ in range(g.n)]
+            for e in g.edges:
+                slot = 0 if e.color == g.q else e.color
+                if e.tail != e.head:
+                    out[e.tail - 1][e.head - 1][slot] -= 1
+                out[e.tail - 1][e.tail - 1][slot] += 1
+            expected = [[tuple(entry) for entry in row] for row in out]
+            assert dense_rows(build_laplacian(reverse(g))) == expected
 
     def test_all_ones_collapses_to_classical(self):
         rng = random.Random(5)
         for _ in range(20):
             g = random_digraph(rng, rng.randint(1, 5), rng.randint(1, 3))
-            lap = build_laplacian(g, "out")
+            lap = build_laplacian(g)
             ones = (1,) * lap.nvars
             big = 10**9 + 7
             collapsed = lap.evaluate(ones, big)
             classical = [[0] * g.n for _ in range(g.n)]
             for e in g.edges:
                 if e.tail != e.head:
-                    classical[e.tail - 1][e.head - 1] -= 1
-                classical[e.tail - 1][e.tail - 1] += 1
+                    classical[e.head - 1][e.tail - 1] -= 1
+                classical[e.head - 1][e.head - 1] += 1
             assert collapsed == [[v % big for v in row] for row in classical]
 
     def test_decomposes_by_color(self):
         rng = random.Random(6)
         for _ in range(10):
             g = random_digraph(rng, rng.randint(1, 4), rng.randint(1, 3))
-            lap = build_laplacian(g, "out")
-            nvars = lap.nvars
+            lap = dense_rows(build_laplacian(g))
+            nvars = g.q - 1
             for i in range(g.n):
                 for j in range(g.n):
                     total = {}
@@ -96,7 +92,7 @@ class TestProperties:
                         only_c = ColoredDigraph(
                             g.n, g.q, tuple(e for e in g.edges if e.color == c), g.labels
                         )
-                        part = build_laplacian(only_c, "out").rows[i][j]
+                        part = dense_rows(build_laplacian(only_c))[i][j]
                         # multiply the color-c classical entry by x_c (x_q = 1)
                         classical = sum(part)
                         if not classical:
@@ -105,35 +101,55 @@ class TestProperties:
                             1 if k == c - 1 else 0 for k in range(nvars)
                         )
                         total = poly_add(total, {exps: classical})
-                    assert total == entry_poly(lap.rows[i][j], nvars)
+                    assert total == entry_poly(lap[i][j], nvars)
 
 
 class TestMinor:
     def test_one_by_one(self):
-        m = SymbolicMatrix(0, (((5,),),))
+        m = SymbolicMatrix(0, (((0, 0, 5),),))
         assert minor(m, 1).dim == 0
 
     def test_two_by_two(self):
-        m = SymbolicMatrix(0, (((1,), (2,)), ((3,), (4,))))
-        assert minor(m, 1).rows == (((4,),),)
+        m = SymbolicMatrix(0, (((0, 0, 1), (1, 0, 2)), ((0, 0, 3), (1, 0, 4))))
+        assert minor(m, 1).rows == (((0, 0, 4),),)
 
     def test_three_by_three_keeps_order(self):
-        rows = tuple(tuple((10 * i + j,) for j in range(1, 4)) for i in range(1, 4))
+        rows = tuple(tuple((j - 1, 0, 10 * i + j) for j in range(1, 4)) for i in range(1, 4))
         m = SymbolicMatrix(0, rows)
-        assert minor(m, 2).rows == (((11,), (13,)), ((31,), (33,)))
+        assert minor(m, 2).rows == (((0, 0, 11), (1, 0, 13)), ((0, 0, 31), (1, 0, 33)))
+
+    def test_renumbers_columns(self):
+        m = SymbolicMatrix(
+            1,
+            (
+                ((2, 1, 5), (0, 0, 1), (1, 1, 9)),
+                ((1, 0, 7),),
+                ((2, 0, 3), (1, 1, 4), (0, 1, 6), (2, 0, 2)),
+            ),
+        )
+        assert minor(m, 2).rows == (((1, 1, 5), (0, 0, 1)), ((1, 0, 3), (0, 1, 6), (1, 0, 2)))
 
     def test_out_of_range(self):
-        m = SymbolicMatrix(0, (((1,),),))
+        m = SymbolicMatrix(0, (((0, 0, 1),),))
         with pytest.raises(ValueError, match="out of range"):
             minor(m, 2)
 
 
 class TestEvaluate:
     def test_point_length_checked(self):
-        m = SymbolicMatrix(2, (((1, 2, 3),),))
+        m = SymbolicMatrix(2, (((0, 0, 1), (0, 1, 2), (0, 2, 3)),))
         with pytest.raises(ValueError, match="point length"):
             m.evaluate((1,), 7)
 
     def test_reduction(self):
-        m = SymbolicMatrix(1, (((2, 3),),))
+        m = SymbolicMatrix(1, (((0, 0, 2), (0, 1, 3)),))
         assert m.evaluate((4,), 5) == [[14 % 5]]
+
+    @pytest.mark.parametrize("term", [(2, 0, 1), (-1, 0, 1), (0, 2, 1), (1, -1, 1)])
+    def test_term_outside_the_matrix_rejected(self, term):
+        with pytest.raises(ValueError, match=re.escape(f"row 1: term {term} is outside columns 0..1 or slots 0..1")):
+            SymbolicMatrix(1, (((0, 0, 1),), ((1, 1, 1), term)))
+
+    def test_duplicate_terms_add_up(self):
+        m = SymbolicMatrix(1, (((0, 1, 2), (1, 0, -1), (0, 1, 3), (0, 0, 1)), ((1, 0, 4), (1, 0, 4))))
+        assert m.evaluate((10,), 101) == [[51, 100], [0, 8]]

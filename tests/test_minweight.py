@@ -103,6 +103,13 @@ def test_valuation_base_exceeds_the_number_of_arborescences(inst):
     assert minweight._valuation_base(inst) > len(enumerate_arborescences(inst.graph, inst.root))
 
 
+@pytest.mark.parametrize("r", [1, 0, -1])
+def test_valuation_rejects_a_base_below_two(r):
+    # Every integer is a multiple of 1, so r = 1 would never stop dividing.
+    with pytest.raises(ValueError, match="r >= 2"):
+        minweight.valuation(12, r)
+
+
 # Four vertices, m = 12, every weight 1: the 13 arborescences with alpha 2
 # all weigh 3.  One valuation at 13, the first prime above max(m, 2n), would
 # read 4, because 13 divides the number of minimizers.

@@ -49,7 +49,7 @@ def test_crt_moduli_counts_the_primes(monkeypatch):
 
     monkeypatch.setattr(ccarb.determinant, "crt_combine", recording)
     largest = select_primes(0)[0]
-    det_poly(SymbolicMatrix(0, (((largest,),),)))
+    det_poly(SymbolicMatrix(0, (((0, 0, largest),),)))
     [residue_polys] = seen
     assert len(residue_polys) == 2
     assert tuple(residue_polys) == select_primes(largest)
