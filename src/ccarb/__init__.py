@@ -23,7 +23,7 @@ from .graph import (
     reverse,
 )
 from .laplacian import SymbolicMatrix, build_laplacian, minor
-from .minweight import WeightedInstance, c_alpha_r, find_min, min_weight
+from .minweight import c_alpha_r, find_min, min_weight
 from .polynomials import render_poly
 
 __version__ = "0.1.0"
@@ -35,7 +35,6 @@ __all__ = [
     "Edge",
     "GraphParseError",
     "SymbolicMatrix",
-    "WeightedInstance",
     "bidirect",
     "build_laplacian",
     "c_alpha_r",

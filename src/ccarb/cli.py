@@ -30,7 +30,7 @@ from .graph import (
     dedup_min_weight,
     parse_graph,
 )
-from .minweight import WeightedInstance, find_min, min_weight
+from .minweight import find_min, min_weight
 from .polynomials import render_poly
 
 
@@ -106,21 +106,10 @@ def _parse_alpha(text: str | None, q: int) -> tuple[int, ...]:
     return values
 
 
-def _weighted_instance(graph: ColoredDigraph, root: int, alpha: tuple[int, ...]) -> WeightedInstance:
+def _weighted(graph: ColoredDigraph) -> ColoredDigraph:
     if graph.edges and not graph.weighted:
         raise _UsageError("this command needs a weighted graph file")
-    return WeightedInstance(dedup_min_weight(graph), root, alpha)
-
-
-def _edge_lines(graph: ColoredDigraph, edge_ids) -> list[str]:
-    lines = []
-    for edge_id in sorted(edge_ids):
-        e = graph.edge(edge_id)
-        parts = [graph.vertex_label(e.tail), graph.vertex_label(e.head), str(e.color)]
-        if e.weight is not None:
-            parts.append(str(e.weight))
-        lines.append(" ".join(parts))
-    return lines
+    return dedup_min_weight(graph)
 
 
 def _edge_objects(graph: ColoredDigraph, edge_ids) -> list[dict]:
@@ -136,6 +125,10 @@ def _edge_objects(graph: ColoredDigraph, edge_ids) -> list[dict]:
             obj["weight"] = e.weight
         objects.append(obj)
     return objects
+
+
+def _edge_lines(graph: ColoredDigraph, edge_ids) -> list[str]:
+    return [" ".join(str(value) for value in obj.values()) for obj in _edge_objects(graph, edge_ids)]
 
 
 def _emit(args, text: str, payload: dict) -> None:
@@ -195,8 +188,7 @@ def _run_min_weight(args) -> int:
     graph = _need_digraph(_load(args.graph), "min-weight")
     root = _resolve_root(graph, args.root)
     alpha = _parse_alpha(args.alpha, graph.q)
-    inst = _weighted_instance(graph, root, alpha)
-    weight = min_weight(inst)
+    weight = min_weight(_weighted(graph), root, alpha)
     if weight is None:
         _emit(args, "infeasible\n", {"min_weight": None})
         return 1
@@ -208,14 +200,13 @@ def _run_find_min(args) -> int:
     graph = _need_digraph(_load(args.graph), "find-min")
     root = _resolve_root(graph, args.root)
     alpha = _parse_alpha(args.alpha, graph.q)
-    inst = _weighted_instance(graph, root, alpha)
-    result = find_min(inst)
+    result = find_min(_weighted(graph), root, alpha)
     if result is None:
         _emit(args, "infeasible\n", {"min_weight": None, "arborescence": None})
         return 1
     arb, weight = result
-    lines = [f"{weight}"] + _edge_lines(inst.graph, arb.edge_ids)
-    payload = {"min_weight": weight, "arborescence": _edge_objects(inst.graph, arb.edge_ids)}
+    lines = [f"{weight}"] + _edge_lines(graph, arb.edge_ids)
+    payload = {"min_weight": weight, "arborescence": _edge_objects(graph, arb.edge_ids)}
     _emit(args, "".join(line + "\n" for line in lines), payload)
     return 0
 

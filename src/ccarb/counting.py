@@ -10,6 +10,7 @@ determinant of the full out-degree Laplacian.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -17,10 +18,11 @@ from .determinant import det_poly
 from .graph import (
     ColoredDigraph,
     ColoredMultigraph,
-    Edge,
     bidirect,
     color_histogram,
+    dedup_min_weight,
     is_arborescence,
+    reaches_all,
     remove_edge,
     remove_in_arcs,
     reverse,
@@ -37,29 +39,24 @@ class Arborescence:
 
 
 def _checked_alpha(q: int, alpha) -> tuple[int, ...]:
-    values = tuple(int(a) for a in alpha)
+    values = []
+    for a in alpha:
+        try:
+            values.append(operator.index(a))
+        except TypeError:
+            raise ValueError(f"color constraint entry {a!r} is not an integer") from None
     if len(values) != q - 1:
         raise ValueError(f"color constraint must have q-1 = {q - 1} entries, got {len(values)}")
     if any(a < 0 for a in values):
         raise ValueError("color constraint entries must be nonnegative")
-    return values
+    return tuple(values)
 
 
 def _checked_root(graph: ColoredDigraph, root: int) -> None:
     if not (1 <= root <= graph.n):
         raise ValueError(f"root {root} out of range 1..{graph.n}")
-
-
-def _require_loopless(graph: ColoredDigraph) -> None:
     if graph.has_self_loops:
         raise ValueError("self-loops are not allowed here")
-
-
-def _certify(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], edge_ids) -> None:
-    if not is_arborescence(graph, root, edge_ids):
-        raise ValueError("certificate check failed: the result is not an arborescence")
-    if color_histogram(graph, edge_ids)[: graph.q - 1] != alpha:
-        raise ValueError("certificate check failed: the color histogram differs from alpha")
 
 
 def count_table(graph: ColoredDigraph, root: int) -> dict[tuple[int, ...], int]:
@@ -68,12 +65,14 @@ def count_table(graph: ColoredDigraph, root: int) -> dict[tuple[int, ...], int]:
     Returns a map from exponent vectors (edge counts of colors 1..q-1; the
     color-q count is implied by the n-1 total) to positive counts.  Absent
     vectors mean count zero; a graph with no arborescence yields an empty
-    table.  `det_poly` bounds every coefficient by the product over the
-    minor's rows of their absolute sums, each at most twice the in-degree of
-    that row's vertex (parallel edges included).
+    table, at once when some vertex is unreachable from the root.
+    `det_poly` bounds every coefficient by the product over the minor's
+    rows of their absolute sums, each at most twice the in-degree of that
+    row's vertex (parallel edges included).
     """
     _checked_root(graph, root)
-    _require_loopless(graph)
+    if not reaches_all(graph, root):
+        return {}
     # Arcs into the root touch only the root's row, which the minor deletes.
     reduced = minor(build_laplacian(graph), root)
     return det_poly(reduced)
@@ -90,53 +89,46 @@ def decide(graph: ColoredDigraph, root: int, alpha) -> bool:
     return count(graph, root, alpha) > 0
 
 
-def _drop_duplicate_colors(graph: ColoredDigraph) -> ColoredDigraph:
-    # Parallel same-color edges are interchangeable for existence; keep the
-    # smallest id of each group so the search is deterministic.
-    first: dict[tuple[int, int, int], Edge] = {}
-    for e in graph.edges:
-        first.setdefault((e.tail, e.head, e.color), e)
-    return ColoredDigraph(graph.n, graph.q, tuple(first.values()), graph.labels)
-
-
-def _halve_in_arcs(graph: ColoredDigraph, root: int, feasible) -> ColoredDigraph:
+def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], keeps) -> Arborescence:
     # A solution uses exactly one in-arc of each non-root vertex and none of
-    # the root's.  Halve each vertex's candidates in ascending id: drop the
-    # first half when `feasible` still holds without it; otherwise every
-    # solution uses an arc of that half, so drop the rest unasked.
-    current = remove_in_arcs(graph, root)
+    # the root's, and of parallel same-color arcs only the lightest is
+    # needed.  Halve each vertex's candidates in ascending id: drop the first
+    # half when `keeps` still holds without it; otherwise every solution
+    # uses an arc of that half, so drop the rest unasked.  The arcs left are
+    # checked to be an arborescence with histogram alpha.
+    current = remove_in_arcs(dedup_min_weight(graph), root)
     for v in range(1, graph.n + 1):
         candidates = [e.id for e in current.edges if e.head == v]
         while len(candidates) > 1:
             half, rest = candidates[: len(candidates) // 2], candidates[len(candidates) // 2 :]
             without = reduce(remove_edge, half, current)
-            if feasible(without):
+            if keeps(without):
                 current, candidates = without, rest
             else:
                 current, candidates = reduce(remove_edge, rest, current), half
-    return current
+    edge_ids = tuple(e.id for e in current.edges)
+    if not is_arborescence(graph, root, edge_ids):
+        raise ValueError("certificate check failed: the result is not an arborescence")
+    if color_histogram(graph, edge_ids)[: graph.q - 1] != alpha:
+        raise ValueError("certificate check failed: the color histogram differs from alpha")
+    return Arborescence(root, edge_ids)
 
 
 def find(graph: ColoredDigraph, root: int, alpha) -> Arborescence | None:
     """Find one arborescence matching the color constraint, or None.
 
-    After one decide on the whole graph, drops the root's in-arcs and halves
-    each other vertex's in-arcs in ascending id: the first half goes if the
-    constraint stays feasible without it, the rest goes otherwise, so at most
-    sum(ceil(log2 indegree)) more decides are made.  The arcs left are
-    checked to be an arborescence with the requested histogram (ValueError
-    if not).  Edge ids refer to the input graph, whose duplicate same-color
-    parallels are dropped up front.
+    After one decide on the whole graph, keeps the lightest (then the
+    smallest-id) arc of each parallel same-color group, drops the root's
+    in-arcs and halves each other vertex's in-arcs in ascending id: the
+    first half goes if the constraint stays feasible without it, the rest
+    goes otherwise, so at most sum(ceil(log2 indegree)) more decides are
+    made.  The arcs left are checked to be an arborescence with the
+    requested histogram (ValueError if not).  Edge ids refer to the input.
     """
     constraint = _checked_alpha(graph.q, alpha)
-    _checked_root(graph, root)
-    _require_loopless(graph)
     if not decide(graph, root, constraint):
         return None
-    current = _halve_in_arcs(_drop_duplicate_colors(graph), root, lambda sub: decide(sub, root, constraint))
-    edge_ids = tuple(e.id for e in current.edges)
-    _certify(graph, root, constraint, edge_ids)
-    return Arborescence(root, edge_ids)
+    return _search(graph, root, constraint, lambda sub: decide(sub, root, constraint))
 
 
 def count_spanning_trees(graph: ColoredMultigraph, alpha) -> int:

@@ -56,15 +56,6 @@ class _GraphBase:
     labels: tuple[str, ...]
 
     @cached_property
-    def multiplicity_index(self) -> dict[tuple[int, int, int], int]:
-        """Map (tail, head, color) to the number of parallel edges."""
-        index: dict[tuple[int, int, int], int] = {}
-        for e in self.edges:
-            key = (e.tail, e.head, e.color)
-            index[key] = index.get(key, 0) + 1
-        return index
-
-    @cached_property
     def _edges_by_id(self) -> dict[int, Edge]:
         return {e.id: e for e in self.edges}
 
@@ -254,21 +245,34 @@ def reverse(graph: ColoredDigraph) -> ColoredDigraph:
 
 
 def dedup_min_weight(graph: ColoredDigraph) -> ColoredDigraph:
-    """Keep only a minimum-weight edge in each parallel same-color group.
+    """Keep one minimum-weight edge of each parallel same-color group.
 
-    Requires all edges weighted.  Ties are broken by the smallest edge id
-    (strict comparison while scanning in ascending id keeps the earliest).
+    Ties go to the smallest edge id, and so does every group of an
+    unweighted graph, whose edges all tie.  The kept edge can stand in for
+    any other of its group in an arborescence without changing its colors
+    or raising its weight, so a search needs no other.
     """
-    if not graph.weighted:
-        raise ValueError("dedup_min_weight requires all edges to carry weights")
     best: dict[tuple[int, int, int], Edge] = {}
     for e in graph.edges:
-        key = (e.tail, e.head, e.color)
-        kept = best.get(key)
-        if kept is None or e.weight < kept.weight:
-            best[key] = e
+        kept = best.setdefault((e.tail, e.head, e.color), e)
+        if (e.weight or 0) < (kept.weight or 0):
+            best[e.tail, e.head, e.color] = e
     survivors = tuple(sorted(best.values(), key=lambda e: e.id))
     return ColoredDigraph(graph.n, graph.q, survivors, graph.labels)
+
+
+def reaches_all(graph: ColoredDigraph, root: int) -> bool:
+    """Whether every vertex is reachable from `root`: exactly when a root-arborescence exists."""
+    successors: dict[int, list[int]] = {}
+    for e in graph.edges:
+        successors.setdefault(e.tail, []).append(e.head)
+    seen, stack = {root}, [root]
+    while stack:
+        for w in successors.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == graph.n
 
 
 def remove_in_arcs(graph: ColoredDigraph, vertex: int) -> ColoredDigraph:

@@ -74,22 +74,20 @@ class SymbolicMatrix:
         return scalar
 
 
-def build_laplacian(graph: ColoredDigraph, weighted: bool = False) -> SymbolicMatrix:
+def build_laplacian(graph: ColoredDigraph, r: int | None = None) -> SymbolicMatrix:
     """Build the symbolic in-degree Laplacian.
 
     Each arc u -> v of color c adds the term (v, c, +value) to row v and,
     unless u = v, the term (u, c, -value), so the terms of one entry share
-    a sign.  The value is 1, or in weighted mode the arc's weight, which
-    requires at most one edge per (tail, head, color).
+    a sign.  The value is 1, or r^w for an arc of weight w when a base r is
+    given, which requires every edge to carry a weight.  Parallel arcs add
+    up, so the determinant sums over them as over distinct arcs.
     """
-    if weighted:
-        if not graph.weighted:
-            raise ValueError("weighted Laplacian requires all edges to carry weights")
-        if any(count > 1 for count in graph.multiplicity_index.values()):
-            raise ValueError("weighted Laplacian requires duplicate same-color parallel edges to be removed")
+    if r is not None and not graph.weighted:
+        raise ValueError("a weighted Laplacian requires all edges to carry weights")
     rows: list[list[Term]] = [[] for _ in range(graph.n)]
     for e in graph.edges:
-        value = e.weight if weighted else 1
+        value = 1 if r is None else r**e.weight
         slot = 0 if e.color == graph.q else e.color
         row = rows[e.head - 1]
         row.append((e.head - 1, slot, value))

@@ -11,7 +11,6 @@ import itertools
 from .counting import Arborescence
 # The certificate checks live in graph; they stay importable from here.
 from .graph import ColoredDigraph, color_histogram, is_arborescence
-from .minweight import WeightedInstance
 
 DEFAULT_CAP = 7
 
@@ -67,13 +66,14 @@ def oracle_count(graph: ColoredDigraph, root: int, alpha, *, cap: int = DEFAULT_
     return hits
 
 
-def oracle_min_weight(inst: WeightedInstance, *, cap: int = DEFAULT_CAP) -> tuple[int, int] | None:
+def oracle_min_weight(graph: ColoredDigraph, root: int, alpha, *, cap: int = DEFAULT_CAP) -> tuple[int, int] | None:
     """(minimum weight, number of minimizers) over matching arborescences."""
-    graph = inst.graph
-    weights = []
-    for arb in enumerate_arborescences(graph, inst.root, cap=cap):
-        if color_histogram(graph, arb.edge_ids)[: graph.q - 1] == inst.alpha:
-            weights.append(sum(graph.edge(i).weight for i in arb.edge_ids))
+    target = tuple(alpha)
+    weights = [
+        sum(graph.edge(i).weight for i in arb.edge_ids)
+        for arb in enumerate_arborescences(graph, root, cap=cap)
+        if color_histogram(graph, arb.edge_ids)[: graph.q - 1] == target
+    ]
     if not weights:
         return None
     best = min(weights)

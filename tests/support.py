@@ -11,7 +11,7 @@ import random
 
 from hypothesis import strategies as st
 
-from ccarb.graph import ColoredDigraph, ColoredMultigraph, Edge, dedup_min_weight
+from ccarb.graph import ColoredDigraph, ColoredMultigraph, Edge
 from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor
 
 # ---------------------------------------------------------------- dict polys
@@ -167,8 +167,6 @@ def random_digraph(
     *,
     density: float = 0.3,
     double_chance: float = 0.2,
-    weighted: bool = False,
-    max_weight: int = 4,
     allow_loops: bool = False,
 ) -> ColoredDigraph:
     labels = tuple(f"v{i}" for i in range(1, n + 1))
@@ -180,10 +178,9 @@ def random_digraph(
             for color in range(1, q + 1):
                 if rng.random() >= density:
                     continue
-                multiplicity = 2 if (not weighted and rng.random() < double_chance) else 1
+                multiplicity = 2 if rng.random() < double_chance else 1
                 for _ in range(multiplicity):
-                    weight = rng.randint(1, max_weight) if weighted else None
-                    edges.append(Edge(len(edges), tail, head, color, weight))
+                    edges.append(Edge(len(edges), tail, head, color))
     return ColoredDigraph(n, q, tuple(edges), labels)
 
 
@@ -220,12 +217,12 @@ def random_laplacian_style_matrix(rng: random.Random, dim: int, nvars: int) -> S
 
 
 @st.composite
-def small_digraphs(draw, weighted=False):
+def small_digraphs(draw, weights=False):
     """Loopless colored multidigraphs small enough for the oracle.
 
     Usually a random arborescence rooted at vertex 1 plus up to 9 further
-    arcs, so that most instances have solutions.  Weighted graphs
-    come deduplicated, as the weighted operations require.
+    arcs, so that most instances have solutions.  Parallel same-color arcs
+    are kept; with `weights`, every arc carries a weight from 1 to 6.
     """
     n = draw(st.integers(1, 6))
     q = draw(st.integers(1, 3))
@@ -237,10 +234,9 @@ def small_digraphs(draw, weighted=False):
     picks += draw(st.lists(st.sampled_from(slots), max_size=9)) if slots else []
     edges = []
     for t, h, c in picks:
-        w = draw(st.integers(1, 6)) if weighted else None
+        w = draw(st.integers(1, 6)) if weights else None
         edges.append(Edge(len(edges), t, h, c, w))
-    graph = ColoredDigraph(n, q, tuple(edges))
-    return dedup_min_weight(graph) if weighted else graph
+    return ColoredDigraph(n, q, tuple(edges))
 
 
 @st.composite

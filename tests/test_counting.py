@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccarb import counting, determinant
+from ccarb import counting, determinant, minweight
 from ccarb.cli import main
 from ccarb.counting import count, count_functional, count_spanning_trees, count_table, decide, find
 from ccarb.graph import ColoredDigraph, Edge, parse_graph
+from ccarb.minweight import min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, enumerate_functional, is_arborescence
 
 from support import (
@@ -173,3 +174,38 @@ def test_find_refuses_an_uncertified_result(monkeypatch, tmp_path, capsys, lie, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: certificate check failed") and check in captured.err
+
+
+# Rooted at s: {sa, sb} has alpha 1 and weight 3.
+WEIGHTED = "3 2\ns a 1 1\ns b 2 2\na b 1 3\nb a 2 1\n"
+
+
+@pytest.mark.parametrize("entry", [1.9, "1", 0.5])
+@pytest.mark.parametrize("operation", [count, find, min_weight])
+def test_non_integral_constraints_are_refused(operation, entry):
+    with pytest.raises(ValueError, match=f"entry {entry!r} is not an integer"):
+        operation(parse_graph(WEIGHTED), 1, (entry,))
+
+
+def test_find_keeps_the_lighter_of_parallel_arcs(tmp_path, capsys):
+    text = "2 1\ns a 1 5\ns a 1 2\n"
+    assert find(parse_graph(text), 1, ()).edge_ids == (1,)
+    path = tmp_path / "parallel.g"
+    path.write_text(text, encoding="utf-8")
+    assert main(["find", str(path), "--root", "s"]) == 0
+    assert capsys.readouterr().out == "s a 1 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out", [(["count-all"], 0, ""), (["min-weight", "--alpha", "1"], 1, "infeasible\n")]
+)
+def test_unreachable_vertices_build_no_determinant(monkeypatch, tmp_path, capsys, argv, code, out):
+    # 20,000 declared vertices, one arc: the dense minor would have 4 * 10^8 entries.
+    calls = []
+    for module in (counting, minweight):
+        monkeypatch.setattr(module, "det_poly", lambda matrix: calls.append(matrix))
+    path = tmp_path / "sparse.g"
+    path.write_text("20000 2\na b 1 1\n", encoding="utf-8")
+    assert main([argv[0], str(path), "--root", "a", *argv[1:]]) == code
+    assert capsys.readouterr().out == out
+    assert calls == []

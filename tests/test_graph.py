@@ -10,6 +10,7 @@ from ccarb.graph import (
     bidirect,
     dedup_min_weight,
     parse_graph,
+    reaches_all,
     remove_edge,
     remove_in_arcs,
     reverse,
@@ -17,14 +18,14 @@ from ccarb.graph import (
 
 
 @st.composite
-def digraphs(draw, max_n=5, max_q=3, weighted=False):
+def digraphs(draw, max_n=5, max_q=3, weights=False):
     n = draw(st.integers(1, max_n))
     q = draw(st.integers(1, max_q))
     slots = [(t, h, c) for t in range(1, n + 1) for h in range(1, n + 1) if t != h for c in range(1, q + 1)]
     picks = draw(st.lists(st.sampled_from(slots), max_size=12)) if slots else []
     edges = []
     for t, h, c in picks:
-        w = draw(st.integers(1, 5)) if weighted else None
+        w = draw(st.integers(1, 5)) if weights else None
         edges.append(Edge(len(edges), t, h, c, w))
     return ColoredDigraph(n, q, tuple(edges))
 
@@ -126,16 +127,16 @@ class TestDedup:
         g = ColoredDigraph(2, 1, (Edge(0, 1, 2, 1, 3), Edge(1, 1, 2, 1, 3)))
         assert dedup_min_weight(g).edges == (Edge(0, 1, 2, 1, 3),)
 
-    def test_requires_weights(self):
-        g = ColoredDigraph(2, 1, (Edge(0, 1, 2, 1),))
-        with pytest.raises(ValueError, match="weights"):
-            dedup_min_weight(g)
+    def test_unweighted_keeps_smallest_id(self):
+        g = ColoredDigraph(2, 1, (Edge(0, 1, 2, 1), Edge(1, 2, 1, 1), Edge(2, 1, 2, 1)))
+        assert dedup_min_weight(g).edges == (Edge(0, 1, 2, 1), Edge(1, 2, 1, 1))
 
-    @given(digraphs(weighted=True))
+    @given(st.one_of(digraphs(), digraphs(weights=True)))
     def test_idempotent(self, g):
         once = dedup_min_weight(g)
         assert dedup_min_weight(once) == once
-        assert all(count == 1 for count in once.multiplicity_index.values())
+        keys = [(e.tail, e.head, e.color) for e in once.edges]
+        assert len(set(keys)) == len(keys)
 
 
 class TestRemove:
@@ -157,8 +158,7 @@ class TestRemove:
 
     def test_remove_one_parallel(self):
         g = ColoredDigraph(2, 1, (Edge(0, 1, 2, 1), Edge(1, 1, 2, 1)))
-        out = remove_edge(g, 0)
-        assert out.multiplicity_index == {(1, 2, 1): 1}
+        assert remove_edge(g, 0).edges == (Edge(1, 1, 2, 1),)
 
     def test_remove_unknown_id(self):
         g = ColoredDigraph(2, 1, (Edge(0, 1, 2, 1),))
@@ -174,8 +174,16 @@ class TestRemove:
         restored = ColoredDigraph(
             g.n, g.q, tuple(sorted(smaller.edges + (victim,), key=lambda e: e.id)), g.labels
         )
-        assert restored.multiplicity_index == g.multiplicity_index
         assert restored == g
+
+
+class TestReach:
+    def test_reaches_all(self):
+        g = ColoredDigraph(3, 1, (Edge(0, 1, 2, 1), Edge(1, 2, 3, 1)))
+        assert reaches_all(g, 1)
+        assert not reaches_all(g, 2)
+        assert not reaches_all(ColoredDigraph(2, 1, ()), 1)
+        assert reaches_all(ColoredDigraph(1, 1, ()), 1)
 
 
 class TestBidirect:

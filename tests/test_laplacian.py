@@ -22,18 +22,13 @@ class TestBuild:
 
     def test_weighted_color_q_constant(self):
         g = ColoredDigraph(2, 2, (Edge(0, 1, 2, 2, 7),))
-        lap = build_laplacian(g, weighted=True)
-        assert lap.rows == ((), ((1, 0, 7), (0, 0, -7)))
-
-    def test_weighted_requires_dedup(self):
-        g = ColoredDigraph(2, 1, (Edge(0, 1, 2, 1, 2), Edge(1, 1, 2, 1, 5)))
-        with pytest.raises(ValueError, match="duplicate"):
-            build_laplacian(g, weighted=True)
+        lap = build_laplacian(g, 2)
+        assert lap.rows == ((), ((1, 0, 128), (0, 0, -128)))
 
     def test_weighted_requires_weights(self):
         g = ColoredDigraph(2, 1, (Edge(0, 1, 2, 1),))
         with pytest.raises(ValueError, match="weights"):
-            build_laplacian(g, weighted=True)
+            build_laplacian(g, 2)
 
     def test_self_loop_only_on_diagonal(self):
         g = ColoredDigraph(2, 1, (Edge(0, 1, 1, 1),))

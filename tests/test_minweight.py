@@ -1,13 +1,16 @@
 """Minimum-weight operations, checked against the brute-force oracle (n <= 6)."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccarb import minweight
 from ccarb.cli import main
+from ccarb.counting import Arborescence
 from ccarb.graph import parse_graph
-from ccarb.minweight import WeightedInstance, c_alpha_r, find_min, min_weight
+from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, is_arborescence, oracle_min_weight
 
 from support import alphas, small_digraphs
@@ -17,7 +20,7 @@ ORACLE = settings(max_examples=100, deadline=None)
 
 @st.composite
 def instances(draw):
-    graph = draw(small_digraphs(weighted=True))
+    graph = draw(small_digraphs(weights=True))
     root = draw(st.one_of(st.just(1), st.integers(1, graph.n)))
     if draw(st.booleans()):
         # A constraint met by some arborescence, when there is one.
@@ -25,43 +28,52 @@ def instances(draw):
             {color_histogram(graph, arb.edge_ids)[: graph.q - 1] for arb in enumerate_arborescences(graph, root)}
         )
         if hists:
-            return WeightedInstance(graph, root, draw(st.sampled_from(hists)))
-    return WeightedInstance(graph, root, draw(alphas(graph.q, graph.n)))
+            return graph, root, draw(st.sampled_from(hists))
+    return graph, root, draw(alphas(graph.q, graph.n))
 
 
 @ORACLE
 @given(instances())
 def test_min_weight_matches_oracle(inst):
-    expected = oracle_min_weight(inst)
-    assert min_weight(inst) == (None if expected is None else expected[0])
+    expected = oracle_min_weight(*inst)
+    assert min_weight(*inst) == (None if expected is None else expected[0])
 
 
 @ORACLE
 @given(instances())
 def test_find_min_returns_a_certified_minimizer(inst):
-    expected = oracle_min_weight(inst)
-    result = find_min(inst)
+    expected = oracle_min_weight(*inst)
+    result = find_min(*inst)
     if expected is None:
         assert result is None
         return
     arb, weight = result
-    graph = inst.graph
+    graph, root, alpha = inst
     assert weight == expected[0]
-    assert is_arborescence(graph, inst.root, arb.edge_ids)
-    assert color_histogram(graph, arb.edge_ids)[: graph.q - 1] == inst.alpha
+    assert is_arborescence(graph, root, arb.edge_ids)
+    assert color_histogram(graph, arb.edge_ids)[: graph.q - 1] == alpha
     assert sum(graph.edge(i).weight for i in arb.edge_ids) == weight
 
 
 @ORACLE
 @given(instances(), st.sampled_from((2, 3, 17, 101)))
 def test_c_alpha_r_is_the_weight_enumerator_at_r(inst, r):
-    graph = inst.graph
+    graph, root, alpha = inst
     expected = sum(
         r ** sum(graph.edge(i).weight for i in arb.edge_ids)
-        for arb in enumerate_arborescences(graph, inst.root)
-        if color_histogram(graph, arb.edge_ids)[: graph.q - 1] == inst.alpha
+        for arb in enumerate_arborescences(graph, root)
+        if color_histogram(graph, arb.edge_ids)[: graph.q - 1] == alpha
     )
-    assert c_alpha_r(inst, r) == expected
+    assert c_alpha_r(graph, root, alpha, r) == expected
+
+
+def test_parallel_arcs_of_one_color_are_all_counted():
+    # Two arcs s -> a of color 1, weights 4 and 2: the arborescences
+    # {sa, ab} weigh 5 and 3.
+    graph = parse_graph("3 2\ns a 1 4\ns a 1 2\na b 2 1\n")
+    assert c_alpha_r(graph, 1, (1,), 10) == 10**5 + 10**3
+    assert min_weight(graph, 1, (1,)) == 3
+    assert find_min(graph, 1, (1,)) == (Arborescence(1, (1, 2)), 3)
 
 
 # Seven vertices, weights 150-300.  An engine with a fixed budget of 512 CRT
@@ -89,7 +101,7 @@ f c 2 200
 def test_heavy_weights_are_not_refused(tmp_path, capsys):
     path = tmp_path / "heavy.g"
     path.write_text(HEAVY, encoding="utf-8")
-    expected = oracle_min_weight(WeightedInstance(parse_graph(HEAVY), 1, (3,)))
+    expected = oracle_min_weight(parse_graph(HEAVY), 1, (3,))
     assert expected == (1200, 2)
     assert main(["min-weight", str(path), "--root", "s", "--alpha", "3"]) == 0
     captured = capsys.readouterr()
@@ -100,7 +112,11 @@ def test_heavy_weights_are_not_refused(tmp_path, capsys):
 @ORACLE
 @given(instances())
 def test_valuation_base_exceeds_the_number_of_arborescences(inst):
-    assert minweight._valuation_base(inst) > len(enumerate_arborescences(inst.graph, inst.root))
+    with mock.patch.object(minweight, "c_alpha_r", wraps=c_alpha_r) as spy:
+        min_weight(*inst)
+    [call] = spy.call_args_list
+    graph, root, _ = inst
+    assert call.args[3] > len(enumerate_arborescences(graph, root))
 
 
 @pytest.mark.parametrize("r", [1, 0, -1])
@@ -130,11 +146,11 @@ b c 2 1
 
 
 def test_one_valuation_is_exact_when_a_small_prime_divides_the_minimizers(monkeypatch):
-    inst = WeightedInstance(parse_graph(THIRTEEN), 1, (2,))
-    assert oracle_min_weight(inst) == (3, 13)
+    inst = parse_graph(THIRTEEN), 1, (2,)
+    assert oracle_min_weight(*inst) == (3, 13)
     calls = []
-    monkeypatch.setattr(minweight, "c_alpha_r", lambda inst, r: calls.append(r) or c_alpha_r(inst, r))
-    assert min_weight(inst) == 3
+    monkeypatch.setattr(minweight, "c_alpha_r", lambda *args: calls.append(args[3]) or c_alpha_r(*args))
+    assert min_weight(*inst) == 3
     assert len(calls) == 1
 
 
@@ -143,11 +159,11 @@ def test_find_min_halves_the_in_arcs_of_each_vertex(monkeypatch):
     # per ordered pair, weights 1-9.
     arcs = [(t, h, c) for t in range(1, 6) for h in range(1, 6) if t != h for c in (1, 2)]
     lines = [f"{t} {h} {c} {1 + (3 * t + 5 * h + 7 * c) % 9}" for t, h, c in arcs]
-    inst = WeightedInstance(parse_graph("5 2\n" + "\n".join(lines) + "\n"), 1, (2,))
+    inst = parse_graph("5 2\n" + "\n".join(lines) + "\n"), 1, (2,)
     calls = []
-    monkeypatch.setattr(minweight, "c_alpha_r", lambda inst, r: calls.append(r) or c_alpha_r(inst, r))
-    _, weight = find_min(inst)
-    assert weight == oracle_min_weight(inst)[0]
+    monkeypatch.setattr(minweight, "c_alpha_r", lambda *args: calls.append(args[3]) or c_alpha_r(*args))
+    _, weight = find_min(*inst)
+    assert weight == oracle_min_weight(*inst)[0]
     # min_weight, then ceil(log2 8) = 3 for each of the four non-root
     # vertices, where one question per arc would make n + m = 5 + 40.
     assert len(calls) <= 2 + 4 * 3
@@ -162,7 +178,7 @@ def approve_every_deletion(monkeypatch):
     # Every minimum reads 3, the true one, so every deletion is approved and
     # the search keeps only the last in-arc of each vertex: the cycle
     # {ab, ba}.
-    monkeypatch.setattr(minweight, "min_weight", lambda inst: 3)
+    monkeypatch.setattr(minweight, "min_weight", lambda graph, root, alpha: 3)
 
 
 def misreport_the_minimum(monkeypatch):
@@ -171,8 +187,8 @@ def misreport_the_minimum(monkeypatch):
     # minimum.
     real_min = minweight.min_weight
 
-    def misreported(inst):
-        weight = real_min(inst)
+    def misreported(graph, root, alpha):
+        weight = real_min(graph, root, alpha)
         return None if weight is None else weight + 1
 
     monkeypatch.setattr(minweight, "min_weight", misreported)
@@ -184,7 +200,7 @@ def misreport_the_minimum(monkeypatch):
 def test_find_min_refuses_an_uncertified_result(monkeypatch, tmp_path, capsys, lie, check):
     lie(monkeypatch)
     with pytest.raises(ValueError, match=check):
-        find_min(WeightedInstance(parse_graph(WEIGHTED), 1, (1,)))
+        find_min(parse_graph(WEIGHTED), 1, (1,))
     path = tmp_path / "weighted.g"
     path.write_text(WEIGHTED, encoding="utf-8")
     assert main(["find-min", str(path), "--root", "s", "--alpha", "1"]) == 2

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from ccarb.graph import ColoredDigraph, Edge, reverse
-from ccarb.minweight import WeightedInstance
 from ccarb.oracle import (
     color_histogram,
     enumerate_arborescences,
@@ -68,13 +67,11 @@ class TestCount:
 class TestMinWeight:
     def test_single_arc(self):
         g = ColoredDigraph(2, 2, (Edge(0, 1, 2, 1, 3),), ("s", "t"))
-        inst = WeightedInstance(g, 1, (1,))
-        assert oracle_min_weight(inst) == (3, 1)
+        assert oracle_min_weight(g, 1, (1,)) == (3, 1)
 
     def test_infeasible(self):
         g = ColoredDigraph(2, 2, (Edge(0, 1, 2, 1, 3),), ("s", "t"))
-        inst = WeightedInstance(g, 1, (0,))
-        assert oracle_min_weight(inst) is None
+        assert oracle_min_weight(g, 1, (0,)) is None
 
     def test_two_equal_optima(self):
         edges = (
@@ -83,8 +80,7 @@ class TestMinWeight:
             Edge(2, 1, 3, 1, 1),
             Edge(3, 1, 3, 2, 1),
         )
-        inst = WeightedInstance(ColoredDigraph(3, 2, edges), 1, (1,))
-        assert oracle_min_weight(inst) == (2, 2)
+        assert oracle_min_weight(ColoredDigraph(3, 2, edges), 1, (1,)) == (2, 2)
 
 
 class TestFunctional:
