@@ -19,6 +19,7 @@ from .graph import (
     ColoredDigraph,
     ColoredMultigraph,
     bidirect,
+    check_directed,
     color_histogram,
     dedup_min_weight,
     is_arborescence,
@@ -53,6 +54,7 @@ def _checked_alpha(q: int, alpha) -> tuple[int, ...]:
 
 
 def _checked_root(graph: ColoredDigraph, root: int) -> None:
+    check_directed(graph)
     if not (1 <= root <= graph.n):
         raise ValueError(f"root {root} out of range 1..{graph.n}")
     if graph.has_self_loops:
@@ -65,7 +67,9 @@ def count_table(graph: ColoredDigraph, root: int) -> dict[tuple[int, ...], int]:
     Returns a map from exponent vectors (edge counts of colors 1..q-1; the
     color-q count is implied by the n-1 total) to positive counts.  Absent
     vectors mean count zero; a graph with no arborescence yields an empty
-    table, at once when some vertex is unreachable from the root.
+    table, at once when some vertex is unreachable from the root.  Raises
+    ValueError unless `graph` is a ColoredDigraph without self-loops and
+    `root` is one of its vertices.
     `det_poly` bounds every coefficient by the product over the minor's
     rows of their absolute sums, each at most twice the in-degree of that
     row's vertex (parallel edges included).
@@ -139,7 +143,7 @@ def count_spanning_trees(graph: ColoredMultigraph, alpha) -> int:
     first vertex.
     """
     if not isinstance(graph, ColoredMultigraph):
-        raise ValueError("count_spanning_trees expects an undirected graph")
+        raise ValueError(f"this operation needs an undirected graph, got {type(graph).__name__}")
     return count(bidirect(graph), 1, alpha)
 
 
@@ -148,8 +152,10 @@ def count_functional(graph: ColoredDigraph, alpha) -> int:
 
     Counts subgraphs choosing one outgoing edge per vertex with histogram
     alpha.  Unlike the arborescence operations this accepts self-loops, and
-    no row or column is deleted from the Laplacian.
+    no row or column is deleted from the Laplacian.  Only directed graphs
+    are accepted.
     """
+    check_directed(graph)
     constraint = _checked_alpha(graph.q, alpha)
     # The out-degree Laplacian of a graph is the in-degree Laplacian of its reverse.
     return det_poly(build_laplacian(reverse(graph))).get(constraint, 0)

@@ -120,6 +120,12 @@ class ColoredMultigraph(_GraphBase):
         _validate_edges(self.n, self.q, self.edges, self.labels)
 
 
+def check_directed(graph) -> None:
+    """Refuse anything but a ColoredDigraph (an undirected graph has no arc directions)."""
+    if not isinstance(graph, ColoredDigraph):
+        raise ValueError(f"this operation needs a directed graph, got {type(graph).__name__}")
+
+
 def color_histogram(graph: ColoredDigraph, edge_ids) -> tuple[int, ...]:
     """Edge counts per color 1..q for the given edge ids."""
     counts = [0] * graph.q
@@ -250,8 +256,10 @@ def dedup_min_weight(graph: ColoredDigraph) -> ColoredDigraph:
     Ties go to the smallest edge id, and so does every group of an
     unweighted graph, whose edges all tie.  The kept edge can stand in for
     any other of its group in an arborescence without changing its colors
-    or raising its weight, so a search needs no other.
+    or raising its weight, so a search needs no other.  Only directed
+    graphs are accepted.
     """
+    check_directed(graph)
     best: dict[tuple[int, int, int], Edge] = {}
     for e in graph.edges:
         kept = best.setdefault((e.tail, e.head, e.color), e)

@@ -29,10 +29,13 @@ def c_alpha_r(graph: ColoredDigraph, root: int, alpha, r: int) -> int:
     in-degree Laplacian minor whose arcs carry the values r^w(e).  Arcs into
     the root are left in: they touch only the root's row, which the minor
     deletes.  A graph with a vertex unreachable from the root has no
-    arborescence and sums to 0 without a determinant.
+    arborescence and sums to 0 without a determinant.  Raises ValueError
+    where `count` does, and on an unweighted graph even if that sum is 0.
     """
     constraint = _checked_alpha(graph.q, alpha)
     _checked_root(graph, root)
+    if not graph.weighted:
+        raise ValueError("this operation needs a weighted graph")
     if not reaches_all(graph, root):
         return 0
     return det_poly(minor(build_laplacian(graph, r), root)).get(constraint, 0)

@@ -1,15 +1,25 @@
 """The command-line contract: exit codes, --json mirroring the text, --workers inertness."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ccarb.cli import main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 DIRECTED = "3 2\ns a 1\ns b 2\na b 1\nb a 2\n"
 WEIGHTED = "3 2\ns a 1 1\ns b 2 2\na b 1 3\nb a 2 1\n"
 UNDIRECTED = "3 2\nundirected\na b 1\nb c 2\na c 1\n"
+WEIGHTED_UNDIRECTED = "3 2\nundirected\na b 1 1\nb c 2 2\na c 1 3\n"
+ONE_COLOR = "3 1\ns a 1\ns b 1\na b 1\n"
+UNWEIGHTED_UNREACHABLE = "3 2\ns a 1\nb a 1\n"
+UNWEIGHTED_REACHABLE = "3 2\ns a 1\ns b 1\n"
 
 # (argv after the graph path, graph text, exit code, text output).  On the
 # directed graph rooted at s: {sa, sb} has alpha 1 and weight 3, {sa, ab}
@@ -30,6 +40,7 @@ CASES = [
     (["find-min", "--root", "s", "--alpha", "3"], WEIGHTED, 1, "infeasible\n"),
     (["spanning-trees", "--alpha", "1"], UNDIRECTED, 0, "2\n"),
     (["spanning-trees", "--alpha", "0"], UNDIRECTED, 0, "0\n"),
+    (["count", "--root", "s"], ONE_COLOR, 0, "2\n"),
 ]
 
 # Inputs every subcommand must reject with exit code 2 and a message.
@@ -48,6 +59,15 @@ ERRORS = [
     (["find-min", "--root", "s", "--alpha", "1"], UNDIRECTED),
     (["spanning-trees", "--alpha", "1"], DIRECTED),
     (["spanning-trees", "--alpha", "1,2"], UNDIRECTED),
+    (["count", "--root", "a", "--alpha", "1"], UNDIRECTED),
+    (["decide", "--root", "s", "--alpha", ""], DIRECTED),
+    (["count", "--root", "s", "--alpha", "1"], ONE_COLOR),
+    (["min-weight", "--root", "s", "--alpha", "1"], UNWEIGHTED_UNREACHABLE),
+    (["min-weight", "--root", "s", "--alpha", "1"], UNWEIGHTED_REACHABLE),
+    (["find-min", "--root", "s", "--alpha", "1"], UNWEIGHTED_UNREACHABLE),
+    (["find-min", "--root", "s", "--alpha", "1"], UNWEIGHTED_REACHABLE),
+    (["min-weight", "--root", "a", "--alpha", "1"], WEIGHTED_UNDIRECTED),
+    (["find-min", "--root", "a", "--alpha", "1"], WEIGHTED_UNDIRECTED),
 ]
 
 COMMANDS = ["count", "count-all", "decide", "find", "min-weight", "find-min", "spanning-trees"]
@@ -111,6 +131,7 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, argv, text):
     code, out, err = run(tmp_path, capsys, argv, text)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+    assert err.endswith("\n") and err.count("\n") == 1
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
@@ -148,3 +169,15 @@ def test_help_lists_the_seven_subcommands(capsys):
     out = capsys.readouterr().out
     assert "{" + ",".join(COMMANDS) + "}" in out
     assert re.findall(r"^    (\S+)", out, re.MULTILINE) == COMMANDS
+
+
+@pytest.mark.parametrize("alpha, code", [("1", 0), ("3", 1), ("x", 2)])
+def test_module_entry_point_exits_with_mains_status(tmp_path, alpha, code):
+    path = tmp_path / "graph.g"
+    path.write_text(DIRECTED, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "ccarb", "decide", str(path), "--root", "s", "--alpha", alpha]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == code
+    assert result.stdout == {0: "yes\n", 1: "no\n", 2: ""}[code]
+    assert result.stderr == ("error: invalid --alpha 'x'\n" if code == 2 else "")

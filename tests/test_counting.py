@@ -12,7 +12,7 @@ from ccarb import counting, determinant, minweight
 from ccarb.cli import main
 from ccarb.counting import count, count_functional, count_spanning_trees, count_table, decide, find
 from ccarb.graph import ColoredDigraph, Edge, parse_graph
-from ccarb.minweight import min_weight
+from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, enumerate_functional, is_arborescence
 
 from support import (
@@ -209,3 +209,27 @@ def test_unreachable_vertices_build_no_determinant(monkeypatch, tmp_path, capsys
     assert main([argv[0], str(path), "--root", "a", *argv[1:]]) == code
     assert capsys.readouterr().out == out
     assert calls == []
+
+
+# Weighted, so only the graph kind can refuse it: each operation answered it
+# as a directed graph before the kind was checked.
+WEIGHTED_UNDIRECTED = "3 2\nundirected\na b 1 1\nb c 2 2\na c 1 3\n"
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda graph: count_table(graph, 1),
+        lambda graph: count(graph, 1, (1,)),
+        lambda graph: decide(graph, 1, (1,)),
+        lambda graph: find(graph, 1, (1,)),
+        lambda graph: count_functional(graph, (1,)),
+        lambda graph: c_alpha_r(graph, 1, (1,), 5),
+        lambda graph: min_weight(graph, 1, (1,)),
+        lambda graph: find_min(graph, 1, (1,)),
+    ],
+    ids=["count_table", "count", "decide", "find", "count_functional", "c_alpha_r", "min_weight", "find_min"],
+)
+def test_directed_operations_refuse_an_undirected_graph(operation):
+    with pytest.raises(ValueError, match="needs a directed graph, got ColoredMultigraph"):
+        operation(parse_graph(WEIGHTED_UNDIRECTED))

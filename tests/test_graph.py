@@ -131,6 +131,11 @@ class TestDedup:
         g = ColoredDigraph(2, 1, (Edge(0, 1, 2, 1), Edge(1, 2, 1, 1), Edge(2, 1, 2, 1)))
         assert dedup_min_weight(g).edges == (Edge(0, 1, 2, 1), Edge(1, 2, 1, 1))
 
+    def test_undirected_is_refused(self):
+        g = ColoredMultigraph(2, 1, (Edge(0, 1, 2, 1, 3), Edge(1, 2, 1, 1, 3)))
+        with pytest.raises(ValueError, match="needs a directed graph, got ColoredMultigraph"):
+            dedup_min_weight(g)
+
     @given(st.one_of(digraphs(), digraphs(weights=True)))
     def test_idempotent(self, g):
         once = dedup_min_weight(g)

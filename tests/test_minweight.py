@@ -207,3 +207,16 @@ def test_find_min_refuses_an_uncertified_result(monkeypatch, tmp_path, capsys, l
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: certificate check failed") and check in captured.err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3 2\ns a 1\nb a 1\n", "3 2\ns a 1\ns b 1\n"],
+    ids=["b-unreachable", "all-reachable"],
+)
+@pytest.mark.parametrize("operation", [min_weight, find_min])
+def test_unweighted_graphs_are_refused(operation, text):
+    # With b unreachable there is no arborescence, but the input is still
+    # refused rather than answered None.
+    with pytest.raises(ValueError, match="weight"):
+        operation(parse_graph(text), 1, (1,))
