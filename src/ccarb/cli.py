@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .counting import count, count_table, count_spanning_trees, decide, find
-from .graph import dedup_min_weight, parse_graph
+from .graph import parse_graph
 from .minweight import find_min, min_weight
 from .polynomials import render_poly
 
@@ -106,13 +106,9 @@ def _answer(args) -> dict:
         return {"decision": decide(graph, root, alpha)}
     if args.command == "find":
         return {"arborescence": _edge_objects(graph, find(graph, root, alpha))}
-    # min_weight's base counts parallel arcs, so deduplicating first keeps
-    # the base, and with it the prime count, small on files with same-color
-    # parallels; edge ids are preserved.
-    lightest = dedup_min_weight(graph)
     if args.command == "min-weight":
-        return {"min_weight": min_weight(lightest, root, alpha)}
-    arb, weight = find_min(lightest, root, alpha) or (None, None)
+        return {"min_weight": min_weight(graph, root, alpha)}
+    arb, weight = find_min(graph, root, alpha) or (None, None)
     return {"min_weight": weight, "arborescence": _edge_objects(graph, arb)}
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccarb import minweight
+from ccarb import determinant, minweight
 from ccarb.cli import main
 from ccarb.counting import Arborescence
 from ccarb.graph import parse_graph
@@ -109,14 +109,67 @@ def test_heavy_weights_are_not_refused(tmp_path, capsys):
     assert captured.err == ""
 
 
+def _counting_prime_passes(monkeypatch) -> list:
+    passes = []
+    real = determinant.det_poly_mod_p
+    monkeypatch.setattr(determinant, "det_poly_mod_p", lambda matrix, p: passes.append(p) or real(matrix, p))
+    return passes
+
+
+@pytest.mark.parametrize("operation, most", [(min_weight, 100), (find_min, 500)])
+def test_heavy_weights_take_few_prime_passes(monkeypatch, operation, most):
+    # Lowering each vertex's in-weights and the base count_alpha + 1 take 72
+    # and 387 passes here.  The bounds fail a valuation at r = B + 1 on the
+    # raw weights (B the product of the non-root in-degrees): 399 and 1,784.
+    passes = _counting_prime_passes(monkeypatch)
+    result = operation(parse_graph(HEAVY), 1, (3,))
+    assert (result if operation is min_weight else result[1]) == 1200
+    assert 0 < len(passes) <= most
+
+
+# Rooted at s, the lightest in-weights are 5 (a), 3 (b) and 1 (c), so the
+# lowering totals 4 + 2 + 0 = 6, which each answer must add back.
+SHIFTED = """4 2
+s a 1 5
+b a 2 7
+s b 2 3
+a b 1 4
+a c 1 1
+b c 2 6
+c a 1 9
+c b 2 8
+"""
+
+
+@pytest.mark.parametrize("alpha", [(0,), (1,), (2,), (3,)])
+def test_vertices_with_different_lightest_in_weights(alpha):
+    graph = parse_graph(SHIFTED)
+    expected, _ = oracle_min_weight(graph, 1, alpha)
+    assert min_weight(graph, 1, alpha) == expected
+    arb, weight = find_min(graph, 1, alpha)
+    assert weight == expected == sum(graph.edge(i).weight for i in arb.edge_ids)
+    assert color_histogram(graph, arb.edge_ids)[:1] == alpha
+
+
 @ORACLE
 @given(instances())
 def test_valuation_base_exceeds_the_number_of_arborescences(inst):
-    with mock.patch.object(minweight, "c_alpha_r", wraps=c_alpha_r) as spy:
-        min_weight(*inst)
-    [call] = spy.call_args_list
-    graph, root, _ = inst
-    assert call.args[3] > len(enumerate_arborescences(graph, root))
+    # The valuation is exact when r exceeds the number of minimizers, which
+    # is at most the number of arborescences matching alpha.  find_min asks
+    # every step at the one base that min_weight uses.
+    graph, root, alpha = inst
+    matching = sum(
+        color_histogram(graph, arb.edge_ids)[: graph.q - 1] == alpha for arb in enumerate_arborescences(graph, root)
+    )
+    for operation in (min_weight, find_min):
+        with mock.patch.object(minweight, "c_alpha_r", wraps=c_alpha_r) as spy:
+            operation(*inst)
+        bases = {call.args[3] for call in spy.call_args_list}
+        if matching == 0:
+            assert bases == set()
+            continue
+        [r] = bases
+        assert r > matching
 
 
 @pytest.mark.parametrize("r", [1, 0, -1])
@@ -175,23 +228,18 @@ WEIGHTED = "3 2\ns a 1 1\ns b 2 2\na b 1 3\nb a 2 1\n"
 
 
 def approve_every_deletion(monkeypatch):
-    # Every minimum reads 3, the true one, so every deletion is approved and
-    # the search keeps only the last in-arc of each vertex: the cycle
-    # {ab, ba}.
-    monkeypatch.setattr(minweight, "min_weight", lambda graph, root, alpha: 3)
+    # Every coefficient reads r, so every lowered minimum reads the same, so
+    # every deletion is approved and the search keeps only the last in-arc
+    # of each vertex: the cycle {ab, ba}.
+    monkeypatch.setattr(minweight, "c_alpha_r", lambda graph, root, alpha, r: r)
 
 
 def misreport_the_minimum(monkeypatch):
-    # Report one more than every minimum, so the search still follows the
-    # true one and ends on {sa, sb}, whose weight is not the reported
-    # minimum.
-    real_min = minweight.min_weight
-
-    def misreported(graph, root, alpha):
-        weight = real_min(graph, root, alpha)
-        return None if weight is None else weight + 1
-
-    monkeypatch.setattr(minweight, "min_weight", misreported)
+    # Multiply every coefficient by r, so every lowered minimum reads one
+    # more.  The search still follows the true minimum and ends on {sa, sb},
+    # whose weight is not the reported minimum.
+    real = minweight.c_alpha_r
+    monkeypatch.setattr(minweight, "c_alpha_r", lambda graph, root, alpha, r: r * real(graph, root, alpha, r))
 
 
 @pytest.mark.parametrize(
