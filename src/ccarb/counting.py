@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
 
 from .determinant import det_poly
 from .graph import (
@@ -70,9 +69,6 @@ def count_table(graph: ColoredDigraph, root: int) -> dict[tuple[int, ...], int]:
     table, at once when some vertex is unreachable from the root.  Raises
     ValueError unless `graph` is a ColoredDigraph without self-loops and
     `root` is one of its vertices.
-    `det_poly` bounds every coefficient by the product over the minor's
-    rows of their absolute sums, each at most twice the in-degree of that
-    row's vertex (parallel edges included).
     """
     _checked_root(graph, root)
     if not reaches_all(graph, root):
@@ -105,11 +101,11 @@ def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], keeps) -> 
         candidates = [e.id for e in current.edges if e.head == v]
         while len(candidates) > 1:
             half, rest = candidates[: len(candidates) // 2], candidates[len(candidates) // 2 :]
-            without = reduce(remove_edge, half, current)
+            without = remove_edge(current, *half)
             if keeps(without):
                 current, candidates = without, rest
             else:
-                current, candidates = reduce(remove_edge, rest, current), half
+                current, candidates = remove_edge(current, *rest), half
     edge_ids = tuple(e.id for e in current.edges)
     if not is_arborescence(graph, root, edge_ids):
         raise ValueError("certificate check failed: the result is not an arborescence")

@@ -13,6 +13,7 @@ row-major order over the grid (the last axis varying fastest).
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 from .laplacian import SymbolicMatrix
@@ -72,9 +73,11 @@ def select_primes(bound: int) -> tuple[int, ...]:
 
 
 def det_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
-    """Determinant over Z_p by Gaussian elimination with partial pivoting.
+    """Determinant over Z_p of an integer matrix, by Gaussian elimination.
 
-    The 0x0 matrix has determinant 1 (empty product).
+    Every entry is reduced mod p first, and each column's pivot is its
+    first nonzero residue on or below the diagonal.  The 0x0 matrix has
+    determinant 1 (empty product).
     """
     size = len(matrix)
     if size == 0:
@@ -113,16 +116,18 @@ def det_poly_mod_p(matrix: SymbolicMatrix, p: int) -> Poly:
     """
     shape = tuple(1 + rows for rows in matrix.variable_rows)
     grid = itertools.product(*(range(size) for size in shape))
-    values = [det_mod_p(matrix.evaluate(point, p), p) for point in grid]
+    values = [det_mod_p(matrix.evaluate(point), p) for point in grid]
     return interpolate(values, shape, p)
 
 
 def det_poly(matrix: SymbolicMatrix) -> Poly:
     """Exact integer determinant polynomial of a symbolic matrix.
 
-    Valid when the determinant has nonnegative coefficients, as every
-    Laplacian minor and Laplacian does.  The residues modulo primes whose
-    product exceeds `matrix.coefficient_bound` fix each coefficient by CRT.
+    Every coefficient is returned as its exact, possibly negative, integer.
+    Each lies in [-B, B] for B = `matrix.coefficient_bound`, so the residues
+    modulo primes whose product M exceeds 2B fix it by CRT: a combined
+    value c in [0, M) stands for c - M when 2c > M.
     """
-    residues = {p: det_poly_mod_p(matrix, p) for p in select_primes(matrix.coefficient_bound)}
-    return crt_combine(residues)
+    residues = {p: det_poly_mod_p(matrix, p) for p in select_primes(2 * matrix.coefficient_bound)}
+    product = math.prod(residues)
+    return {mono: c - product if 2 * c > product else c for mono, c in crt_combine(residues).items()}

@@ -291,10 +291,12 @@ def remove_in_arcs(graph: ColoredDigraph, vertex: int) -> ColoredDigraph:
     return ColoredDigraph(graph.n, graph.q, kept, graph.labels)
 
 
-def remove_edge(graph: ColoredDigraph, edge_id: int) -> ColoredDigraph:
-    """Delete the edge with the given id."""
-    graph.edge(edge_id)
-    kept = tuple(e for e in graph.edges if e.id != edge_id)
+def remove_edge(graph: ColoredDigraph, *edge_ids: int) -> ColoredDigraph:
+    """Delete the edges with the given ids; every id must be one of the graph's."""
+    for edge_id in edge_ids:
+        graph.edge(edge_id)
+    dropped = set(edge_ids)
+    kept = tuple(e for e in graph.edges if e.id not in dropped)
     return ColoredDigraph(graph.n, graph.q, kept, graph.labels)
 
 

@@ -60,8 +60,8 @@ class SymbolicMatrix:
         """
         return math.prod(sum(abs(coeff) for _, _, coeff in row) for row in self.rows)
 
-    def evaluate(self, point: tuple[int, ...], p: int) -> list[list[int]]:
-        """Substitute residues for x_1..x_nvars and reduce every entry mod p."""
+    def evaluate(self, point: tuple[int, ...]) -> list[list[int]]:
+        """Substitute integers for x_1..x_nvars; the entries are exact integers."""
         if len(point) != self.nvars:
             raise ValueError("point length does not match variable count")
         values = (1, *point)
@@ -70,7 +70,7 @@ class SymbolicMatrix:
             out = [0] * len(self.rows)
             for column, slot, coeff in row:
                 out[column] += coeff * values[slot]
-            scalar.append([value % p for value in out])
+            scalar.append(out)
         return scalar
 
 

@@ -36,6 +36,7 @@ def _checked(graph: ColoredDigraph, root: int, alpha) -> tuple[int, ...]:
 def c_alpha_r(graph: ColoredDigraph, root: int, alpha, r: int) -> int:
     """sum of r^w(T) over the root-arborescences T matching the constraint.
 
+    The sum is exact for every integer r, negative or zero included.
     Computed as the constraint's coefficient in the determinant of the
     in-degree Laplacian minor whose arcs carry the values r^w(e).  Arcs into
     the root are left in: they touch only the root's row, which the minor

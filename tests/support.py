@@ -207,7 +207,7 @@ def random_laplacian_style_matrix(rng: random.Random, dim: int, nvars: int) -> S
     """Laplacian minor plus nonnegative diagonal slack.
 
     Such matrices always have determinants with nonnegative coefficients
-    (sums of forest counts), which the exact CRT path requires.
+    (sums of forest counts).
     """
     graph = random_digraph(rng, dim + 1, nvars + 1, density=rng.uniform(0.2, 0.5))
     root = rng.randint(1, dim + 1)

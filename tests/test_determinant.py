@@ -140,6 +140,12 @@ class TestDetPoly:
             assert all(v >= 0 for v in expected.values())
             assert det_poly(m) == expected
 
+    def test_matches_cofactor_on_signed_dets(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            m = random_symbolic_matrix(rng, rng.randint(1, 4), rng.randint(0, 3))
+            assert det_poly(m) == cofactor_det(m)
+
     def test_large_coefficients_exact(self):
         # Entries far above 2^31 force several primes.
         rng = random.Random(16)
@@ -157,4 +163,4 @@ class TestDetPoly:
             poly = det_poly(m)
             for p in (10007, 65537):
                 point = tuple(rng.randint(0, p - 1) for _ in range(2))
-                assert poly_eval(poly, point) % p == det_mod_p(m.evaluate(point, p), p)
+                assert poly_eval(poly, point) % p == det_mod_p(m.evaluate(point), p)

@@ -170,6 +170,15 @@ class TestRemove:
         with pytest.raises(ValueError, match="unknown edge id"):
             remove_edge(g, 5)
 
+    def test_remove_several_ids(self):
+        g = ColoredDigraph(3, 1, (Edge(0, 1, 2, 1), Edge(1, 1, 2, 1), Edge(2, 2, 3, 1), Edge(3, 1, 3, 1)))
+        assert remove_edge(g, 3, 0).edges == (Edge(1, 1, 2, 1), Edge(2, 2, 3, 1))
+
+    def test_remove_unknown_id_among_known(self):
+        g = ColoredDigraph(3, 1, (Edge(0, 1, 2, 1), Edge(1, 2, 3, 1)))
+        with pytest.raises(ValueError, match="unknown edge id 7"):
+            remove_edge(g, 0, 7, 1)
+
     @given(digraphs(), st.integers(0, 11))
     def test_remove_then_readd_restores_index(self, g, pick):
         if not g.edges:

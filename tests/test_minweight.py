@@ -56,7 +56,7 @@ def test_find_min_returns_a_certified_minimizer(inst):
 
 
 @ORACLE
-@given(instances(), st.sampled_from((2, 3, 17, 101)))
+@given(instances(), st.sampled_from((-3, -2, 0, 1, 2, 3, 17, 101)))
 def test_c_alpha_r_is_the_weight_enumerator_at_r(inst, r):
     graph, root, alpha = inst
     expected = sum(
