@@ -1,23 +1,69 @@
 """Exact determinants of symbolic matrices.
 
-The determinant polynomial is computed by evaluating the matrix on a dense
-grid over a prime field, taking scalar determinants, interpolating the grid
-values back into a polynomial, and repeating over enough primes for a
-Chinese-Remainder reconstruction of the exact integer coefficients.  Every
+The determinant polynomial is computed over the integers: the matrix is
+evaluated once at each point of a dense grid, each point's determinant is
+taken exactly by fraction-free (Bareiss) elimination, and the grid values
+are interpolated back into a polynomial with integer coefficients.  Every
 row is linear in each variable, so the determinant's degree in x_c is at
 most the number of rows that contain x_c; the grid axis for x_c holds the
-nodes 0..d_c for that count d_c, and the scalar determinants are taken in
-row-major order over the grid (the last axis varying fastest).
+nodes 0..d_c for that count d_c, and the points are taken in row-major
+order (the last axis varying fastest).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Sequence
 
 from .laplacian import SymbolicMatrix
-from .polynomials import Poly, crt_combine, interpolate
+from .polynomials import Poly, interpolate
+
+
+def _bareiss(rows: list[list[int]]) -> int:
+    # Fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968).  Each
+    # step takes the first row with a nonzero leading entry as the pivot row
+    # and maps every later row to (pivot * row - lead * upper) // prev, which
+    # Sylvester's identity makes exact; the leading column, now zero, is
+    # dropped.  The last pivot is the determinant up to the swaps' sign.
+    sign, prev = 1, 1
+    while rows:
+        index = next((i for i, row in enumerate(rows) if row[0]), -1)
+        if index < 0:
+            return 0
+        if index:
+            rows[0], rows[index] = rows[index], rows[0]
+            sign = -sign
+        upper = rows[0]
+        pivot = upper[0]
+        rest = []
+        for row in rows[1:]:
+            lead = row[0]
+            if lead:
+                row = [(pivot * a - lead * b) // prev for a, b in zip(row, upper)]
+            elif pivot != prev:
+                row = [pivot * a // prev for a in row]
+            del row[0]
+            rest.append(row)
+        rows, prev = rest, pivot
+    return sign * prev
+
+
+def det_poly(matrix: SymbolicMatrix) -> Poly:
+    """Exact integer determinant polynomial of a symbolic matrix.
+
+    Every coefficient is returned as its exact, possibly negative, integer.
+    The axis of x_c holds one more node than `matrix.variable_rows` counts
+    rows containing x_c; a variable no row contains gets the single node 0.
+    """
+    shape = tuple(1 + rows for rows in matrix.variable_rows)
+    grid = itertools.product(*(range(size) for size in shape))
+    return interpolate([_bareiss(matrix.evaluate(point)) for point in grid], shape)
+
+
+# No engine code calls the functions below.  The benchmark's layer tracer
+# (benchmark/spans.py) still wraps them by name, and det_mod_p is the
+# tests' independent per-point reference; they go when the tracer's
+# targets are re-pinned to the exact engine.
 
 # Primes must fit in half a 64-bit word so products reduce before overflow
 # would matter on fixed-width platforms.
@@ -108,26 +154,5 @@ def det_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
 
 
 def det_poly_mod_p(matrix: SymbolicMatrix, p: int) -> Poly:
-    """Determinant of a symbolic matrix reduced mod p, by evaluate-interpolate.
-
-    The axis of x_c holds one more node than `matrix.variable_rows` counts
-    rows containing x_c; a variable no row contains gets the single node 0.
-    Requires p to exceed the longest axis.
-    """
-    shape = tuple(1 + rows for rows in matrix.variable_rows)
-    grid = itertools.product(*(range(size) for size in shape))
-    values = [det_mod_p(matrix.evaluate(point), p) for point in grid]
-    return interpolate(values, shape, p)
-
-
-def det_poly(matrix: SymbolicMatrix) -> Poly:
-    """Exact integer determinant polynomial of a symbolic matrix.
-
-    Every coefficient is returned as its exact, possibly negative, integer.
-    Each lies in [-B, B] for B = `matrix.coefficient_bound`, so the residues
-    modulo primes whose product M exceeds 2B fix it by CRT: a combined
-    value c in [0, M) stands for c - M when 2c > M.
-    """
-    residues = {p: det_poly_mod_p(matrix, p) for p in select_primes(2 * matrix.coefficient_bound)}
-    product = math.prod(residues)
-    return {mono: c - product if 2 * c > product else c for mono, c in crt_combine(residues).items()}
+    """`det_poly(matrix)` with every coefficient reduced to [0, p), zeros left out."""
+    return {mono: c % p for mono, c in det_poly(matrix).items() if c % p}

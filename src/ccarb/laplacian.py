@@ -7,7 +7,6 @@ constant term (x_q is fixed to 1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .graph import ColoredDigraph
@@ -49,16 +48,6 @@ class SymbolicMatrix:
             for slot in {slot for _, slot, coeff in row if coeff}:
                 counts[slot] += 1
         return tuple(counts[1:])
-
-    @property
-    def coefficient_bound(self) -> int:
-        """Product over rows of the summed absolute term coefficients.
-
-        It bounds the absolute value of every determinant coefficient: in
-        the Leibniz expansion, the absolute coefficients of a product sum
-        to at most the product of the factors' sums.
-        """
-        return math.prod(sum(abs(coeff) for _, _, coeff in row) for row in self.rows)
 
     def evaluate(self, point: tuple[int, ...]) -> list[list[int]]:
         """Substitute integers for x_1..x_nvars; the entries are exact integers."""

@@ -13,8 +13,8 @@ lowering all of v's in-weights by the same amount lowers every weight by it
 and keeps the minimizers.  Each v's in-weights are lowered by m_v - 1, where
 m_v is the lightest of them, so every lightest in-arc weighs 1 and the graph
 stays a valid weighted graph with the same edge ids.  This divides the
-coefficient, and the bound its primes are chosen for, by r^sum(m_v - 1);
-the minimum is the lowered one plus sum(m_v - 1).
+coefficient, and every grid determinant the engine takes for it, by
+r^sum(m_v - 1); the minimum is the lowered one plus sum(m_v - 1).
 """
 
 from __future__ import annotations

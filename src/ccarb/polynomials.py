@@ -1,13 +1,13 @@
-"""Sparse multivariate polynomials over Z_p and Z.
+"""Sparse multivariate polynomials with integer coefficients.
 
 A polynomial is a plain dict mapping exponent vectors (tuples of
-nonnegative ints, one entry per variable) to coefficients; zero
-coefficients are left out, so an empty dict is the zero polynomial.
-Residues mod p lie in [0, p).  The module provides exactly what the
-determinant engine needs: Lagrange interpolation from a dense grid whose
-axis for variable c holds the nodes 0, 1, ..., d_c (values given as one
-flat list in row-major order, the last axis varying fastest), and
-Chinese-Remainder reconstruction of integer coefficients from residues.
+nonnegative ints, one entry per variable) to exact, possibly negative,
+integer coefficients; zero coefficients are left out, so an empty dict is
+the zero polynomial.  The module provides what the determinant engine
+needs: Lagrange interpolation over Z from a dense grid whose axis for
+variable c holds the nodes 0, 1, ..., d_c (values given as one flat list
+in row-major order, the last axis varying fastest), and a canonical text
+form.
 """
 
 from __future__ import annotations
@@ -20,64 +20,70 @@ from typing import Mapping, Sequence
 Poly = dict[tuple[int, ...], int]
 
 
-def _lagrange_matrix(size: int, p: int) -> list[list[int]]:
-    # Nodes 0..size-1.  Rows are coefficient slots:
-    # coeffs[k] = sum_i matrix[k][i] * values[i] mod p.
+def _lagrange_matrix(size: int) -> list[list[int]]:
+    # Nodes 0..size-1.  Rows are coefficient slots, scaled by (size-1)! so
+    # every entry is an integer: (size-1)! * coeffs[k] = sum_i matrix[k][i] * values[i].
     full = [1]
     for t in range(size):
         nxt = [0] * (len(full) + 1)
         for i, c in enumerate(full):
-            nxt[i] = (nxt[i] - c * t) % p
-            nxt[i + 1] = (nxt[i + 1] + c) % p
+            nxt[i] -= c * t
+            nxt[i + 1] += c
         full = nxt
     matrix = [[0] * size for _ in range(size)]
     for i in range(size):
         quotient = [0] * size
         quotient[size - 1] = full[size]
         for k in range(size - 1, 0, -1):
-            quotient[k - 1] = (full[k] + i * quotient[k]) % p
-        # prod over j != i of (i - j), for the nodes 0..size-1.
-        denom = (-1) ** (size - 1 - i) * math.factorial(i) * math.factorial(size - 1 - i)
-        scale = pow(denom, -1, p)
+            quotient[k - 1] = full[k] + i * quotient[k]
+        # (size-1)! over prod_{j != i} (i - j), for the nodes 0..size-1.
+        scale = (-1) ** (size - 1 - i) * math.comb(size - 1, i)
         for k in range(size):
-            matrix[k][i] = quotient[k] * scale % p
+            matrix[k][i] = quotient[k] * scale
     return matrix
 
 
-def interpolate(values: Sequence[int], shape: Sequence[int], p: int) -> Poly:
+def interpolate(values: Sequence[int], shape: Sequence[int]) -> Poly:
     """Recover the unique polynomial matching `values` on the grid of `shape`.
 
     Axis c has the nodes 0..shape[c]-1; `values` lists the grid in
     `itertools.product` order (row-major, the last axis varying fastest).
     One-dimensional Lagrange interpolation is applied along each axis in
-    turn, so the result has degree below shape[c] in variable c.
+    turn, so the result has degree below shape[c] in variable c.  The
+    coefficients must be integers: each axis's transform is taken with the
+    Lagrange matrix scaled by (size-1)! and divided by it exactly, and a
+    nonzero remainder raises ValueError.
     """
     shape = tuple(shape)
     if any(size < 1 for size in shape) or len(values) != math.prod(shape):
         raise ValueError("grid shape mismatch")
-    longest = max(shape, default=0)
-    if p <= longest:
-        raise ValueError(f"prime {p} must exceed the longest axis, {longest}, so nodes 0..{longest - 1} are distinct")
-    matrices = {size: _lagrange_matrix(size, p) for size in set(shape)}
-    tensor = [value % p for value in values]
+    matrices = {size: _lagrange_matrix(size) for size in set(shape)}
+    tensor = list(values)
     block = len(tensor)
     for size in shape:
         # Each fiber along this axis holds `size` values `stride` apart inside
         # a run of `block` consecutive values.
         stride = block // size
         matrix = matrices[size]
+        scale = math.factorial(size - 1)
         transformed = [0] * len(tensor)
         for start in range(0, len(tensor), block):
             for offset in range(start, start + stride):
                 fiber = tensor[offset : offset + block : stride]
                 for k, row in enumerate(matrix):
-                    transformed[offset + k * stride] = sum(map(operator.mul, row, fiber)) % p
+                    coeff, remainder = divmod(sum(map(operator.mul, row, fiber)), scale)
+                    if remainder:
+                        raise ValueError("the interpolated polynomial has a non-integer coefficient")
+                    transformed[offset + k * stride] = coeff
         tensor = transformed
         block = stride
     indices = itertools.product(*(range(size) for size in shape))
-    return {mono: residue for mono, residue in zip(indices, tensor) if residue}
+    return {mono: coeff for mono, coeff in zip(indices, tensor) if coeff}
 
 
+# No engine code calls crt_combine.  The benchmark's layer tracer
+# (benchmark/spans.py) still wraps it by name; it goes when the tracer's
+# targets are re-pinned to the exact engine.
 def crt_combine(residue_polys: Mapping[int, Poly]) -> Poly:
     """Reconstruct integer coefficients from residues modulo distinct primes.
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccarb import counting, determinant, minweight
+from ccarb import counting, minweight
 from ccarb.cli import main
 from ccarb.counting import count, count_functional, count_spanning_trees, count_table, decide, find
 from ccarb.graph import ColoredDigraph, Edge, parse_graph
+from ccarb.laplacian import SymbolicMatrix
 from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, enumerate_functional, is_arborescence
 
@@ -124,12 +125,13 @@ def complete_digraph(q: int) -> ColoredDigraph:
 def test_unused_colors_do_not_grow_the_grid(monkeypatch):
     narrow = count_table(complete_digraph(2), 1)
     calls = []
-    real = determinant.det_mod_p
-    monkeypatch.setattr(determinant, "det_mod_p", lambda rows, p: calls.append(p) or real(rows, p))
+    real = SymbolicMatrix.evaluate
+    monkeypatch.setattr(SymbolicMatrix, "evaluate", lambda matrix, point: calls.append(point) or real(matrix, point))
     wide = count_table(complete_digraph(6), 1)
     # Colors 3-6 are declared but unused, so only x1 and x2 need more than
-    # one node: 6 x 6 points with one prime, where n^(q-1) = 7,776.
-    assert len(calls) <= 36
+    # one node: each of the 5 minor rows holds both, so the grid is 6 x 6,
+    # evaluated once per point, where n^(q-1) = 7,776.
+    assert len(calls) == 36
     # Each alpha's full histogram (a, 5 - a) padded with zeros to q-1 = 5 colors.
     assert wide == {(a, 5 - a, 0, 0, 0): value for (a,), value in narrow.items()}
 

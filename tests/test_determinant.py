@@ -1,7 +1,6 @@
+import itertools
 import math
 import random
-
-import pytest
 
 from ccarb.determinant import (
     PRIME_LIMIT,
@@ -21,6 +20,18 @@ from support import (
     random_laplacian_style_matrix,
     random_symbolic_matrix,
 )
+
+
+def sparse_symbolic_matrix(rng: random.Random, dim: int, nvars: int) -> SymbolicMatrix:
+    """About half the entries nonzero, each coefficient drawn from [-3, 3]."""
+    rows = []
+    for _ in range(dim):
+        row = []
+        for column in range(dim):
+            if rng.random() < 0.5:
+                row += [(column, slot, rng.randint(-3, 3)) for slot in range(nvars + 1)]
+        rows.append(tuple(row))
+    return SymbolicMatrix(nvars, tuple(rows))
 
 
 def zero_some_variables(rng: random.Random, m: SymbolicMatrix) -> SymbolicMatrix:
@@ -98,11 +109,6 @@ class TestDetPolyModP:
         m = SymbolicMatrix(1, (((0, 1, 1), (1, 0, 1)), ((0, 0, 1), (1, 1, 1))))
         assert det_poly_mod_p(m, 101) == {(2,): 1, (0,): 100}
 
-    def test_prime_must_exceed_points(self):
-        m = SymbolicMatrix(1, (((0, 1, 1),),))
-        with pytest.raises(ValueError, match="must exceed"):
-            det_poly_mod_p(m, 2)
-
     def test_matches_cofactor_randomly(self):
         rng = random.Random(12)
         for _ in range(150):
@@ -120,9 +126,9 @@ class TestDetPoly:
         assert det_poly(m) == {(): 5}
 
     def test_entry_equal_to_largest_prime(self):
-        # The bound equals the largest prime, so a second prime is needed;
-        # with one the determinant would come back as 0.  Split into two
-        # terms, the entry still needs the bound to sum them.
+        # An entry equal to the largest prime below PRIME_LIMIT, whole or
+        # split into two terms: an engine working modulo that prime alone
+        # would return 0.
         largest = select_primes(0)[0]
         half = largest // 2
         for row in (((0, 0, largest),), ((0, 0, half), (0, 0, largest - half))):
@@ -146,8 +152,23 @@ class TestDetPoly:
             m = random_symbolic_matrix(rng, rng.randint(1, 4), rng.randint(0, 3))
             assert det_poly(m) == cofactor_det(m)
 
+    def test_matches_cofactor_on_sparse_signed_dets(self):
+        # Sparse rows leave many leading entries 0, so elimination must swap
+        # rows, and many grid points are singular.
+        rng = random.Random(18)
+        swapped = singular = nonzero = 0
+        for _ in range(40):
+            m = sparse_symbolic_matrix(rng, rng.randint(5, 6), rng.randint(0, 2))
+            expected = cofactor_det(m)
+            assert det_poly(m) == expected
+            nonzero += bool(expected)
+            for point in itertools.product(*(range(1 + rows) for rows in m.variable_rows)):
+                swapped += m.evaluate(point)[0][0] == 0
+                singular += poly_eval(expected, point) == 0
+        assert swapped and singular and nonzero
+
     def test_large_coefficients_exact(self):
-        # Entries far above 2^31 force several primes.
+        # Entries far above 2^31, so every grid determinant is a large integer.
         rng = random.Random(16)
         for _ in range(20):
             m = random_laplacian_style_matrix(rng, rng.randint(1, 4), rng.randint(0, 2))

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccarb import determinant, minweight
+from ccarb import minweight
 from ccarb.cli import main
 from ccarb.counting import Arborescence
 from ccarb.graph import parse_graph
+from ccarb.laplacian import SymbolicMatrix
 from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, is_arborescence, oracle_min_weight
 
@@ -109,22 +110,21 @@ def test_heavy_weights_are_not_refused(tmp_path, capsys):
     assert captured.err == ""
 
 
-def _counting_prime_passes(monkeypatch) -> list:
-    passes = []
-    real = determinant.det_poly_mod_p
-    monkeypatch.setattr(determinant, "det_poly_mod_p", lambda matrix, p: passes.append(p) or real(matrix, p))
-    return passes
-
-
-@pytest.mark.parametrize("operation, most", [(min_weight, 100), (find_min, 500)])
-def test_heavy_weights_take_few_prime_passes(monkeypatch, operation, most):
-    # Lowering each vertex's in-weights and the base count_alpha + 1 take 72
-    # and 387 passes here.  The bounds fail a valuation at r = B + 1 on the
-    # raw weights (B the product of the non-root in-degrees): 399 and 1,784.
-    passes = _counting_prime_passes(monkeypatch)
+@pytest.mark.parametrize("operation, most", [(min_weight, 14), (find_min, 77)])
+def test_heavy_weights_take_few_evaluations(monkeypatch, operation, most):
+    # Every non-root vertex of HEAVY has a color-1 in-arc, so a minor has 6
+    # rows with x1 and det_poly evaluates at most 7 grid points, each once
+    # whatever the weights.  min_weight takes 2 det_polys (the count, then
+    # the coefficient at r = count + 1): 14 points.  find_min adds one per
+    # search question; halving asks at most ceil(log2 3) = 2 for each of
+    # a, b and c (in-degree 3) and 1 for each of d, e and f (in-degree 2),
+    # so 2 + 9 det_polys: 77 points.
+    points = []
+    real = SymbolicMatrix.evaluate
+    monkeypatch.setattr(SymbolicMatrix, "evaluate", lambda matrix, point: points.append(point) or real(matrix, point))
     result = operation(parse_graph(HEAVY), 1, (3,))
     assert (result if operation is min_weight else result[1]) == 1200
-    assert 0 < len(passes) <= most
+    assert 0 < len(points) <= most
 
 
 # Rooted at s, the lightest in-weights are 5 (a), 3 (b) and 1 (c), so the

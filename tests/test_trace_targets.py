@@ -10,9 +10,7 @@ import inspect
 import sys
 from pathlib import Path
 
-import ccarb.determinant
-from ccarb.determinant import det_poly, det_poly_mod_p, select_primes
-from ccarb.laplacian import SymbolicMatrix
+from ccarb.determinant import det_poly_mod_p
 from ccarb.polynomials import crt_combine
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
@@ -37,19 +35,3 @@ def test_traced_arguments_keep_their_positions():
     assert list(inspect.signature(det_poly_mod_p).parameters)[:2] == ["matrix", "p"]
     assert list(inspect.signature(crt_combine).parameters)[0] == "residue_polys"
 
-
-def test_crt_moduli_counts_the_primes(monkeypatch):
-    # The tracer reports len(args[0]) of crt_combine as polynomials.crt_moduli.
-    # An entry equal to the largest prime needs two primes.
-    seen = []
-
-    def recording(residue_polys):
-        seen.append(residue_polys)
-        return crt_combine(residue_polys)
-
-    monkeypatch.setattr(ccarb.determinant, "crt_combine", recording)
-    largest = select_primes(0)[0]
-    det_poly(SymbolicMatrix(0, (((0, 0, largest),),)))
-    [residue_polys] = seen
-    assert len(residue_polys) == 2
-    assert tuple(residue_polys) == select_primes(largest)
