@@ -1,13 +1,13 @@
 """Exact determinants of symbolic matrices.
 
-The determinant polynomial is computed over the integers: the matrix is
-evaluated once at each point of a dense grid, each point's determinant is
-taken exactly by fraction-free (Bareiss) elimination, and the grid values
-are interpolated back into a polynomial with integer coefficients.  Every
-row is linear in each variable, so the determinant's degree in x_c is at
-most the number of rows that contain x_c; the grid axis for x_c holds the
-nodes 0..d_c for that count d_c, and the points are taken in row-major
-order (the last axis varying fastest).
+The determinant polynomial is computed over the integers.  Every entry is
+affine in all the variables together, so the determinant's degree in x_c
+is at most the number d_c of rows that contain x_c, and its total degree
+at most the number t of rows that contain any variable.  Its monomials
+therefore lie in the lower set {k : k_c <= d_c, sum(k) <= t}.  The matrix
+is evaluated once at each point of that set, each point's determinant is
+taken exactly by fraction-free (Bareiss) elimination, and the values are
+interpolated back into a polynomial with integer coefficients.
 """
 
 from __future__ import annotations
@@ -52,12 +52,12 @@ def det_poly(matrix: SymbolicMatrix) -> Poly:
     """Exact integer determinant polynomial of a symbolic matrix.
 
     Every coefficient is returned as its exact, possibly negative, integer.
-    The axis of x_c holds one more node than `matrix.variable_rows` counts
-    rows containing x_c; a variable no row contains gets the single node 0.
+    The points evaluated are the lower set cut out by the degree bounds
+    `matrix.variable_rows` (per variable) and `matrix.variable_degree` (total).
     """
-    shape = tuple(1 + rows for rows in matrix.variable_rows)
-    grid = itertools.product(*(range(size) for size in shape))
-    return interpolate([_bareiss(matrix.evaluate(point)) for point in grid], shape)
+    degree = matrix.variable_degree
+    box = itertools.product(*(range(1 + rows) for rows in matrix.variable_rows))
+    return interpolate({point: _bareiss(matrix.evaluate(point)) for point in box if sum(point) <= degree})
 
 
 # No engine code calls the functions below.  The benchmark's layer tracer

@@ -42,12 +42,17 @@ class SymbolicMatrix:
 
     @property
     def variable_rows(self) -> tuple[int, ...]:
-        """Number of rows with a nonzero x_c term (the determinant's degree bound), for c = 1..nvars."""
+        """Number of rows with a nonzero x_c term (the determinant's degree bound in x_c), for c = 1..nvars."""
         counts = [0] * (self.nvars + 1)
         for row in self.rows:
             for slot in {slot for _, slot, coeff in row if coeff}:
                 counts[slot] += 1
         return tuple(counts[1:])
+
+    @property
+    def variable_degree(self) -> int:
+        """Number of rows with a nonzero term in some variable: the determinant's total-degree bound."""
+        return sum(any(slot and coeff for _, slot, coeff in row) for row in self.rows)
 
     def evaluate(self, point: tuple[int, ...]) -> list[list[int]]:
         """Substitute integers for x_1..x_nvars; the entries are exact integers."""

@@ -3,82 +3,61 @@
 A polynomial is a plain dict mapping exponent vectors (tuples of
 nonnegative ints, one entry per variable) to exact, possibly negative,
 integer coefficients; zero coefficients are left out, so an empty dict is
-the zero polynomial.  The module provides what the determinant engine
-needs: Lagrange interpolation over Z from a dense grid whose axis for
-variable c holds the nodes 0, 1, ..., d_c (values given as one flat list
-in row-major order, the last axis varying fastest), and a canonical text
-form.
+the zero polynomial.  The module provides Newton interpolation over Z on
+a lower set of points (with a point, each point one lower in a
+coordinate) along axes of nodes 0, 1, 2, ..., and a canonical text form.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
-from typing import Mapping, Sequence
+from typing import Mapping
 
 Poly = dict[tuple[int, ...], int]
 
 
-def _lagrange_matrix(size: int) -> list[list[int]]:
-    # Nodes 0..size-1.  Rows are coefficient slots, scaled by (size-1)! so
-    # every entry is an integer: (size-1)! * coeffs[k] = sum_i matrix[k][i] * values[i].
-    full = [1]
-    for t in range(size):
-        nxt = [0] * (len(full) + 1)
-        for i, c in enumerate(full):
-            nxt[i] -= c * t
-            nxt[i + 1] += c
-        full = nxt
-    matrix = [[0] * size for _ in range(size)]
-    for i in range(size):
-        quotient = [0] * size
-        quotient[size - 1] = full[size]
-        for k in range(size - 1, 0, -1):
-            quotient[k - 1] = full[k] + i * quotient[k]
-        # (size-1)! over prod_{j != i} (i - j), for the nodes 0..size-1.
-        scale = (-1) ** (size - 1 - i) * math.comb(size - 1, i)
-        for k in range(size):
-            matrix[k][i] = quotient[k] * scale
-    return matrix
+def interpolate(values: Mapping[tuple[int, ...], int]) -> Poly:
+    """Recover the unique polynomial matching `values` whose monomials are its points.
 
-
-def interpolate(values: Sequence[int], shape: Sequence[int]) -> Poly:
-    """Recover the unique polynomial matching `values` on the grid of `shape`.
-
-    Axis c has the nodes 0..shape[c]-1; `values` lists the grid in
-    `itertools.product` order (row-major, the last axis varying fastest).
-    One-dimensional Lagrange interpolation is applied along each axis in
-    turn, so the result has degree below shape[c] in variable c.  The
-    coefficients must be integers: each axis's transform is taken with the
-    Lagrange matrix scaled by (size-1)! and divided by it exactly, and a
-    nonzero remainder raises ValueError.
+    The points must form a lower set, so each fiber along an axis holds the
+    nodes 0..m; otherwise ValueError is raised.  Divided differences along
+    every axis give the coefficients in the Newton basis of the products of
+    x_c (x_c - 1) ... (x_c - k_c + 1) (N. Dyn and M. S. Floater, J. Approx.
+    Theory 177, 2014); only then is that form expanded to monomials axis by
+    axis, as on a lower set the two stages do not commute per axis.  A
+    remainder in any division means a non-integer coefficient: ValueError.
     """
-    shape = tuple(shape)
-    if any(size < 1 for size in shape) or len(values) != math.prod(shape):
-        raise ValueError("grid shape mismatch")
-    matrices = {size: _lagrange_matrix(size) for size in set(shape)}
-    tensor = list(values)
-    block = len(tensor)
-    for size in shape:
-        # Each fiber along this axis holds `size` values `stride` apart inside
-        # a run of `block` consecutive values.
-        stride = block // size
-        matrix = matrices[size]
-        scale = math.factorial(size - 1)
-        transformed = [0] * len(tensor)
-        for start in range(0, len(tensor), block):
-            for offset in range(start, start + stride):
-                fiber = tensor[offset : offset + block : stride]
-                for k, row in enumerate(matrix):
-                    coeff, remainder = divmod(sum(map(operator.mul, row, fiber)), scale)
+    table = dict(values)
+    points = sorted(table)
+    nvars = len(points[0]) if points else 0
+    axes = []
+    for axis in range(nvars):
+        # Sorted points reach each fiber in increasing order along the axis.
+        fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for point in points:
+            fibers.setdefault(point[:axis] + point[axis + 1 :], []).append(point)
+        for fiber in fibers.values():
+            if fiber[-1][axis] != len(fiber) - 1:
+                raise ValueError(f"the points do not form a lower set: axis {axis + 1} misses a node below {fiber[-1]}")
+        axes.append(fibers.values())
+    for fibers in axes:
+        for fiber in fibers:
+            column = [table[point] for point in fiber]
+            for j in range(1, len(column)):
+                for i in range(len(column) - 1, j - 1, -1):
+                    column[i], remainder = divmod(column[i] - column[i - 1], j)
                     if remainder:
                         raise ValueError("the interpolated polynomial has a non-integer coefficient")
-                    transformed[offset + k * stride] = coeff
-        tensor = transformed
-        block = stride
-    indices = itertools.product(*(range(size) for size in shape))
-    return {mono: coeff for mono, coeff in zip(indices, tensor) if coeff}
+            table.update(zip(fiber, column))
+    for fibers in axes:
+        for fiber in fibers:
+            # Horner on a_0 + x (a_1 + (x - 1) (a_2 + ...)); the node 0 adds nothing.
+            column = [table[point] for point in fiber]
+            for j in range(len(column) - 2, 0, -1):
+                for i in range(j, len(column) - 1):
+                    column[i] -= j * column[i + 1]
+            table.update(zip(fiber, column))
+    return {point: coeff for point, coeff in table.items() if coeff}
 
 
 # No engine code calls crt_combine.  The benchmark's layer tracer

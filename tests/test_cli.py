@@ -20,6 +20,9 @@ WEIGHTED_UNDIRECTED = "3 2\nundirected\na b 1 1\nb c 2 2\na c 1 3\n"
 ONE_COLOR = "3 1\ns a 1\ns b 1\na b 1\n"
 UNWEIGHTED_UNREACHABLE = "3 2\ns a 1\nb a 1\n"
 UNWEIGHTED_REACHABLE = "3 2\ns a 1\ns b 1\n"
+# Four colors, color 3 declared but unused: rooted at s, the counts hold
+# cross terms in x1 and x2, and alpha keeps a 0 for color 3.
+THREE_VARIABLES = "3 4\ns a 1\ns a 4\ns b 2\nb a 1\na b 2\na b 1\n"
 
 # (argv after the graph path, graph text, exit code, text output).  On the
 # directed graph rooted at s: {sa, sb} has alpha 1 and weight 3, {sa, ab}
@@ -41,6 +44,12 @@ CASES = [
     (["spanning-trees", "--alpha", "1"], UNDIRECTED, 0, "2\n"),
     (["spanning-trees", "--alpha", "0"], UNDIRECTED, 0, "0\n"),
     (["count", "--root", "s"], ONE_COLOR, 0, "2\n"),
+    (
+        ["count-all", "--root", "s", "--poly"],
+        THREE_VARIABLES,
+        0,
+        "0,1,0\t2\n1,0,0\t1\n1,1,0\t3\n2,0,0\t1\n2 * x2^1 + 1 * x1^1 + 3 * x1^1 * x2^1 + 1 * x1^2\n",
+    ),
 ]
 
 # Inputs every subcommand must reject with exit code 2 and a message.

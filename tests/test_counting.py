@@ -129,9 +129,11 @@ def test_unused_colors_do_not_grow_the_grid(monkeypatch):
     monkeypatch.setattr(SymbolicMatrix, "evaluate", lambda matrix, point: calls.append(point) or real(matrix, point))
     wide = count_table(complete_digraph(6), 1)
     # Colors 3-6 are declared but unused, so only x1 and x2 need more than
-    # one node: each of the 5 minor rows holds both, so the grid is 6 x 6,
-    # evaluated once per point, where n^(q-1) = 7,776.
-    assert len(calls) == 36
+    # one node.  Each of the 5 minor rows holds both, so the determinant has
+    # total degree at most 5 and the points are a, b <= 5 with a + b <= 5:
+    # C(7, 2) = 21, evaluated once each, where the 6 x 6 box has 36 and
+    # n^(q-1) = 7,776.
+    assert len(calls) == 21
     # Each alpha's full histogram (a, 5 - a) padded with zeros to q-1 = 5 colors.
     assert wide == {(a, 5 - a, 0, 0, 0): value for (a,), value in narrow.items()}
 

@@ -1,6 +1,7 @@
-import itertools
 import math
 import random
+
+import pytest
 
 from ccarb.determinant import (
     PRIME_LIMIT,
@@ -20,6 +21,17 @@ from support import (
     random_laplacian_style_matrix,
     random_symbolic_matrix,
 )
+
+
+EVALUATE = SymbolicMatrix.evaluate
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The points at which SymbolicMatrix.evaluate is called, in call order."""
+    points = []
+    monkeypatch.setattr(SymbolicMatrix, "evaluate", lambda matrix, point: points.append(point) or EVALUATE(matrix, point))
+    return points
 
 
 def sparse_symbolic_matrix(rng: random.Random, dim: int, nvars: int) -> SymbolicMatrix:
@@ -152,20 +164,43 @@ class TestDetPoly:
             m = random_symbolic_matrix(rng, rng.randint(1, 4), rng.randint(0, 3))
             assert det_poly(m) == cofactor_det(m)
 
-    def test_matches_cofactor_on_sparse_signed_dets(self):
+    def test_matches_cofactor_on_sparse_signed_dets(self, evaluated):
         # Sparse rows leave many leading entries 0, so elimination must swap
-        # rows, and many grid points are singular.
+        # rows, and many of the points det_poly evaluates are singular.
         rng = random.Random(18)
         swapped = singular = nonzero = 0
         for _ in range(40):
             m = sparse_symbolic_matrix(rng, rng.randint(5, 6), rng.randint(0, 2))
             expected = cofactor_det(m)
+            evaluated.clear()
             assert det_poly(m) == expected
             nonzero += bool(expected)
-            for point in itertools.product(*(range(1 + rows) for rows in m.variable_rows)):
-                swapped += m.evaluate(point)[0][0] == 0
+            for point in evaluated:
+                swapped += EVALUATE(m, point)[0][0] == 0
                 singular += poly_eval(expected, point) == 0
         assert swapped and singular and nonzero
+
+    def test_matches_cofactor_with_short_axes(self):
+        # Variables missing from some rows shorten their axes and lower the
+        # total degree below the dimension.
+        rng = random.Random(12)
+        for _ in range(150):
+            m = random_symbolic_matrix(rng, rng.randint(0, 4), rng.randint(0, 3))
+            short = zero_some_variables(rng, m)
+            assert det_poly(short) == cofactor_det(short)
+
+    def test_evaluates_the_lower_set(self, evaluated):
+        # Every row of the 4 x 4 matrix holds x1 and x2, so the points are
+        # a, b <= 4 with a + b <= 4: C(6, 2) = 15, where the box has 25.
+        # A row of constants only lowers both bounds to 3: C(5, 2) = 10.
+        rng = random.Random(19)
+        full = tuple(tuple((j, slot, rng.randint(1, 5)) for j in range(4) for slot in range(3)) for _ in range(4))
+        one_constant = (tuple(term for term in full[0] if term[1] == 0), *full[1:])
+        for rows, points in ((full, 15), (one_constant, 10)):
+            m = SymbolicMatrix(2, rows)
+            evaluated.clear()
+            assert det_poly(m) == cofactor_det(m)
+            assert len(evaluated) == len(set(evaluated)) == points
 
     def test_large_coefficients_exact(self):
         # Entries far above 2^31, so every grid determinant is a large integer.

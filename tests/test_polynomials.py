@@ -21,42 +21,48 @@ def int_polys(draw, low=0, high=100, nvars=None, max_degree=3):
     return {exps: coeff for exps, coeff in terms.items() if coeff}
 
 
+def grid(*sizes):
+    """The box with `sizes[c]` nodes on axis c, as points in row-major order."""
+    return list(itertools.product(*(range(size) for size in sizes)))
+
+
 class TestInterpolate:
     def test_line_through_two_points(self):
-        assert interpolate([1, 2], (2,)) == {(1,): 1, (0,): 1}
+        assert interpolate({(0,): 1, (1,): 2}) == {(1,): 1, (0,): 1}
 
     def test_constant(self):
-        assert interpolate([9] * 6, (3, 2)) == {(0, 0): 9}
+        assert interpolate(dict.fromkeys(grid(3, 2), 9)) == {(0, 0): 9}
 
     def test_two_variable_round_trip(self):
         target = {(1, 1): 1, (0, 0): 3}
-        values = [poly_eval(target, (i, j)) for i in range(2) for j in range(2)]
-        assert interpolate(values, (2, 2)) == target
+        assert interpolate({point: poly_eval(target, point) for point in grid(2, 2)}) == target
 
     def test_axes_of_different_lengths(self):
-        # Row-major order: the last axis varies fastest.
         target = {(2, 0): 5, (1, 1): 7, (0, 0): 1}
-        values = [poly_eval(target, (i, j)) for i in range(3) for j in range(2)]
-        assert interpolate(values, (3, 2)) == target
+        assert interpolate({point: poly_eval(target, point) for point in grid(3, 2)}) == target
 
     def test_no_variables(self):
-        assert interpolate([4], ()) == {(): 4}
+        assert interpolate({(): 4}) == {(): 4}
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="grid shape mismatch"):
-            interpolate([1], (2,))
+    def test_points_must_form_a_lower_set(self):
+        # Without the check, the lone point (1,) would come back as the
+        # constant 5 placed on the monomial x1.
+        with pytest.raises(ValueError, match="do not form a lower set"):
+            interpolate({(1,): 5})
+        # (1, 1) is there but (0, 1) below it on axis 1 is not.
+        with pytest.raises(ValueError, match="do not form a lower set"):
+            interpolate({(0, 0): 1, (1, 0): 2, (1, 1): 3})
 
     def test_non_integer_coefficients_rejected(self):
         # 0, 0, 1 at x = 0, 1, 2 is x(x-1)/2 = x^2/2 - x/2.
         with pytest.raises(ValueError, match="non-integer coefficient"):
-            interpolate([0, 0, 1], (3,))
+            interpolate({(0,): 0, (1,): 0, (2,): 1})
 
     @given(int_polys(max_degree=3))
     def test_round_trip_random(self, poly):
         nvars = len(next(iter(poly))) if poly else 2
-        shape = (4,) * nvars
-        values = [poly_eval(poly, idx) for idx in itertools.product(range(4), repeat=nvars)]
-        assert interpolate(values, shape) == poly
+        values = {point: poly_eval(poly, point) for point in grid(*(4,) * nvars)}
+        assert interpolate(values) == poly
 
     @given(int_polys(low=-(10**12), high=10**12, max_degree=4), st.data())
     def test_signed_round_trip_on_uneven_axes(self, poly, data):
@@ -64,9 +70,19 @@ class TestInterpolate:
         # and may be longer still; values and coefficients are signed.
         nvars = len(next(iter(poly))) if poly else data.draw(st.integers(0, 3))
         degrees = [max((exps[c] for exps in poly), default=0) for c in range(nvars)]
-        shape = tuple(d + 1 + data.draw(st.integers(0, 2)) for d in degrees)
-        values = [poly_eval(poly, idx) for idx in itertools.product(*(range(size) for size in shape))]
-        assert interpolate(values, shape) == poly
+        sizes = [d + 1 + data.draw(st.integers(0, 2)) for d in degrees]
+        assert interpolate({point: poly_eval(poly, point) for point in grid(*sizes)}) == poly
+
+    @given(st.data())
+    def test_signed_round_trip_on_lower_sets(self, data):
+        # The box of per-axis degrees cut by a total degree, as det_poly
+        # evaluates it: signed coefficients on any of its points come back.
+        bounds = data.draw(st.lists(st.integers(0, 4), max_size=4))
+        total = data.draw(st.integers(0, sum(bounds)))
+        points = [point for point in grid(*(1 + bound for bound in bounds)) if sum(point) <= total]
+        coeffs = data.draw(st.lists(st.integers(-(10**12), 10**12), min_size=len(points), max_size=len(points)))
+        poly = {point: coeff for point, coeff in zip(points, coeffs) if coeff}
+        assert interpolate({point: poly_eval(poly, point) for point in points}) == poly
 
 
 class TestCrt:
