@@ -1,5 +1,8 @@
+import dataclasses
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccarb.graph import (
@@ -9,12 +12,16 @@ from ccarb.graph import (
     GraphParseError,
     bidirect,
     dedup_min_weight,
+    is_arborescence,
     parse_graph,
     reaches_all,
     remove_edge,
     remove_in_arcs,
     reverse,
 )
+from ccarb.oracle import enumerate_arborescences
+
+from support import small_digraphs
 
 
 @st.composite
@@ -200,6 +207,33 @@ class TestReach:
         assert reaches_all(ColoredDigraph(1, 1, ()), 1)
 
 
+class TestIsArborescence:
+    @settings(max_examples=60, deadline=None)
+    @given(small_digraphs())
+    def test_holds_exactly_for_the_enumerated_trees(self, g):
+        ids = [e.id for e in g.edges]
+        for root in range(1, g.n + 1):
+            trees = {arb.edge_ids for arb in enumerate_arborescences(g, root)}
+            for subset in itertools.combinations(ids, g.n - 1):
+                assert is_arborescence(g, root, subset) == (subset in trees)
+
+    def test_unknown_id(self):
+        g = ColoredDigraph(3, 1, (Edge(0, 1, 2, 1), Edge(1, 2, 3, 1)))
+        assert is_arborescence(g, 1, (0, 1))
+        assert not is_arborescence(g, 1, (0, 7))
+
+    def test_repeated_id(self):
+        g = ColoredDigraph(3, 1, (Edge(0, 1, 2, 1), Edge(1, 1, 3, 1)))
+        assert not is_arborescence(g, 1, (0, 0))
+        assert not is_arborescence(g, 1, (1, 1))
+
+    def test_self_loop(self):
+        g = ColoredDigraph(3, 1, (Edge(0, 1, 2, 1), Edge(1, 3, 3, 1), Edge(2, 1, 1, 1)))
+        assert not is_arborescence(g, 1, (0, 1))
+        assert not is_arborescence(g, 1, (0, 2))
+        assert not is_arborescence(ColoredDigraph(1, 1, (Edge(0, 1, 1, 1),)), 1, (0,))
+
+
 class TestBidirect:
     def test_single_edge(self):
         g = ColoredMultigraph(2, 1, (Edge(0, 1, 2, 1),))
@@ -224,8 +258,36 @@ class TestValidation:
         with pytest.raises(ValueError, match="duplicate edge id"):
             ColoredDigraph(2, 1, (Edge(0, 1, 2, 1), Edge(0, 2, 1, 1)))
 
+    def test_duplicate_ids_in_a_multigraph(self):
+        with pytest.raises(ValueError, match="duplicate edge id 0"):
+            ColoredMultigraph(2, 1, (Edge(0, 1, 2, 1), Edge(0, 2, 1, 1)))
+
     def test_lookup_helpers(self):
         g = parse_graph("2 1\ns t 1\n")
         assert g.vertex_label(g.vertex_index("t")) == "t"
         with pytest.raises(ValueError, match="unknown vertex label"):
             g.vertex_index("zzz")
+
+
+class TestGraphKinds:
+    EDGES = (Edge(0, 1, 2, 1), Edge(1, 2, 3, 2))
+
+    def test_equal_fields_of_different_kinds_differ(self):
+        directed, undirected = ColoredDigraph(3, 2, self.EDGES), ColoredMultigraph(3, 2, self.EDGES)
+        assert directed == ColoredDigraph(3, 2, self.EDGES)
+        assert undirected == ColoredMultigraph(3, 2, self.EDGES)
+        assert directed != undirected
+        assert hash(directed) == hash(ColoredDigraph(3, 2, self.EDGES))
+
+    @pytest.mark.parametrize("kind", [ColoredDigraph, ColoredMultigraph])
+    def test_repr_names_the_kind(self, kind):
+        assert repr(kind(3, 2, self.EDGES, ("a",))) == (
+            f"{kind.__name__}(n=3, q=2, edges={self.EDGES!r}, labels=('a',))"
+        )
+
+    @pytest.mark.parametrize("kind", [ColoredDigraph, ColoredMultigraph])
+    @pytest.mark.parametrize("name", ["n", "q", "edges", "labels", "extra"])
+    def test_every_attribute_is_frozen(self, kind, name):
+        g = kind(3, 2, self.EDGES)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, 1)
