@@ -19,6 +19,7 @@ from .graph import (
     ColoredMultigraph,
     bidirect,
     check_directed,
+    check_index,
     color_histogram,
     dedup_min_weight,
     is_arborescence,
@@ -54,8 +55,7 @@ def _checked_alpha(q: int, alpha) -> tuple[int, ...]:
 
 def _checked_root(graph: ColoredDigraph, root: int) -> None:
     check_directed(graph)
-    if not (1 <= root <= graph.n):
-        raise ValueError(f"root {root} out of range 1..{graph.n}")
+    check_index(root, "root", graph.n)
     if graph.has_self_loops:
         raise ValueError("self-loops are not allowed here")
 

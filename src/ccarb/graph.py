@@ -1,7 +1,8 @@
-"""Edge-colored multidigraph model: file parsing, indexing, transforms."""
+"""One model for both kinds of edge-colored graph, with its parser, checks and transforms."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,35 +26,40 @@ class Edge:
     weight: int | None = None
 
 
-def _validate_edges(n: int, q: int, edges: tuple[Edge, ...], labels: tuple[str, ...]) -> None:
-    if n < 1:
-        raise ValueError("vertex count must be positive")
-    if q < 1:
-        raise ValueError("color count must be positive")
-    if len(labels) > n:
-        raise ValueError("more labels than vertices")
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate vertex labels")
-    seen_ids = set()
-    for e in edges:
-        if e.id in seen_ids:
-            raise ValueError(f"duplicate edge id {e.id}")
-        seen_ids.add(e.id)
-        if not (1 <= e.tail <= n and 1 <= e.head <= n):
-            raise ValueError(f"edge {e.id}: endpoint out of range 1..{n}")
-        if not (1 <= e.color <= q):
-            raise ValueError(f"edge {e.id}: color out of range 1..{q}")
-        if e.weight is not None and e.weight < 1:
-            raise ValueError(f"edge {e.id}: weight must be >= 1")
+@dataclass(frozen=True)
+class _Graph:
+    """A q-colored multigraph on vertices 1..n; graphs of different kinds never compare equal.
 
-
-class _GraphBase:
-    """Shared lookups for the directed and undirected graph types."""
+    `labels[i-1]` names vertex i for the first `len(labels)` vertices.  Edge
+    ids are input-order ordinals, and every loop over edges runs in ascending
+    id.  Instances are immutable; transforms return new graphs.
+    """
 
     n: int
     q: int
     edges: tuple[Edge, ...]
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("vertex count must be positive")
+        if self.q < 1:
+            raise ValueError("color count must be positive")
+        if len(self.labels) > self.n:
+            raise ValueError("more labels than vertices")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("duplicate vertex labels")
+        seen_ids = set()
+        for e in self.edges:
+            if e.id in seen_ids:
+                raise ValueError(f"duplicate edge id {e.id}")
+            seen_ids.add(e.id)
+            if not (1 <= e.tail <= self.n and 1 <= e.head <= self.n):
+                raise ValueError(f"edge {e.id}: endpoint out of range 1..{self.n}")
+            if not (1 <= e.color <= self.q):
+                raise ValueError(f"edge {e.id}: color out of range 1..{self.q}")
+            if e.weight is not None and e.weight < 1:
+                raise ValueError(f"edge {e.id}: weight must be >= 1")
 
     @cached_property
     def _edges_by_id(self) -> dict[int, Edge]:
@@ -85,39 +91,25 @@ class _GraphBase:
         return self.labels[index - 1]
 
 
+# Decorated again, so that assigning a non-field attribute is refused here too.
 @dataclass(frozen=True)
-class ColoredDigraph(_GraphBase):
-    """A q-colored multidigraph on vertices 1..n.
-
-    Vertices are 1-based indices; `labels[i-1]` names vertex i for the first
-    `len(labels)` vertices (the file parser assigns labels by first
-    appearance).  Edge ids are stable input-order ordinals and every loop
-    over edges runs in ascending id.  Self-loops are allowed structurally
-    (the functional-subgraph counter needs them) but rejected by the parser
-    and by the arborescence operations.  Instances are immutable; transforms
-    return new graphs.
-    """
-
-    n: int
-    q: int
-    edges: tuple[Edge, ...]
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        _validate_edges(self.n, self.q, self.edges, self.labels)
+class ColoredDigraph(_Graph):
+    """A q-colored multidigraph; only the parser and the arborescence operations refuse self-loops."""
 
 
 @dataclass(frozen=True)
-class ColoredMultigraph(_GraphBase):
+class ColoredMultigraph(_Graph):
     """An undirected q-colored multigraph; `tail`/`head` are the endpoints."""
 
-    n: int
-    q: int
-    edges: tuple[Edge, ...]
-    labels: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        _validate_edges(self.n, self.q, self.edges, self.labels)
+def check_index(value, name: str, top: int) -> None:
+    """Refuse `value` unless it is an integer in 1..top; the message names it."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+    if not (1 <= value <= top):
+        raise ValueError(f"{name} {value} out of range 1..{top}")
 
 
 def check_directed(graph) -> None:
@@ -135,30 +127,18 @@ def color_histogram(graph: ColoredDigraph, edge_ids) -> tuple[int, ...]:
 
 
 def is_arborescence(graph: ColoredDigraph, root: int, edge_ids) -> bool:
-    """Check the spanning out-tree invariants directly."""
-    ids = list(edge_ids)
-    if len(ids) != graph.n - 1 or len(set(ids)) != len(ids):
+    """Whether the edges form a spanning out-tree rooted at `root`.
+
+    Every id must be the graph's, each non-root vertex the head of exactly
+    one of them, the root the head of none, and every vertex reachable.
+    """
+    try:
+        arcs = tuple(graph.edge(edge_id) for edge_id in edge_ids)
+    except ValueError:
         return False
-    parent: dict[int, int] = {}
-    for edge_id in ids:
-        try:
-            e = graph.edge(edge_id)
-        except ValueError:
-            return False
-        if e.head == root or e.head in parent or e.head == e.tail:
-            return False
-        parent[e.head] = e.tail
-    for v in range(1, graph.n + 1):
-        if v == root:
-            continue
-        seen = set()
-        w = v
-        while w != root:
-            if w in seen or w not in parent:
-                return False
-            seen.add(w)
-            w = parent[w]
-    return True
+    if sorted([root, *(e.head for e in arcs)]) != list(range(1, graph.n + 1)):
+        return False
+    return reaches_all(ColoredDigraph(graph.n, graph.q, arcs), root)
 
 
 def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
@@ -174,18 +154,15 @@ def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
     header: tuple[int, int] | None = None
     directed: bool | None = None
     weighted: bool | None = None
-    labels: list[str] = []
-    label_index: dict[str, int] = {}
+    labels: dict[str, int] = {}
     edges: list[Edge] = []
 
     def vertex(token: str, line_no: int) -> int:
-        idx = label_index.get(token)
+        idx = labels.get(token)
         if idx is None:
-            if header is not None and len(labels) >= header[0]:
+            if len(labels) >= header[0]:
                 raise _parse_fail(line_no, f"more than {header[0]} distinct vertex labels")
-            labels.append(token)
-            idx = len(labels)
-            label_index[token] = idx
+            idx = labels[token] = len(labels) + 1
         return idx
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -197,12 +174,11 @@ def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
             if len(fields) != 2:
                 raise _parse_fail(line_no, "expected header 'n q'")
             try:
-                n, q = int(fields[0]), int(fields[1])
+                header = int(fields[0]), int(fields[1])
             except ValueError:
                 raise _parse_fail(line_no, "header values must be integers") from None
-            if n < 1 or q < 1:
+            if min(header) < 1:
                 raise _parse_fail(line_no, "vertex and color counts must be positive")
-            header = (n, q)
             continue
         if len(fields) == 1 and fields[0] in ("directed", "undirected"):
             if directed is not None:
@@ -218,8 +194,7 @@ def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
             weighted = has_weight
         elif weighted != has_weight:
             raise _parse_fail(line_no, "mixed weighted and unweighted edge lines")
-        tail = vertex(fields[0], line_no)
-        head = vertex(fields[1], line_no)
+        tail, head = vertex(fields[0], line_no), vertex(fields[1], line_no)
         if tail == head:
             raise _parse_fail(line_no, f"self-loop at vertex {fields[0]!r}")
         try:
@@ -253,11 +228,10 @@ def reverse(graph: ColoredDigraph) -> ColoredDigraph:
 def dedup_min_weight(graph: ColoredDigraph) -> ColoredDigraph:
     """Keep one minimum-weight edge of each parallel same-color group.
 
-    Ties go to the smallest edge id, and so does every group of an
-    unweighted graph, whose edges all tie.  The kept edge can stand in for
-    any other of its group in an arborescence without changing its colors
-    or raising its weight, so a search needs no other.  Only directed
-    graphs are accepted.
+    Ties, and so every group of an unweighted graph, go to the smallest id.
+    The kept edge can stand in for any other of its group in an arborescence
+    without changing its colors or raising its weight, so a search needs no
+    other.  Only directed graphs are accepted.
     """
     check_directed(graph)
     best: dict[tuple[int, int, int], Edge] = {}
@@ -285,17 +259,14 @@ def reaches_all(graph: ColoredDigraph, root: int) -> bool:
 
 def remove_in_arcs(graph: ColoredDigraph, vertex: int) -> ColoredDigraph:
     """Delete every arc whose head is `vertex`."""
-    if not (1 <= vertex <= graph.n):
-        raise ValueError(f"vertex {vertex} out of range 1..{graph.n}")
+    check_index(vertex, "vertex", graph.n)
     kept = tuple(e for e in graph.edges if e.head != vertex)
     return ColoredDigraph(graph.n, graph.q, kept, graph.labels)
 
 
 def remove_edge(graph: ColoredDigraph, *edge_ids: int) -> ColoredDigraph:
     """Delete the edges with the given ids; every id must be one of the graph's."""
-    for edge_id in edge_ids:
-        graph.edge(edge_id)
-    dropped = set(edge_ids)
+    dropped = {graph.edge(edge_id).id for edge_id in edge_ids}
     kept = tuple(e for e in graph.edges if e.id not in dropped)
     return ColoredDigraph(graph.n, graph.q, kept, graph.labels)
 

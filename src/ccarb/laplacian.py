@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import ColoredDigraph
+from .graph import ColoredDigraph, check_index
 
 Term = tuple[int, int, int]
 
@@ -92,8 +92,7 @@ def build_laplacian(graph: ColoredDigraph, r: int | None = None) -> SymbolicMatr
 
 def minor(matrix: SymbolicMatrix, index: int) -> SymbolicMatrix:
     """Delete row and column `index` (1-based); remaining order is preserved."""
-    if not (1 <= index <= matrix.dim):
-        raise ValueError(f"index {index} out of range 1..{matrix.dim}")
+    check_index(index, "index", matrix.dim)
     drop = index - 1
     rows = (row for i, row in enumerate(matrix.rows) if i != drop)
     renumbered = tuple(tuple((j - (j > drop), slot, coeff) for j, slot, coeff in row if j != drop) for row in rows)

@@ -30,6 +30,8 @@ def interpolate(values: Mapping[tuple[int, ...], int]) -> Poly:
     table = dict(values)
     points = sorted(table)
     nvars = len(points[0]) if points else 0
+    if any(len(point) != nvars for point in points):
+        raise ValueError("the points have different lengths")
     axes = []
     for axis in range(nvars):
         # Sorted points reach each fiber in increasing order along the axis.

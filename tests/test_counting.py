@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from ccarb import counting, minweight
 from ccarb.cli import main
 from ccarb.counting import count, count_functional, count_spanning_trees, count_table, decide, find
-from ccarb.graph import ColoredDigraph, Edge, parse_graph
-from ccarb.laplacian import SymbolicMatrix
+from ccarb.graph import ColoredDigraph, Edge, parse_graph, remove_in_arcs
+from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor
 from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, enumerate_functional, is_arborescence
 
@@ -191,6 +192,22 @@ def test_non_integral_constraints_are_refused(operation, entry):
         operation(parse_graph(WEIGHTED), 1, (entry,))
 
 
+@pytest.mark.parametrize(
+    "operation, args, name",
+    [
+        (count_table, (1.5,), "root 1.5"),
+        (min_weight, (2.5, (1,)), "root 2.5"),
+        (c_alpha_r, (1.5, (1,), 3), "root 1.5"),
+        (find, (1.0, (1,)), "root 1.0"),
+        (remove_in_arcs, (1.5,), "vertex 1.5"),
+        (lambda graph, index: minor(build_laplacian(graph), index), (1.5,), "index 1.5"),
+    ],
+)
+def test_non_integer_roots_and_indices_are_refused(operation, args, name):
+    with pytest.raises(ValueError, match=re.escape(f"{name} is not an integer")):
+        operation(parse_graph(WEIGHTED), *args)
+
+
 def test_find_keeps_the_lighter_of_parallel_arcs(tmp_path, capsys):
     text = "2 1\ns a 1 5\ns a 1 2\n"
     assert find(parse_graph(text), 1, ()).edge_ids == (1,)
@@ -237,3 +254,4 @@ WEIGHTED_UNDIRECTED = "3 2\nundirected\na b 1 1\nb c 2 2\na c 1 3\n"
 def test_directed_operations_refuse_an_undirected_graph(operation):
     with pytest.raises(ValueError, match="needs a directed graph, got ColoredMultigraph"):
         operation(parse_graph(WEIGHTED_UNDIRECTED))
+

@@ -53,6 +53,11 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="do not form a lower set"):
             interpolate({(0, 0): 1, (1, 0): 2, (1, 1): 3})
 
+    def test_points_must_have_one_length(self):
+        # Without the check, both points came back unchanged as a "polynomial".
+        with pytest.raises(ValueError, match="different lengths"):
+            interpolate({(0,): 1, (0, 0): 2})
+
     def test_non_integer_coefficients_rejected(self):
         # 0, 0, 1 at x = 0, 1, 2 is x(x-1)/2 = x^2/2 - x/2.
         with pytest.raises(ValueError, match="non-integer coefficient"):
