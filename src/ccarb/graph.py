@@ -30,9 +30,8 @@ class Edge:
 class _Graph:
     """A q-colored multigraph on vertices 1..n; graphs of different kinds never compare equal.
 
-    `labels[i-1]` names vertex i for the first `len(labels)` vertices.  Edge
-    ids are input-order ordinals, and every loop over edges runs in ascending
-    id.  Instances are immutable; transforms return new graphs.
+    `labels[i-1]` names vertex i for the first `len(labels)` vertices.  Edge ids are input-order
+    ordinals, every loop over edges runs in ascending id, and transforms return new graphs.
     """
 
     n: int
@@ -228,10 +227,11 @@ def reverse(graph: ColoredDigraph) -> ColoredDigraph:
 def dedup_min_weight(graph: ColoredDigraph) -> ColoredDigraph:
     """Keep one minimum-weight edge of each parallel same-color group.
 
-    Ties, and so every group of an unweighted graph, go to the smallest id.
-    The kept edge can stand in for any other of its group in an arborescence
-    without changing its colors or raising its weight, so a search needs no
-    other.  Only directed graphs are accepted.
+    Ties go to the smallest edge id, and so does every group of an
+    unweighted graph, whose edges all tie.  The kept edge can stand in for
+    any other of its group in an arborescence without changing its colors
+    or raising its weight, so a search needs no other.  Only directed
+    graphs are accepted.
     """
     check_directed(graph)
     best: dict[tuple[int, int, int], Edge] = {}
