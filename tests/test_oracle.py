@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from ccarb.graph import ColoredDigraph, Edge, reverse
 from ccarb.oracle import (
@@ -12,7 +13,7 @@ from ccarb.oracle import (
     oracle_min_weight,
 )
 
-from support import random_digraph
+from support import bareiss_det, classical_in_laplacian_minor, random_digraph, small_digraphs
 
 
 def bidirected_triangle():
@@ -42,6 +43,14 @@ class TestEnumerate:
         g = ColoredDigraph(8, 1, ())
         with pytest.raises(ValueError, match="cap"):
             enumerate_arborescences(g, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_digraphs())
+    def test_counts_match_kirchhoff(self, g):
+        # Tutte's directed matrix-tree theorem at x = 1: the root's Laplacian minor counts its trees.
+        for root in range(1, g.n + 1):
+            minor_at_one = classical_in_laplacian_minor(g, root, (1,) * (g.q - 1))
+            assert len(enumerate_arborescences(g, root)) == bareiss_det(minor_at_one)
 
     def test_every_result_is_an_arborescence(self):
         rng = random.Random(21)
@@ -90,6 +99,12 @@ class TestFunctional:
 
     def test_no_out_edge(self):
         assert enumerate_functional(ColoredDigraph(1, 1, ()), ()) == 0
+
+    def test_wrong_length_alpha_is_refused_before_enumerating(self):
+        # Vertex 2 has no out-arc, so there is nothing to enumerate; the length check still fires.
+        g = ColoredDigraph(2, 2, (Edge(0, 1, 2, 1),))
+        with pytest.raises(ValueError, match="q-1 = 1 entries"):
+            enumerate_functional(g, ())
 
     def test_two_cycle_rejected(self):
         g = ColoredDigraph(2, 1, (Edge(0, 1, 2, 1), Edge(1, 2, 1, 1)))
