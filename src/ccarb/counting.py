@@ -10,7 +10,6 @@ determinant of the full out-degree Laplacian.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .determinant import det_poly
@@ -20,6 +19,7 @@ from .graph import (
     bidirect,
     check_directed,
     check_index,
+    check_integer,
     color_histogram,
     dedup_min_weight,
     is_arborescence,
@@ -40,17 +40,12 @@ class Arborescence:
 
 
 def _checked_alpha(q: int, alpha) -> tuple[int, ...]:
-    values = []
-    for a in alpha:
-        try:
-            values.append(operator.index(a))
-        except TypeError:
-            raise ValueError(f"color constraint entry {a!r} is not an integer") from None
+    values = tuple(check_integer(a, "color constraint entry") for a in alpha)
     if len(values) != q - 1:
         raise ValueError(f"color constraint must have q-1 = {q - 1} entries, got {len(values)}")
     if any(a < 0 for a in values):
         raise ValueError("color constraint entries must be nonnegative")
-    return tuple(values)
+    return values
 
 
 def _checked_root(graph: ColoredDigraph, root: int) -> None:

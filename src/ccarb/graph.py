@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 
@@ -66,7 +66,7 @@ class _Graph:
 
     def edge(self, edge_id: int) -> Edge:
         try:
-            return self._edges_by_id[edge_id]
+            return self._edges_by_id[check_integer(edge_id, "edge id")]
         except KeyError:
             raise ValueError(f"unknown edge id {edge_id}") from None
 
@@ -85,7 +85,7 @@ class _Graph:
             raise ValueError(f"unknown vertex label {label!r}") from None
 
     def vertex_label(self, index: int) -> str:
-        if not (1 <= index <= len(self.labels)):
+        if not (1 <= check_integer(index, "vertex") <= len(self.labels)):
             raise ValueError(f"vertex {index} has no label")
         return self.labels[index - 1]
 
@@ -101,13 +101,19 @@ class ColoredMultigraph(_Graph):
     """An undirected q-colored multigraph; `tail`/`head` are the endpoints."""
 
 
+def check_integer(value, name: str) -> int:
+    """`value` as an int; a float, a bool or any other non-integer raises ValueError naming it."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} {value!r} is not an integer")
+
+
 def check_index(value, name: str, top: int) -> None:
     """Refuse `value` unless it is an integer in 1..top; the message names it."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} {value!r} is not an integer") from None
-    if not (1 <= value <= top):
+    if not (1 <= check_integer(value, name) <= top):
         raise ValueError(f"{name} {value} out of range 1..{top}")
 
 
@@ -219,9 +225,9 @@ def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
 
 
 def reverse(graph: ColoredDigraph) -> ColoredDigraph:
-    """Flip every arc; ids, colors and weights are preserved."""
-    flipped = tuple(Edge(e.id, e.head, e.tail, e.color, e.weight) for e in graph.edges)
-    return ColoredDigraph(graph.n, graph.q, flipped, graph.labels)
+    """Flip every arc; ids, colors and weights are preserved.  Only directed graphs are accepted."""
+    check_directed(graph)
+    return replace(graph, edges=tuple(Edge(e.id, e.head, e.tail, e.color, e.weight) for e in graph.edges))
 
 
 def dedup_min_weight(graph: ColoredDigraph) -> ColoredDigraph:
@@ -239,8 +245,7 @@ def dedup_min_weight(graph: ColoredDigraph) -> ColoredDigraph:
         kept = best.setdefault((e.tail, e.head, e.color), e)
         if (e.weight or 0) < (kept.weight or 0):
             best[e.tail, e.head, e.color] = e
-    survivors = tuple(sorted(best.values(), key=lambda e: e.id))
-    return ColoredDigraph(graph.n, graph.q, survivors, graph.labels)
+    return replace(graph, edges=tuple(sorted(best.values(), key=lambda e: e.id)))
 
 
 def reaches_all(graph: ColoredDigraph, root: int) -> bool:
@@ -258,17 +263,16 @@ def reaches_all(graph: ColoredDigraph, root: int) -> bool:
 
 
 def remove_in_arcs(graph: ColoredDigraph, vertex: int) -> ColoredDigraph:
-    """Delete every arc whose head is `vertex`."""
+    """Delete every arc whose head is `vertex`.  Only directed graphs are accepted."""
+    check_directed(graph)
     check_index(vertex, "vertex", graph.n)
-    kept = tuple(e for e in graph.edges if e.head != vertex)
-    return ColoredDigraph(graph.n, graph.q, kept, graph.labels)
+    return replace(graph, edges=tuple(e for e in graph.edges if e.head != vertex))
 
 
-def remove_edge(graph: ColoredDigraph, *edge_ids: int) -> ColoredDigraph:
-    """Delete the edges with the given ids; every id must be one of the graph's."""
+def remove_edge(graph: _Graph, *edge_ids: int) -> _Graph:
+    """Delete the edges with the given ids, keeping the graph's kind; every id must be one of the graph's."""
     dropped = {graph.edge(edge_id).id for edge_id in edge_ids}
-    kept = tuple(e for e in graph.edges if e.id not in dropped)
-    return ColoredDigraph(graph.n, graph.q, kept, graph.labels)
+    return replace(graph, edges=tuple(e for e in graph.edges if e.id not in dropped))
 
 
 def bidirect(graph: ColoredMultigraph) -> ColoredDigraph:

@@ -19,6 +19,8 @@ r^sum(m_v - 1); the minimum is the lowered one plus sum(m_v - 1).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .counting import Arborescence, _checked_alpha, _checked_root, _search, count
 from .determinant import det_poly
 from .graph import ColoredDigraph, Edge, reaches_all
@@ -78,7 +80,7 @@ def _plan(graph: ColoredDigraph, root: int, alpha):
         for e in graph.edges
     )
     shift = sum(m - 1 for m in lightest.values())
-    return constraint, matching + 1, ColoredDigraph(graph.n, graph.q, lowered, graph.labels), shift
+    return constraint, matching + 1, replace(graph, edges=lowered), shift
 
 
 def _lowered_min(graph: ColoredDigraph, root: int, constraint: tuple[int, ...], r: int) -> int | None:

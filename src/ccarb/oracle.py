@@ -1,7 +1,9 @@
 """Exhaustive reference implementations for small instances.
 
-Everything here is purely combinatorial; none of it touches the polynomial
-or determinant code, so it can serve as independent ground truth in tests.
+Arborescences pick one in-arc per non-root vertex, functional subgraphs one
+out-arc per vertex; a pick is kept when every walk along it settles on a
+fixed point.  Nothing here touches the polynomial or determinant code, so it
+serves as independent ground truth in tests.
 """
 
 from __future__ import annotations
@@ -10,70 +12,66 @@ import itertools
 
 from .counting import Arborescence
 # The certificate checks are graph's; tests and the benchmark checker import them from here.
-from .graph import ColoredDigraph, color_histogram, is_arborescence
+from .graph import ColoredDigraph, check_index, color_histogram, is_arborescence
 
 DEFAULT_CAP = 7
 
 
-def _check_cap(graph: ColoredDigraph, cap: int) -> None:
+def _picks(graph: ColoredDigraph, options, cap: int = DEFAULT_CAP):
+    """Every choice of one edge from each list in `options`, in product order; refuses n above `cap`."""
     if graph.n > cap:
         raise ValueError(f"graph has {graph.n} vertices, oracle cap is {cap}")
+    return itertools.product(*options)
 
 
-def enumerate_arborescences(
-    graph: ColoredDigraph, root: int, *, cap: int = DEFAULT_CAP
-) -> list[Arborescence]:
-    """All root-arborescences, by brute force over incoming-edge choices.
+def _settles(step: dict[int, int], n: int) -> bool:
+    """Whether every walk along the vertex map `step` reaches a fixed point of it within n steps."""
+    for v in step:
+        left = n
+        while (w := step[v]) != v:
+            if not left:
+                return False
+            left, v = left - 1, w
+    return True
 
-    For each non-root vertex pick one incoming edge, then keep the choice
-    vectors whose union is a spanning out-tree.  The result is ordered
+
+def _histogram_test(graph: ColoredDigraph, alpha):
+    """A test of edge ids against alpha, the counts of colors 1..q-1; a wrong length is refused now."""
+    target = tuple(alpha)
+    if len(target) != graph.q - 1:
+        raise ValueError(f"color constraint must have q-1 = {graph.q - 1} entries")
+    return lambda edge_ids: color_histogram(graph, edge_ids)[: graph.q - 1] == target
+
+
+def enumerate_arborescences(graph: ColoredDigraph, root: int, *, cap: int = DEFAULT_CAP) -> list[Arborescence]:
+    """All root-arborescences, by brute force over in-arc picks.
+
+    Each non-root vertex picks an in-arc that is not a self-loop; a pick is kept when every walk
+    from head to tail ends at the root, the only fixed point.  The result is ordered
     lexicographically by the per-vertex edge-id vector.
     """
-    _check_cap(graph, cap)
-    if not (1 <= root <= graph.n):
-        raise ValueError(f"root {root} out of range 1..{graph.n}")
-    others = [v for v in range(1, graph.n + 1) if v != root]
-    incoming = {v: [e for e in graph.edges if e.head == v and e.tail != v] for v in others}
+    check_index(root, "root", graph.n)
+    incoming = [[e for e in graph.edges if e.head == v and e.tail != v] for v in range(1, graph.n + 1) if v != root]
     found = []
-    for choice in itertools.product(*(incoming[v] for v in others)):
-        parent = {e.head: e.tail for e in choice}
-        ok = True
-        for v in others:
-            seen = set()
-            w = v
-            while w != root:
-                if w in seen:
-                    ok = False
-                    break
-                seen.add(w)
-                w = parent[w]
-            if not ok:
-                break
-        if ok:
+    for choice in _picks(graph, incoming, cap):
+        step = {e.head: e.tail for e in choice}
+        step[root] = root
+        if _settles(step, graph.n):
             found.append(Arborescence(root, tuple(sorted(e.id for e in choice))))
     return found
 
 
 def oracle_count(graph: ColoredDigraph, root: int, alpha) -> int:
     """Number of root-arborescences whose histogram matches alpha exactly."""
-    target = tuple(alpha)
-    if len(target) != graph.q - 1:
-        raise ValueError(f"color constraint must have q-1 = {graph.q - 1} entries")
-    hits = 0
-    for arb in enumerate_arborescences(graph, root):
-        if color_histogram(graph, arb.edge_ids)[: graph.q - 1] == target:
-            hits += 1
-    return hits
+    matches = _histogram_test(graph, alpha)
+    return sum(matches(arb.edge_ids) for arb in enumerate_arborescences(graph, root))
 
 
 def oracle_min_weight(graph: ColoredDigraph, root: int, alpha) -> tuple[int, int] | None:
     """(minimum weight, number of minimizers) over matching arborescences."""
-    target = tuple(alpha)
-    weights = [
-        sum(graph.edge(i).weight for i in arb.edge_ids)
-        for arb in enumerate_arborescences(graph, root)
-        if color_histogram(graph, arb.edge_ids)[: graph.q - 1] == target
-    ]
+    matches = _histogram_test(graph, alpha)
+    arbs = enumerate_arborescences(graph, root)
+    weights = [sum(graph.edge(i).weight for i in arb.edge_ids) for arb in arbs if matches(arb.edge_ids)]
     if not weights:
         return None
     best = min(weights)
@@ -83,33 +81,10 @@ def oracle_min_weight(graph: ColoredDigraph, root: int, alpha) -> tuple[int, int
 def enumerate_functional(graph: ColoredDigraph, alpha) -> int:
     """Count spanning functional subgraphs with only self-loop cycles.
 
-    Brute force over one outgoing edge per vertex (self-loops allowed); a
-    choice survives when every cycle of the successor map has length one and
-    the color histogram matches alpha.
+    Brute force over one out-arc per vertex, self-loops allowed: a pick counts when every walk
+    from tail to head ends at a self-loop and its color histogram matches alpha.
     """
-    target = tuple(alpha)
-    if len(target) != graph.q - 1:
-        raise ValueError(f"color constraint must have q-1 = {graph.q - 1} entries")
-    _check_cap(graph, DEFAULT_CAP)
-    vertices = list(range(1, graph.n + 1))
-    outgoing = {v: [e for e in graph.edges if e.tail == v] for v in vertices}
-    hits = 0
-    for choice in itertools.product(*(outgoing[v] for v in vertices)):
-        successor = {e.tail: e.head for e in choice}
-        ok = True
-        for v in vertices:
-            w = v
-            for _ in range(graph.n):
-                w = successor[w]
-            # w is now on the cycle reached from v; measure that cycle.
-            u = successor[w]
-            length = 1
-            while u != w:
-                u = successor[u]
-                length += 1
-            if length > 1:
-                ok = False
-                break
-        if ok and color_histogram(graph, (e.id for e in choice))[: graph.q - 1] == target:
-            hits += 1
-    return hits
+    matches = _histogram_test(graph, alpha)
+    outgoing = [[e for e in graph.edges if e.tail == v] for v in range(1, graph.n + 1)]
+    settled = (c for c in _picks(graph, outgoing) if _settles({e.tail: e.head for e in c}, graph.n))
+    return sum(matches(e.id for e in choice) for choice in settled)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ccarb import counting, minweight
 from ccarb.cli import main
 from ccarb.counting import count, count_functional, count_spanning_trees, count_table, decide, find
-from ccarb.graph import ColoredDigraph, Edge, parse_graph, remove_in_arcs
+from ccarb.graph import ColoredDigraph, Edge, parse_graph, remove_edge, remove_in_arcs
 from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor
 from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, enumerate_functional, is_arborescence
@@ -206,6 +206,32 @@ def test_non_integral_constraints_are_refused(operation, entry):
 def test_non_integer_roots_and_indices_are_refused(operation, args, name):
     with pytest.raises(ValueError, match=re.escape(f"{name} is not an integer")):
         operation(parse_graph(WEIGHTED), *args)
+
+
+# Edge 0 is a -> b of color 1, edge 1 is b -> c of color 2.
+TWO_ARCS = "3 2\na b 1\nb c 2\n"
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda g: remove_edge(g, 1.0), "edge id 1.0"),
+        (lambda g: g.edge(True), "edge id True"),
+        (lambda g: g.vertex_label(1.5), "vertex 1.5"),
+        (lambda g: remove_in_arcs(g, True), "vertex True"),
+        (lambda g: count(g, 1, (True,)), "color constraint entry True"),
+    ],
+    ids=["remove_edge", "edge", "vertex_label", "check_index", "checked_alpha"],
+)
+def test_float_and_bool_ids_and_vertices_are_refused(call, name):
+    with pytest.raises(ValueError, match=re.escape(f"{name} is not an integer")):
+        call(parse_graph(TWO_ARCS))
+
+
+def test_float_edge_ids_are_not_an_arborescence():
+    g = parse_graph(TWO_ARCS)
+    assert is_arborescence(g, 1, (0, 1))
+    assert not is_arborescence(g, 1, (0.0, 1.0))
 
 
 def test_find_keeps_the_lighter_of_parallel_arcs(tmp_path, capsys):

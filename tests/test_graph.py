@@ -198,6 +198,21 @@ class TestRemove:
         assert restored == g
 
 
+class TestTransformsKeepTheKind:
+    MULTIGRAPH = "3 1\nundirected\na b 1\nb c 1\n"
+
+    def test_remove_edge_returns_a_multigraph(self):
+        g = parse_graph(self.MULTIGRAPH)
+        assert remove_edge(g, 0) == ColoredMultigraph(3, 1, (Edge(1, 2, 3, 1),), ("a", "b", "c"))
+
+    @pytest.mark.parametrize(
+        "transform", [lambda g: remove_in_arcs(g, 1), reverse, dedup_min_weight], ids=["remove_in_arcs", "reverse", "dedup"]
+    )
+    def test_directed_transforms_refuse_a_multigraph(self, transform):
+        with pytest.raises(ValueError, match="needs a directed graph, got ColoredMultigraph"):
+            transform(parse_graph(self.MULTIGRAPH))
+
+
 class TestReach:
     def test_reaches_all(self):
         g = ColoredDigraph(3, 1, (Edge(0, 1, 2, 1), Edge(1, 2, 3, 1)))

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,13 @@ class TestEnumerate:
 
     def test_bidirected_triangle(self):
         assert len(enumerate_arborescences(bidirected_triangle(), 1)) == 3
+
+    @pytest.mark.parametrize(
+        "root, message", [(1.0, "root 1.0 is not an integer"), (True, "root True is not an integer"), (9, "root 9 out of range 1..3")]
+    )
+    def test_root_is_checked(self, root, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            enumerate_arborescences(bidirected_triangle(), root)
 
     def test_cap(self):
         g = ColoredDigraph(8, 1, ())
