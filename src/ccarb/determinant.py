@@ -1,13 +1,25 @@
 """Exact determinants of symbolic matrices.
 
-The determinant polynomial is computed over the integers.  Every entry is
-affine in all the variables together, so the determinant's degree in x_c
-is at most the number d_c of rows that contain x_c, and its total degree
-at most the number t of rows that contain any variable.  Its monomials
-therefore lie in the lower set {k : k_c <= d_c, sum(k) <= t}.  The matrix
-is evaluated once at each point of that set, each point's determinant is
+The determinant polynomial is computed over the integers in two stages.
+First the rows that fix a factor of the determinant are taken out by
+exact row and column operations.  A row whose terms all carry one variable x_c
+is x_c times its constant row, so x_c is factored out.  A row whose only
+entries are a on the diagonal and -a in one column u, both constant (after
+factoring), is the forced arc of Tutte's directed matrix-tree theorem
+(W. T. Tutte, Proc. Cambridge Philos. Soc. 44, 1948): adding its column
+into column u leaves a alone in the row, so a is factored out and the row
+and its column are deleted.  A row with a alone on the diagonal is
+expanded the same way, and an all-zero row makes the determinant 0.
+
+Then the rest is interpolated.  Every entry is affine in all the variables
+together, so the reduced determinant's degree in x_c is at most the number
+d_c of its rows that contain x_c, and its total degree at most the number
+t of its rows that contain any variable.  Its monomials therefore lie in
+the lower set {k : k_c <= d_c, sum(k) <= t}.  The reduced matrix is
+evaluated once at each point of that set, each point's determinant is
 taken exactly by fraction-free (Bareiss) elimination, and the values are
-interpolated back into a polynomial with integer coefficients.
+interpolated back into a polynomial with integer coefficients, which the
+factors taken out scale and shift.
 """
 
 from __future__ import annotations
@@ -48,16 +60,87 @@ def _bareiss(rows: list[list[int]]) -> int:
     return sign * prev
 
 
+def _add(row: dict[int, dict[int, int]], column: int, slot: int, coeff: int) -> None:
+    # Add coeff to one slot of the row's entry in column, leaving zeros out.
+    entry = row.setdefault(column, {})
+    total = entry.get(slot, 0) + coeff
+    if total:
+        entry[slot] = total
+    else:
+        entry.pop(slot, None)
+        if not entry:
+            del row[column]
+
+
+def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], SymbolicMatrix] | None:
+    # (scale, exponents, rest) with det(matrix) = scale * x^exponents *
+    # det(rest), or None when a row is zero.  Rows and columns keep their
+    # indices until the end, and entries[i][j] maps each slot of entry
+    # (i, j) to its coefficient.  One worklist pass: a row is queued again
+    # only when its entries change.
+    entries: dict[int, dict[int, dict[int, int]]] = {}
+    for i, terms in enumerate(matrix.rows):
+        entries[i] = row = {}
+        for term in terms:
+            _add(row, *term)
+    scale, exponents = 1, [0] * matrix.nvars
+    queue = list(entries)
+    while queue:
+        v = queue.pop()
+        row = entries.get(v)
+        if row is None:
+            continue
+        if not row:
+            return None
+        slots = {slot for entry in row.values() for slot in entry}
+        if len(slots) > 1:
+            continue
+        (slot,) = slots
+        if slot:
+            exponents[slot - 1] += 1
+            entries[v] = row = {j: {0: entry[slot]} for j, entry in row.items()}
+        diagonal = row.get(v, {}).get(0)
+        others = [j for j in row if j != v]
+        if diagonal is None or len(others) > 1 or any(row[u][0] != -diagonal for u in others):
+            continue
+        # Adding column v into column u (the other entry, if any) leaves the
+        # diagonal alone in row v; expanding along row v takes it out.
+        scale *= diagonal
+        del entries[v]
+        for i, other in entries.items():
+            if v in other:
+                for u in others:
+                    for slot, coeff in other[v].items():
+                        _add(other, u, slot, coeff)
+                del other[v]
+                queue.append(i)
+    index = {j: k for k, j in enumerate(entries)}
+    rows = tuple(
+        tuple((index[j], slot, coeff) for j, entry in row.items() for slot, coeff in entry.items())
+        for row in entries.values()
+    )
+    return scale, exponents, SymbolicMatrix(matrix.nvars, rows)
+
+
 def det_poly(matrix: SymbolicMatrix) -> Poly:
     """Exact integer determinant polynomial of a symbolic matrix.
 
     Every coefficient is returned as its exact, possibly negative, integer.
-    The points evaluated are the lower set cut out by the degree bounds
-    `matrix.variable_rows` (per variable) and `matrix.variable_degree` (total).
+    The matrix is first reduced by factoring out single-variable rows and
+    expanding forced rows (see the module docstring); the points evaluated
+    are the lower set cut out by the reduced matrix's degree bounds
+    `variable_rows` (per variable) and `variable_degree` (total).
     """
-    degree = matrix.variable_degree
-    box = itertools.product(*(range(1 + rows) for rows in matrix.variable_rows))
-    return interpolate({point: _bareiss(matrix.evaluate(point)) for point in box if sum(point) <= degree})
+    reduced = _reduce(matrix)
+    if reduced is None:
+        return {}
+    scale, exponents, rest = reduced
+    degree = rest.variable_degree
+    box = itertools.product(*(range(1 + rows) for rows in rest.variable_rows))
+    values = {point: _bareiss(rest.evaluate(point)) for point in box if sum(point) <= degree}
+    return {
+        tuple(k + e for k, e in zip(mono, exponents)): scale * coeff for mono, coeff in interpolate(values).items()
+    }
 
 
 # No engine code calls the functions below.  The benchmark's layer tracer

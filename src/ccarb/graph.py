@@ -25,6 +25,14 @@ class Edge:
     color: int
     weight: int | None = None
 
+    def __post_init__(self):
+        check_integer(self.id, "edge id")
+        check_integer(self.tail, "edge tail")
+        check_integer(self.head, "edge head")
+        check_integer(self.color, "edge color")
+        if self.weight is not None:
+            check_integer(self.weight, "edge weight")
+
 
 @dataclass(frozen=True)
 class _Graph:
@@ -103,6 +111,8 @@ class ColoredMultigraph(_Graph):
 
 def check_integer(value, name: str) -> int:
     """`value` as an int; a float, a bool or any other non-integer raises ValueError naming it."""
+    if type(value) is int:
+        return value
     if not isinstance(value, bool):
         try:
             return operator.index(value)

@@ -29,12 +29,11 @@ class SymbolicMatrix:
     def __post_init__(self):
         if self.nvars < 0:
             raise ValueError("variable count must be nonnegative")
+        dim, nvars = len(self.rows), self.nvars
         for i, row in enumerate(self.rows):
             for term in row:
-                if not (0 <= term[0] < self.dim and 0 <= term[1] <= self.nvars):
-                    raise ValueError(
-                        f"row {i}: term {term} is outside columns 0..{self.dim - 1} or slots 0..{self.nvars}"
-                    )
+                if not (0 <= term[0] < dim and 0 <= term[1] <= nvars):
+                    raise ValueError(f"row {i}: term {term} is outside columns 0..{dim - 1} or slots 0..{nvars}")
 
     @property
     def dim(self) -> int:

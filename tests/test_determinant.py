@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccarb.determinant import (
     PRIME_LIMIT,
@@ -10,7 +12,8 @@ from ccarb.determinant import (
     det_poly_mod_p,
     select_primes,
 )
-from ccarb.laplacian import SymbolicMatrix
+from ccarb.graph import ColoredDigraph, Edge
+from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor
 
 from support import (
     cofactor_det,
@@ -57,6 +60,25 @@ def zero_some_variables(rng: random.Random, m: SymbolicMatrix) -> SymbolicMatrix
         dropped = set(rng.sample(range(1, m.nvars + 1), rng.randint(0, m.nvars)))
         rows.append(tuple(term for term in row if term[1] not in dropped))
     return SymbolicMatrix(m.nvars, tuple(rows))
+
+
+@st.composite
+def sparse_digraphs(draw):
+    """Digraphs on 1..6 vertices and 1..4 colors, most vertices of in-degree 1 or 2.
+
+    Any vertex can be a tail, so self-loops and arcs from whichever vertex
+    is later taken as the root occur, and an arc is sometimes doubled into
+    parallel same-color arcs.
+    """
+    n = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 4))
+    edges = []
+    for head in range(1, n + 1):
+        for _ in range(draw(st.sampled_from((0, 1, 1, 1, 2, 2, 3)))):
+            tail, color = draw(st.integers(1, n)), draw(st.integers(1, q))
+            for _ in range(draw(st.sampled_from((1, 1, 1, 2)))):
+                edges.append(Edge(len(edges), tail, head, color))
+    return ColoredDigraph(n, q, tuple(edges))
 
 
 class TestSelectPrimes:
@@ -201,6 +223,44 @@ class TestDetPoly:
             evaluated.clear()
             assert det_poly(m) == cofactor_det(m)
             assert len(evaluated) == len(set(evaluated)) == points
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_digraphs(), st.data())
+    def test_reduction_matches_cofactor_on_sparse_laplacians(self, graph, data):
+        # Sparse rows are where the reduction acts: one-arc rows contract
+        # (into another column, or alone when the arc comes from the root),
+        # single-color rows factor, and a self-loop row fails the diagonal
+        # test.  The full Laplacian keeps every column, the minor drops one.
+        laplacian = build_laplacian(graph)
+        for matrix in (laplacian, minor(laplacian, data.draw(st.integers(1, graph.n)))):
+            assert det_poly(matrix) == cofactor_det(matrix)
+
+    def test_forced_rows_leave_one_point(self, evaluated):
+        # Rooted at 1, vertices 2..5 have one in-arc each, of colors 1, 2, 1
+        # and 3.  Every row of the minor contracts: det = x1^2 x2, and only
+        # the empty matrix is evaluated, at the origin.  Unreduced, x1 sits
+        # in 2 rows, x2 in 1 and some variable in 3: 6 points.
+        g = ColoredDigraph(5, 3, (Edge(0, 1, 2, 1), Edge(1, 2, 3, 2), Edge(2, 2, 4, 1), Edge(3, 4, 5, 3)))
+        assert det_poly(minor(build_laplacian(g), 1)) == {(2, 1): 1}
+        assert evaluated == [(0, 0)]
+
+    def test_single_color_row_shortens_its_axis(self, evaluated):
+        # Rooted at 1, vertex 2 has in-arcs 1 -> 2 and 3 -> 2, both of color
+        # 1, and vertex 3 has 1 -> 3 of color 1 and 2 -> 3 of color 2.  The
+        # minor's rows are (2 x1, -x1) and (-x2, x1 + x2).  Row 1 is x1 times
+        # (2, -1), so only row 2 is left holding x1 and x2, and the points
+        # are k1, k2 <= 1 with k1 + k2 <= 1: 3, where the unreduced minor
+        # (x1 in 2 rows, x2 in 1, total 2) needs 5.  The trees are
+        # {1->2, 1->3}, {3->2, 1->3} and {1->2, 2->3}: 2 x1^2 + x1 x2.
+        g = ColoredDigraph(3, 3, (Edge(0, 1, 2, 1), Edge(1, 3, 2, 1), Edge(2, 1, 3, 1), Edge(3, 2, 3, 2)))
+        assert det_poly(minor(build_laplacian(g), 1)) == {(2, 0): 2, (1, 1): 1}
+        assert sorted(evaluated) == [(0, 0), (0, 1), (1, 0)]
+
+    def test_zero_row_needs_no_point(self, evaluated):
+        # Vertex 3 has no in-arc, so its row of the minor is zero.
+        g = ColoredDigraph(3, 2, (Edge(0, 1, 2, 1), Edge(1, 3, 2, 2)))
+        assert det_poly(minor(build_laplacian(g), 1)) == {}
+        assert evaluated == []
 
     def test_large_coefficients_exact(self):
         # Entries far above 2^31, so every grid determinant is a large integer.

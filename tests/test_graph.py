@@ -277,6 +277,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="duplicate edge id 0"):
             ColoredMultigraph(2, 1, (Edge(0, 1, 2, 1), Edge(0, 2, 1, 1)))
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((0.5, 1, 2, 1), "edge id 0.5"),
+            ((0, 1.0, 2, 1), "edge tail 1.0"),
+            ((0, 1, 2.0, 1), "edge head 2.0"),
+            ((0, 1, 2, 1.0), "edge color 1.0"),
+            ((0, 1, 2, True), "edge color True"),
+            ((0, 1, 2, 1, 1.5), "edge weight 1.5"),
+            ((0, 1, 2, 1, False), "edge weight False"),
+        ],
+    )
+    def test_non_integer_edge_fields_are_refused(self, fields, message):
+        # Refused where the edge is built, so no graph, count or weight can
+        # carry one (a weight of 1.5 once came back as a minimum weight).
+        with pytest.raises(ValueError, match=f"{message} is not an integer"):
+            Edge(*fields)
+
     def test_lookup_helpers(self):
         g = parse_graph("2 1\ns t 1\n")
         assert g.vertex_label(g.vertex_index("t")) == "t"

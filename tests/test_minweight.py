@@ -110,15 +110,21 @@ def test_heavy_weights_are_not_refused(tmp_path, capsys):
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("operation, most", [(min_weight, 14), (find_min, 77)])
+@pytest.mark.parametrize("operation, most", [(min_weight, 12), (find_min, 45)])
 def test_heavy_weights_take_few_evaluations(monkeypatch, operation, most):
-    # Every non-root vertex of HEAVY has a color-1 in-arc, so a minor has 6
-    # rows with x1 and det_poly evaluates at most 7 grid points, each once
+    # Every non-root vertex of HEAVY has a color-1 in-arc, but d's in-arcs
+    # (from b and c) all have color 1, so det_poly factors x1 out of d's
+    # row.  No other row of the minor reduces (a, b, c, e and f mix colors),
+    # so 5 rows keep x1 and det_poly evaluates 6 grid points, each once
     # whatever the weights.  min_weight takes 2 det_polys (the count, then
-    # the coefficient at r = count + 1): 14 points.  find_min adds one per
-    # search question; halving asks at most ceil(log2 3) = 2 for each of
-    # a, b and c (in-degree 3) and 1 for each of d, e and f (in-degree 2),
-    # so 2 + 9 det_polys: 77 points.
+    # the coefficient at r = count + 1): 12 points.  find_min adds one per
+    # search question, fixing a, ..., f in turn.  Halving asks at most 2
+    # for each of a, b and c (in-degree 3) and 1 for each of d, e and f.
+    # A fixed vertex keeps one in-arc, so its row contracts, and so does
+    # the row asked about in a second question, or in the only one for
+    # in-degree 2; deleting arcs never adds a color to a row.  So the
+    # questions see at most 5 + 4, 4 + 3, 3 + 2, 2, 1 and 0 rows with x1:
+    # 11 + 9 + 7 + 3 + 2 + 1 = 33 points, and 12 + 33 = 45 in all.
     points = []
     real = SymbolicMatrix.evaluate
     monkeypatch.setattr(SymbolicMatrix, "evaluate", lambda matrix, point: points.append(point) or real(matrix, point))
