@@ -11,6 +11,7 @@ determinant of the full out-degree Laplacian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .determinant import det_poly
 from .graph import (
@@ -21,6 +22,7 @@ from .graph import (
     check_index,
     check_integer,
     color_histogram,
+    contract,
     dedup_min_weight,
     is_arborescence,
     reaches_all,
@@ -84,24 +86,70 @@ def decide(graph: ColoredDigraph, root: int, alpha) -> bool:
     return count(graph, root, alpha) > 0
 
 
+class _Question(NamedTuple):
+    """Has `graph` a `root`-arborescence with histogram `alpha`?  `spent`: weight contracted out so far."""
+
+    graph: ColoredDigraph
+    root: int
+    alpha: tuple[int, ...]
+    spent: int
+
+
+def _has_count(question: _Question, color: int) -> bool:
+    """Whether alpha leaves room for an arc of `color`; color q takes the n - 1 - sum(alpha) arcs left."""
+    return (*question.alpha, question.graph.n - 1 - sum(question.alpha))[color - 1] > 0
+
+
+def _through(question: _Question, arc) -> _Question:
+    """The question whose solutions are, by their other arcs, those of `question` through `arc`."""
+    return _Question(
+        contract(question.graph, arc.id),
+        question.root - (question.root > arc.head),
+        tuple(a - (c == arc.color) for c, a in enumerate(question.alpha, 1)),
+        question.spent + (arc.weight or 0),
+    )
+
+
+def _drop(question: _Question, arcs) -> _Question:
+    return question._replace(graph=remove_edge(question.graph, *(e.id for e in arcs)))
+
+
 def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], keeps) -> Arborescence:
-    # A solution uses exactly one in-arc of each non-root vertex and none of
-    # the root's, and of parallel same-color arcs only the lightest is
-    # needed.  Halve each vertex's candidates in ascending id: drop the first
-    # half when `keeps` still holds without it; otherwise every solution
-    # uses an arc of that half, so drop the rest unasked.  The arcs left are
-    # checked to be an arborescence with histogram alpha.
-    current = remove_in_arcs(dedup_min_weight(graph), root)
+    """The first solution by the in-arc id of vertex 1, then 2, ...; `keeps(question)` answers a `_Question`.
+
+    A solution uses one in-arc of each non-root vertex, none of the root's,
+    and of parallel same-color arcs only the lightest.  Each non-root vertex
+    v in ascending order takes the smallest-id in-arc some solution still
+    uses, which is contracted out, so later questions see one vertex fewer.
+    v's first candidate is asked about alone, by contraction; if unused, it
+    is deleted and the rest halved, keeping the first half when some
+    solution uses it (asked with the rest deleted, or by contraction for one
+    arc).  The last candidate is taken unasked: at most 1 + ceil(log2(d - 1))
+    questions for d candidates.  An arc whose color alpha has no room left
+    for is refused unasked.  The result is certified against `graph`
+    (ValueError if not).
+    """
+    question = _Question(remove_in_arcs(dedup_min_weight(graph), root), root, alpha, 0)
+    taken = []
     for v in range(1, graph.n + 1):
-        candidates = [e.id for e in current.edges if e.head == v]
-        while len(candidates) > 1:
-            half, rest = candidates[: len(candidates) // 2], candidates[len(candidates) // 2 :]
-            without = remove_edge(current, *half)
-            if keeps(without):
-                current, candidates = without, rest
+        if v == root:
+            continue
+        # Every vertex below v but the root has been contracted out.
+        head = v - (graph.n - question.graph.n)
+        tries, size, through = [e for e in question.graph.edges if e.head == head], 1, None
+        while through is None and len(tries) > 1:
+            half, rest = tries[:size], tries[size:]
+            if size > 1:
+                without = _drop(question, rest)
+                question, tries = (without, half) if keeps(without) else (_drop(question, half), rest)
+            elif _has_count(question, half[0].color) and keeps(probe := _through(question, half[0])):
+                through, tries = probe, half
             else:
-                current, candidates = remove_edge(current, *rest), half
-    edge_ids = tuple(e.id for e in current.edges)
+                question, tries = _drop(question, half), rest
+            size = len(tries) // 2
+        taken.append(tries[0].id)
+        question = through or _through(question, tries[0])
+    edge_ids = tuple(sorted(taken))
     if not is_arborescence(graph, root, edge_ids):
         raise ValueError("certificate check failed: the result is not an arborescence")
     if color_histogram(graph, edge_ids)[: graph.q - 1] != alpha:
@@ -113,17 +161,19 @@ def find(graph: ColoredDigraph, root: int, alpha) -> Arborescence | None:
     """Find one arborescence matching the color constraint, or None.
 
     After one decide on the whole graph, keeps the lightest (then the
-    smallest-id) arc of each parallel same-color group, drops the root's
-    in-arcs and halves each other vertex's in-arcs in ascending id: the
-    first half goes if the constraint stays feasible without it, the rest
-    goes otherwise, so at most sum(ceil(log2 indegree)) more decides are
-    made.  The arcs left are checked to be an arborescence with the
-    requested histogram (ValueError if not).  Edge ids refer to the input.
+    smallest-id) arc of each parallel same-color group and drops the root's
+    in-arcs.  Each other vertex, in ascending order, then takes the
+    smallest-id in-arc that a matching arborescence still uses, found by at
+    most 1 + ceil(log2(d - 1)) decides for d in-arcs, and contracts it out
+    of the graph.  On an unweighted graph the result is the first match by
+    the in-arc id of vertex 1, then 2, and so on.  It is checked to be an
+    arborescence with the requested histogram (ValueError if not).  Edge
+    ids refer to the input.
     """
     constraint = _checked_alpha(graph.q, alpha)
     if not decide(graph, root, constraint):
         return None
-    return _search(graph, root, constraint, lambda sub: decide(sub, root, constraint))
+    return _search(graph, root, constraint, lambda question: decide(question.graph, question.root, question.alpha))
 
 
 def count_spanning_trees(graph: ColoredMultigraph, alpha) -> int:

@@ -285,6 +285,28 @@ def remove_edge(graph: _Graph, *edge_ids: int) -> _Graph:
     return replace(graph, edges=tuple(e for e in graph.edges if e.id not in dropped))
 
 
+def contract(graph: ColoredDigraph, edge_id: int) -> ColoredDigraph:
+    """Contract the arc u -> v into u, keeping the graph's kind; ids, colors and weights are preserved.
+
+    Deletes v's in-arcs, re-points v's out-arcs to u, drops the arcs that
+    become loops, renumbers the vertices above v down by one and drops v's
+    label.  The arborescences that use the arc are, by their other arcs, the
+    arborescences of the result rooted at the root's new number.  Only
+    directed graphs are accepted, and the arc must not be a self-loop.
+    """
+    check_directed(graph)
+    arc = graph.edge(edge_id)
+    u, v = arc.tail, arc.head
+    if u == v:
+        raise ValueError(f"edge {edge_id} is a self-loop and cannot be contracted")
+    edges = []
+    for e in graph.edges:
+        if e.head != v and (e.tail, e.head) != (v, u):
+            tail = u if e.tail == v else e.tail
+            edges.append(Edge(e.id, tail - (tail > v), e.head - (e.head > v), e.color, e.weight))
+    return replace(graph, n=graph.n - 1, edges=tuple(edges), labels=graph.labels[: v - 1] + graph.labels[v:])
+
+
 def bidirect(graph: ColoredMultigraph) -> ColoredDigraph:
     """Replace each undirected edge {u, v} by the arc pair (u, v), (v, u)."""
     arcs: list[Edge] = []

@@ -107,21 +107,28 @@ def find_min(graph: ColoredDigraph, root: int, alpha) -> tuple[Arborescence, int
     """A minimum-weight arborescence matching the constraint, with its weight.
 
     Computes r and the lowered graph once, as `min_weight` does, then
-    searches the lowered graph as `find` does: it keeps the lightest arc of
-    each parallel same-color group and halves each vertex's in-arcs while
-    the valuation at r still equals the lowered minimum (a zero coefficient
-    means it does not).  One r serves every step: deleting arcs never raises
-    the count, and a kept arc never weighs less than its head's lightest.
-    The result is checked against the input graph's weights to be an
-    arborescence with the requested histogram and the minimum weight before
-    it is returned; a failed check raises ValueError.
+    searches the lowered graph as `find` does, so the result is the first
+    minimizer by the in-arc id of vertex 1, then 2, and so on.  A question
+    holds when the valuation at r of its coefficient equals the lowered
+    minimum less the weight of the arcs contracted out so far (a zero
+    coefficient means it does not).  One r serves every question: deleting
+    and contracting arcs never raise the count, and a kept arc never weighs
+    less than its head's lightest.  The result is checked against the input
+    graph's weights to be an arborescence with the requested histogram and
+    the minimum weight before it is returned; a failed check raises
+    ValueError.
     """
     plan = _plan(graph, root, alpha)
     if plan is None:
         return None
     constraint, r, lowered, shift = plan
     target = _lowered_min(lowered, root, constraint, r)
-    arb = _search(lowered, root, constraint, lambda sub: _lowered_min(sub, root, constraint, r) == target)
+    arb = _search(
+        lowered,
+        root,
+        constraint,
+        lambda question: _lowered_min(question.graph, question.root, question.alpha, r) == target - question.spent,
+    )
     if sum(graph.edge(i).weight for i in arb.edge_ids) != target + shift:
         raise ValueError("certificate check failed: the weight differs from the minimum")
     return arb, target + shift

@@ -1,4 +1,4 @@
-"""Shared test helpers: independent reference computations and generators.
+"""Shared test helpers: independent reference computations, generators and a faulty transform.
 
 The polynomial arithmetic and determinants here are deliberately naive and
 separate from the library code paths they check.
@@ -43,6 +43,26 @@ def poly_eval(a: DictPoly, point) -> int:
             term *= base**exp
         total += term
     return total
+
+
+def poly_values(poly: DictPoly, points) -> dict:
+    """`poly` at every one of `points`, all of one length, summed out one axis at a time.
+
+    Each axis's exponents are replaced by the values at the nodes the points
+    use on that axis, so the work is the partial sums times the nodes per
+    axis, where calling `poly_eval` per point costs points times terms.
+    """
+    points = list(points)
+    partial = dict(poly)
+    for axis in range(len(points[0]) if points else 0):
+        nodes = {point[axis] for point in points}
+        summed: DictPoly = {}
+        for exps, coeff in partial.items():
+            for x in nodes:
+                key = exps[:axis] + (x,) + exps[axis + 1 :]
+                summed[key] = summed.get(key, 0) + coeff * x ** exps[axis]
+        partial = summed
+    return {point: partial.get(point, 0) for point in points}
 
 
 def entry_poly(entry, nvars: int) -> DictPoly:
@@ -287,3 +307,19 @@ def spanning_tree_histogram(graph: ColoredMultigraph) -> dict[tuple[int, ...], i
         alpha = tuple(counts[: graph.q - 1])
         hist[alpha] = hist.get(alpha, 0) + 1
     return hist
+
+
+# ----------------------------------------------------------- faulty transforms
+
+def contract_keeping_loops(graph: ColoredDigraph, edge_id: int) -> ColoredDigraph:
+    """A faulty `graph.contract` that keeps the loops it makes (and contracts loops too)."""
+    arc = graph.edge(edge_id)
+
+    def moved(x: int) -> int:
+        x = arc.tail if x == arc.head else x
+        return x - (x > arc.head)
+
+    kept = (e for e in graph.edges if e.head != arc.head)
+    return ColoredDigraph(
+        graph.n - 1, graph.q, tuple(Edge(e.id, moved(e.tail), moved(e.head), e.color, e.weight) for e in kept)
+    )

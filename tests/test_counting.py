@@ -1,6 +1,7 @@
 """Counting, deciding and finding, checked against the brute-force oracle (n <= 6) and exact determinants."""
 
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -21,6 +22,7 @@ from support import (
     alphas,
     bareiss_det,
     classical_in_laplacian_minor,
+    contract_keeping_loops,
     poly_eval,
     random_digraph,
     small_digraphs,
@@ -88,6 +90,13 @@ def test_find_returns_a_certified_arborescence(case, data):
         assert arb is not None and arb.root == root
         assert is_arborescence(graph, root, arb.edge_ids)
         assert color_histogram(graph, arb.edge_ids)[: graph.q - 1] == alpha
+        # The choice rule: the first by the in-arc id of vertex 1, then of
+        # vertex 2, and so on, which is the oracle's order.
+        assert arb == next(
+            other
+            for other in enumerate_arborescences(graph, root)
+            if color_histogram(graph, other.edge_ids)[: graph.q - 1] == alpha
+        )
 
 
 @ORACLE
@@ -139,42 +148,75 @@ def test_unused_colors_do_not_grow_the_grid(monkeypatch):
     assert wide == {(a, 5 - a, 0, 0, 0): value for (a,), value in narrow.items()}
 
 
-def test_find_halves_the_in_arcs_of_each_vertex(monkeypatch):
+def test_find_asks_about_the_first_in_arc_then_halves(monkeypatch):
     graph = complete_digraph(2)
     calls = []
     real = counting.decide
     monkeypatch.setattr(counting, "decide", lambda *args: calls.append(args) or real(*args))
     arb = find(graph, 1, (2,))
     assert arb is not None and color_histogram(graph, arb.edge_ids)[:1] == (2,)
-    # One decide on the whole graph, then ceil(log2 10) = 4 for each of the
-    # five non-root vertices, where one decide per arc would make 1 + 60.
-    assert len(calls) <= 1 + 5 * 4
+    # Alpha (2,) asks for 2 arcs of color 1 and 3 of color 2.  Every vertex
+    # has 10 candidates, ordered by tail, then color; the root's and each
+    # contracted vertex's out-arcs all leave the root's vertex now.
+    # - One decide on the whole graph.
+    # - Vertex 2 asks about 1->2 of color 1 alone and it stays feasible: 1.
+    # - Vertex 3 does the same with 1->3, which uses up color 1: 1.
+    # - Vertices 4, 5 and 6 refuse the color-1 arc from 1 unasked, then
+    #   halve the other 9: keep 4, keep 2, then the color-2 arc from 1 is
+    #   asked about alone and taken: 3 each.
+    # So 1 + 1 + 1 + 3 * 3 = 12, where 1 + 5 * ceil(log2 10) = 21 would
+    # halve every vertex's candidates and one decide per arc would make 61.
+    assert len(calls) == 12
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_a_vertex_whose_last_in_arc_is_the_only_feasible_one(monkeypatch, d):
+    # Vertex 2 has in-arcs from 3, ..., d + 1 and, last, from the root 1, and
+    # is the only way into 3, ..., d + 1.  Contracting any other in-arc, or
+    # keeping a half without 1 -> 2, leaves the root no out-arc.
+    tails = [*range(3, d + 2), 1]
+    arcs = [(t, 2) for t in tails] + [(2, w) for w in range(3, d + 2)]
+    graph = ColoredDigraph(d + 1, 1, tuple(Edge(i, t, h, 1) for i, (t, h) in enumerate(arcs)))
+    calls = []
+    real = counting.decide
+    monkeypatch.setattr(counting, "decide", lambda *args: calls.append(args) or real(*args))
+    assert find(graph, 1, ()).edge_ids == tuple(range(d - 1, 2 * d - 1))
+    # The whole graph, then the first in-arc alone and ceil(log2(d - 1))
+    # halvings of the other d - 1; vertices 3, ..., d + 1 have one in-arc each.
+    assert len(calls) == 1 + 1 + math.ceil(math.log2(d - 1))
 
 
 # Rooted at s: {sa, sb} has alpha 1, {sa, ab} alpha 2 and {ba, sb} alpha 0.
 DIRECTED = "3 2\ns a 1\ns b 2\na b 1\nb a 2\n"
+# Rooted at s, only {ba, sb} has alpha 1.
+CROSSED = "3 2\ns a 1\na b 1\ns b 1\nb a 2\n"
 
 
-def approve_every_deletion(graph, root, alpha):
-    # The search then keeps only the last in-arc of each vertex: the cycle
-    # {ab, ba}.
-    return True
+def keep_the_new_loops(monkeypatch):
+    # With sa, b would need an in-arc of color 2, so a takes ba unasked.
+    # Contracting it turns ab into a loop at b, which this contraction
+    # keeps.  That loop is b's first candidate and contracting it leaves
+    # one vertex, so it is taken: the search ends on the cycle {ab, ba}.
+    monkeypatch.setattr(counting, "contract", contract_keeping_loops)
+    return CROSSED
 
 
-def decide_for_alpha_2(graph, root, alpha):
-    # The search then ends on {sa, ab}.
-    return decide(graph, root, (2,))
+def decide_for_alpha_2(monkeypatch):
+    # Every contracted graph has too few arcs for two of color 1, so a
+    # takes ba unasked and the search ends on {ba, sb}.
+    monkeypatch.setattr(counting, "decide", lambda graph, root, alpha: decide(graph, root, (2,)))
+    return DIRECTED
 
 
 @pytest.mark.parametrize(
-    "lie, check", [(approve_every_deletion, "not an arborescence"), (decide_for_alpha_2, "color histogram")]
+    "lie, check", [(keep_the_new_loops, "not an arborescence"), (decide_for_alpha_2, "color histogram")]
 )
 def test_find_refuses_an_uncertified_result(monkeypatch, tmp_path, capsys, lie, check):
-    monkeypatch.setattr(counting, "decide", lie)
+    text = lie(monkeypatch)
     with pytest.raises(ValueError, match=check):
-        find(parse_graph(DIRECTED), 1, (1,))
+        find(parse_graph(text), 1, (1,))
     path = tmp_path / "graph.g"
-    path.write_text(DIRECTED, encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     assert main(["find", str(path), "--root", "s", "--alpha", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccarb import minweight
+from ccarb import counting, minweight
 from ccarb.cli import main
 from ccarb.counting import Arborescence
 from ccarb.graph import parse_graph
@@ -14,7 +14,7 @@ from ccarb.laplacian import SymbolicMatrix
 from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, is_arborescence, oracle_min_weight
 
-from support import alphas, small_digraphs
+from support import alphas, contract_keeping_loops, small_digraphs
 
 ORACLE = settings(max_examples=100, deadline=None)
 
@@ -54,6 +54,14 @@ def test_find_min_returns_a_certified_minimizer(inst):
     assert is_arborescence(graph, root, arb.edge_ids)
     assert color_histogram(graph, arb.edge_ids)[: graph.q - 1] == alpha
     assert sum(graph.edge(i).weight for i in arb.edge_ids) == weight
+    # The choice rule: among the minimizers, the first by the in-arc id of
+    # vertex 1, then of vertex 2, and so on, which is the oracle's order.
+    assert arb == next(
+        other
+        for other in enumerate_arborescences(graph, root)
+        if color_histogram(graph, other.edge_ids)[: graph.q - 1] == alpha
+        and sum(graph.edge(i).weight for i in other.edge_ids) == weight
+    )
 
 
 @ORACLE
@@ -118,13 +126,15 @@ def test_heavy_weights_take_few_evaluations(monkeypatch, operation, most):
     # so 5 rows keep x1 and det_poly evaluates 6 grid points, each once
     # whatever the weights.  min_weight takes 2 det_polys (the count, then
     # the coefficient at r = count + 1): 12 points.  find_min adds one per
-    # search question, fixing a, ..., f in turn.  Halving asks at most 2
-    # for each of a, b and c (in-degree 3) and 1 for each of d, e and f.
-    # A fixed vertex keeps one in-arc, so its row contracts, and so does
-    # the row asked about in a second question, or in the only one for
-    # in-degree 2; deleting arcs never adds a color to a row.  So the
-    # questions see at most 5 + 4, 4 + 3, 3 + 2, 2, 1 and 0 rows with x1:
-    # 11 + 9 + 7 + 3 + 2 + 1 = 33 points, and 12 + 33 = 45 in all.
+    # search question, fixing a, ..., f in turn.  Each of a, b and c (in
+    # degree 3) asks at most about its first in-arc alone, then about the
+    # first of the other two alone; each of d, e and f (in-degree 2) at most
+    # about its first.  So every question contracts the arc it asks about,
+    # and the graph asked about keeps 5, 4, 3, 2, 1 and 0 non-root vertices
+    # for a, ..., f.  Contraction never adds a color to a row, so d's row
+    # still factors while d is left: at most 4, 3, 2, 2, 1 and 0 rows keep
+    # x1, hence 5, 4, 3, 3, 2 and 1 points per question.  That is at most
+    # 2 * (5 + 4 + 3) + 3 + 2 + 1 = 30 points, and 12 + 30 = 42 in all.
     points = []
     real = SymbolicMatrix.evaluate
     monkeypatch.setattr(SymbolicMatrix, "evaluate", lambda matrix, point: points.append(point) or real(matrix, point))
@@ -223,21 +233,29 @@ def test_find_min_halves_the_in_arcs_of_each_vertex(monkeypatch):
     monkeypatch.setattr(minweight, "c_alpha_r", lambda *args: calls.append(args[3]) or c_alpha_r(*args))
     _, weight = find_min(*inst)
     assert weight == oracle_min_weight(*inst)[0]
-    # min_weight, then ceil(log2 8) = 3 for each of the four non-root
-    # vertices, where one question per arc would make n + m = 5 + 40.
+    # The target, then for each of the four non-root vertices, whose 8
+    # in-arcs come from the other four vertices, the first in-arc alone and
+    # up to ceil(log2 7) = 3 halvings of the rest.  Here color refusals and
+    # early contractions keep it to 3, 4, 4 and 2 questions for vertices 2
+    # to 5: 14 in all, where one question per arc would make n + m = 5 + 40.
     assert len(calls) <= 2 + 4 * 3
 
 
 # Rooted at s: {sa, sb} has alpha 1 and weight 3, {sa, ab} alpha 2 and
 # weight 4, {ba, sb} alpha 0 and weight 3.
 WEIGHTED = "3 2\ns a 1 1\ns b 2 2\na b 1 3\nb a 2 1\n"
+# Rooted at s, only {ba, sb} has alpha 1; it weighs 3, and ab weighs as much as sb.
+CROSSED = "3 2\ns a 1 1\na b 1 2\ns b 1 2\nb a 2 1\n"
 
 
-def approve_every_deletion(monkeypatch):
-    # Every coefficient reads r, so every lowered minimum reads the same, so
-    # every deletion is approved and the search keeps only the last in-arc
-    # of each vertex: the cycle {ab, ba}.
-    monkeypatch.setattr(minweight, "c_alpha_r", lambda graph, root, alpha, r: r)
+def keep_the_new_loops(monkeypatch):
+    # With sa, b would need an in-arc of color 2, so a takes ba unasked.
+    # Contracting it turns ab into a loop at b, which this contraction
+    # keeps.  That loop is b's first candidate, and contracting it leaves one
+    # vertex with ba and ab spent, which weigh as much as {ba, sb}, so it is
+    # taken: the search ends on the cycle {ab, ba}.
+    monkeypatch.setattr(counting, "contract", contract_keeping_loops)
+    return CROSSED
 
 
 def misreport_the_minimum(monkeypatch):
@@ -246,17 +264,18 @@ def misreport_the_minimum(monkeypatch):
     # whose weight is not the reported minimum.
     real = minweight.c_alpha_r
     monkeypatch.setattr(minweight, "c_alpha_r", lambda graph, root, alpha, r: r * real(graph, root, alpha, r))
+    return WEIGHTED
 
 
 @pytest.mark.parametrize(
-    "lie, check", [(approve_every_deletion, "not an arborescence"), (misreport_the_minimum, "weight")]
+    "lie, check", [(keep_the_new_loops, "not an arborescence"), (misreport_the_minimum, "weight")]
 )
 def test_find_min_refuses_an_uncertified_result(monkeypatch, tmp_path, capsys, lie, check):
-    lie(monkeypatch)
+    text = lie(monkeypatch)
     with pytest.raises(ValueError, match=check):
-        find_min(parse_graph(WEIGHTED), 1, (1,))
+        find_min(parse_graph(text), 1, (1,))
     path = tmp_path / "weighted.g"
-    path.write_text(WEIGHTED, encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     assert main(["find-min", str(path), "--root", "s", "--alpha", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

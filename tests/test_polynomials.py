@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ccarb.polynomials import crt_combine, interpolate, render_poly
 
-from support import dict_poly_mod, poly_eval
+from support import dict_poly_mod, poly_eval, poly_values
 
 
 @st.composite
@@ -87,7 +87,7 @@ class TestInterpolate:
         points = [point for point in grid(*(1 + bound for bound in bounds)) if sum(point) <= total]
         coeffs = data.draw(st.lists(st.integers(-(10**12), 10**12), min_size=len(points), max_size=len(points)))
         poly = {point: coeff for point, coeff in zip(points, coeffs) if coeff}
-        assert interpolate({point: poly_eval(poly, point) for point in points}) == poly
+        assert interpolate(poly_values(poly, points)) == poly
 
 
 class TestCrt:
