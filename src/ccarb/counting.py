@@ -27,7 +27,6 @@ from .graph import (
     is_arborescence,
     reaches_all,
     remove_edge,
-    remove_in_arcs,
     reverse,
 )
 from .laplacian import build_laplacian, minor
@@ -95,14 +94,16 @@ class _Question(NamedTuple):
     spent: int
 
 
-def _has_count(question: _Question, color: int) -> bool:
-    """Whether alpha leaves room for an arc of `color`; color q takes the n - 1 - sum(alpha) arcs left."""
-    return (*question.alpha, question.graph.n - 1 - sum(question.alpha))[color - 1] > 0
+def _question(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], spent: int) -> _Question:
+    """The question with only the arcs a solution can use; color q has room for n - 1 - sum(alpha) arcs."""
+    room, graph = (*alpha, graph.n - 1 - sum(alpha)), dedup_min_weight(graph)
+    unusable = (e.id for e in graph.edges if e.head == root or room[e.color - 1] <= 0)
+    return _Question(remove_edge(graph, *unusable), root, alpha, spent)
 
 
 def _through(question: _Question, arc) -> _Question:
     """The question whose solutions are, by their other arcs, those of `question` through `arc`."""
-    return _Question(
+    return _question(
         contract(question.graph, arc.id),
         question.root - (question.root > arc.head),
         tuple(a - (c == arc.color) for c, a in enumerate(question.alpha, 1)),
@@ -117,19 +118,18 @@ def _drop(question: _Question, arcs) -> _Question:
 def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], keeps) -> Arborescence:
     """The first solution by the in-arc id of vertex 1, then 2, ...; `keeps(question)` answers a `_Question`.
 
-    A solution uses one in-arc of each non-root vertex, none of the root's,
-    and of parallel same-color arcs only the lightest.  Each non-root vertex
-    v in ascending order takes the smallest-id in-arc some solution still
-    uses, which is contracted out, so later questions see one vertex fewer.
-    v's first candidate is asked about alone, by contraction; if unused, it
-    is deleted and the rest halved, keeping the first half when some
-    solution uses it (asked with the rest deleted, or by contraction for one
-    arc).  The last candidate is taken unasked: at most 1 + ceil(log2(d - 1))
-    questions for d candidates.  An arc whose color alpha has no room left
-    for is refused unasked.  The result is certified against `graph`
-    (ValueError if not).
+    Every question holds only the arcs a solution can use: of each parallel
+    same-color group the lightest, none into the root, none of a color alpha
+    has no room left for.  Each non-root vertex v in ascending order takes
+    the smallest-id in-arc some solution still uses, which is contracted
+    out, so later questions see one vertex fewer.  v's first usable in-arc
+    is asked about alone, by contraction; if unused, it is deleted and the
+    rest halved, keeping the first half when some solution uses it (asked
+    with the rest deleted, or by contraction for one arc).  The last is
+    taken unasked: at most 1 + ceil(log2(d - 1)) questions for d usable
+    in-arcs.  The result is certified against `graph` (ValueError if not).
     """
-    question = _Question(remove_in_arcs(dedup_min_weight(graph), root), root, alpha, 0)
+    question = _question(graph, root, alpha, 0)
     taken = []
     for v in range(1, graph.n + 1):
         if v == root:
@@ -137,12 +137,14 @@ def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], keeps) -> 
         # Every vertex below v but the root has been contracted out.
         head = v - (graph.n - question.graph.n)
         tries, size, through = [e for e in question.graph.edges if e.head == head], 1, None
+        if not tries:
+            break  # only a wrong answer leaves v no usable in-arc; the certificates refuse the result
         while through is None and len(tries) > 1:
             half, rest = tries[:size], tries[size:]
             if size > 1:
                 without = _drop(question, rest)
                 question, tries = (without, half) if keeps(without) else (_drop(question, half), rest)
-            elif _has_count(question, half[0].color) and keeps(probe := _through(question, half[0])):
+            elif keeps(probe := _through(question, half[0])):
                 through, tries = probe, half
             else:
                 question, tries = _drop(question, half), rest
@@ -160,15 +162,15 @@ def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], keeps) -> 
 def find(graph: ColoredDigraph, root: int, alpha) -> Arborescence | None:
     """Find one arborescence matching the color constraint, or None.
 
-    After one decide on the whole graph, keeps the lightest (then the
-    smallest-id) arc of each parallel same-color group and drops the root's
-    in-arcs.  Each other vertex, in ascending order, then takes the
-    smallest-id in-arc that a matching arborescence still uses, found by at
-    most 1 + ceil(log2(d - 1)) decides for d in-arcs, and contracts it out
-    of the graph.  On an unweighted graph the result is the first match by
-    the in-arc id of vertex 1, then 2, and so on.  It is checked to be an
-    arborescence with the requested histogram (ValueError if not).  Edge
-    ids refer to the input.
+    After one decide on the whole graph, each non-root vertex, in ascending
+    order, takes the smallest-id in-arc that a matching arborescence still
+    uses and contracts it out.  Decides see only usable arcs (the lightest,
+    then smallest-id, of each parallel same-color group; none into the root
+    or of a color alpha has no room left for), at most 1 + ceil(log2(d - 1))
+    for a vertex with d usable in-arcs.  On an unweighted graph the result
+    is the first match by the in-arc id of vertex 1, then 2, and so on.  It
+    is checked to be an arborescence with the requested histogram
+    (ValueError if not).  Edge ids refer to the input.
     """
     constraint = _checked_alpha(graph.q, alpha)
     if not decide(graph, root, constraint):

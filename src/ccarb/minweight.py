@@ -107,16 +107,16 @@ def find_min(graph: ColoredDigraph, root: int, alpha) -> tuple[Arborescence, int
     """A minimum-weight arborescence matching the constraint, with its weight.
 
     Computes r and the lowered graph once, as `min_weight` does, then
-    searches the lowered graph as `find` does, so the result is the first
-    minimizer by the in-arc id of vertex 1, then 2, and so on.  A question
-    holds when the valuation at r of its coefficient equals the lowered
-    minimum less the weight of the arcs contracted out so far (a zero
-    coefficient means it does not).  One r serves every question: deleting
-    and contracting arcs never raise the count, and a kept arc never weighs
-    less than its head's lightest.  The result is checked against the input
-    graph's weights to be an arborescence with the requested histogram and
-    the minimum weight before it is returned; a failed check raises
-    ValueError.
+    searches the lowered graph as `find` does: the result is the first
+    minimizer by the in-arc id of vertex 1, then 2, and so on, found by at
+    most 1 + ceil(log2(d - 1)) questions for a vertex with d usable in-arcs.
+    A question holds when the valuation at r of its coefficient equals the
+    lowered minimum less the weight of the arcs contracted out so far (a
+    zero coefficient means it does not).  One r serves every question:
+    deleting and contracting arcs never raise the count, and a kept arc
+    never weighs less than its head's lightest.  The result is checked
+    against the input graph's weights to be an arborescence with the
+    requested histogram and the minimum weight (ValueError if not).
     """
     plan = _plan(graph, root, alpha)
     if plan is None:

@@ -1,4 +1,4 @@
-"""Shared test helpers: independent reference computations, generators and a faulty transform.
+"""Shared test helpers: independent reference computations, generators and faulty transforms.
 
 The polynomial arithmetic and determinants here are deliberately naive and
 separate from the library code paths they check.
@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
-from ccarb.graph import ColoredDigraph, ColoredMultigraph, Edge
+from ccarb.graph import ColoredDigraph, ColoredMultigraph, Edge, contract
 from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor
 
 # ---------------------------------------------------------------- dict polys
@@ -309,6 +310,25 @@ def spanning_tree_histogram(graph: ColoredMultigraph) -> dict[tuple[int, ...], i
     return hist
 
 
+# ------------------------------------------------------------ search questions
+
+
+def unusable_arcs(graph: ColoredDigraph, root: int, alpha) -> list[Edge]:
+    """The arcs no root-arborescence with histogram alpha can use, or can use only in place of another.
+
+    Those are the arcs into the root, the arcs of a color alpha has no room
+    left for (color q has n - 1 - sum(alpha)) and every arc of a parallel
+    same-color group but the first.
+    """
+    room = (*alpha, graph.n - 1 - sum(alpha))
+    seen, unusable = set(), []
+    for e in graph.edges:
+        if e.head == root or room[e.color - 1] <= 0 or (e.tail, e.head, e.color) in seen:
+            unusable.append(e)
+        seen.add((e.tail, e.head, e.color))
+    return unusable
+
+
 # ----------------------------------------------------------- faulty transforms
 
 def contract_keeping_loops(graph: ColoredDigraph, edge_id: int) -> ColoredDigraph:
@@ -323,3 +343,11 @@ def contract_keeping_loops(graph: ColoredDigraph, edge_id: int) -> ColoredDigrap
     return ColoredDigraph(
         graph.n - 1, graph.q, tuple(Edge(e.id, moved(e.tail), moved(e.head), e.color, e.weight) for e in kept)
     )
+
+
+def contract_recoloring(graph: ColoredDigraph, edge_id: int) -> ColoredDigraph:
+    """A faulty `graph.contract` that moves every re-pointed arc to the next color (color q to color 1)."""
+    moved = {e.id for e in graph.edges if e.tail == graph.edge(edge_id).head}
+    contracted = contract(graph, edge_id)
+    edges = tuple(replace(e, color=e.color % graph.q + 1) if e.id in moved else e for e in contracted.edges)
+    return replace(contracted, edges=edges)

@@ -5,6 +5,7 @@ import math
 import random
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +24,13 @@ from support import (
     bareiss_det,
     classical_in_laplacian_minor,
     contract_keeping_loops,
+    contract_recoloring,
     poly_eval,
     random_digraph,
     small_digraphs,
     small_multigraphs,
     spanning_tree_histogram,
+    unusable_arcs,
 )
 
 ORACLE = settings(max_examples=100, deadline=None)
@@ -100,6 +103,28 @@ def test_find_returns_a_certified_arborescence(case, data):
 
 
 @ORACLE
+@given(rooted(), st.data())
+def test_find_asks_only_about_usable_arcs(case, data):
+    graph, root, _ = case
+    histogram = arborescence_histogram(graph, root)
+    if not histogram:
+        return
+    alpha = data.draw(st.sampled_from(sorted(histogram)))
+    with mock.patch.object(counting, "decide", wraps=decide) as spy:
+        arb = find(graph, root, alpha)
+    # The first decide is on the whole graph; every later one is a search
+    # question, which holds no arc into the root, none of a color alpha has
+    # no room left for, and no two parallel arcs of one color.
+    for call in spy.call_args_list[1:]:
+        assert unusable_arcs(*call.args) == []
+    assert arb == next(
+        other
+        for other in enumerate_arborescences(graph, root)
+        if color_histogram(graph, other.edge_ids)[: graph.q - 1] == alpha
+    )
+
+
+@ORACLE
 @given(small_multigraphs(), st.data())
 def test_count_spanning_trees_matches_enumeration(graph, data):
     histogram = spanning_tree_histogram(graph)
@@ -155,18 +180,23 @@ def test_find_asks_about_the_first_in_arc_then_halves(monkeypatch):
     monkeypatch.setattr(counting, "decide", lambda *args: calls.append(args) or real(*args))
     arb = find(graph, 1, (2,))
     assert arb is not None and color_histogram(graph, arb.edge_ids)[:1] == (2,)
-    # Alpha (2,) asks for 2 arcs of color 1 and 3 of color 2.  Every vertex
-    # has 10 candidates, ordered by tail, then color; the root's and each
-    # contracted vertex's out-arcs all leave the root's vertex now.
+    # Alpha (2,) asks for 2 arcs of color 1 and 3 of color 2.  In-arcs are
+    # ordered by tail, then color.  Contracting u -> v moves v's out-arcs to
+    # u, where they run parallel to u's own, so only one of each pair stays
+    # in the question; every contracted vertex merges into the root.
     # - One decide on the whole graph.
-    # - Vertex 2 asks about 1->2 of color 1 alone and it stays feasible: 1.
-    # - Vertex 3 does the same with 1->3, which uses up color 1: 1.
-    # - Vertices 4, 5 and 6 refuse the color-1 arc from 1 unasked, then
-    #   halve the other 9: keep 4, keep 2, then the color-2 arc from 1 is
-    #   asked about alone and taken: 3 each.
-    # So 1 + 1 + 1 + 3 * 3 = 12, where 1 + 5 * ceil(log2 10) = 21 would
-    # halve every vertex's candidates and one decide per arc would make 61.
-    assert len(calls) == 12
+    # - Vertex 2 has 10 usable in-arcs (not from itself, both colors).  It
+    #   asks about 1->2 of color 1 alone, which stays feasible: 1.
+    # - Vertex 3 has 8 (tails 1, 4, 5, 6).  It asks about 1->3 of color 1
+    #   alone, which stays feasible and uses up color 1: 1.
+    # - Vertex 4 now has 3 usable in-arcs, of color 2 from 1, 5 and 6.  It
+    #   asks about the one from 1 alone, which stays feasible: 1.
+    # - Vertex 5 has 2 (from 1 and 6) and does the same: 1.
+    # - Vertex 6 has 1, from 1, taken unasked: 0.
+    # So 1 + 1 + 1 + 1 + 1 = 5, where 1 + ceil(log2(d - 1)) questions for
+    # d = 10, 8, 3, 2 and 1 would allow 1 + 5 + 4 + 2 + 1 = 13, and one
+    # decide per arc would make 61.
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("d", range(2, 10))
@@ -190,6 +220,8 @@ def test_a_vertex_whose_last_in_arc_is_the_only_feasible_one(monkeypatch, d):
 DIRECTED = "3 2\ns a 1\ns b 2\na b 1\nb a 2\n"
 # Rooted at s, only {ba, sb} has alpha 1.
 CROSSED = "3 2\ns a 1\na b 1\ns b 1\nb a 2\n"
+# Rooted at s, {sa, sb} has alpha 1 and {sa, ab} alpha 2.
+FORKED = "3 2\ns a 1\na b 1\ns b 2\n"
 
 
 def keep_the_new_loops(monkeypatch):
@@ -202,14 +234,31 @@ def keep_the_new_loops(monkeypatch):
 
 
 def decide_for_alpha_2(monkeypatch):
-    # Every contracted graph has too few arcs for two of color 1, so a
-    # takes ba unasked and the search ends on {ba, sb}.
+    # The whole graph has {sa, ab}, so the search starts.  Every contracted
+    # graph has too few vertices for two arcs of color 1, so a's probe of sa
+    # reads no and a takes ba unasked.  Alpha 1 leaves room for one arc of
+    # color 2, which ba fills, so b's only in-arc sb is dropped: b has no
+    # usable in-arc and the search stops on {ba}.
     monkeypatch.setattr(counting, "decide", lambda graph, root, alpha: decide(graph, root, (2,)))
     return DIRECTED
 
 
+def recolor_the_moved_arcs(monkeypatch):
+    # a takes its only in-arc sa unasked.  Contracting it moves ab to
+    # s -> b, which this contraction recolors from 1 to 2, so b's in-arcs
+    # ab and sb run parallel in color 2 and ab, the smaller id, is kept and
+    # taken unasked.  The search ends on {sa, ab}, an arborescence of alpha 2.
+    monkeypatch.setattr(counting, "contract", contract_recoloring)
+    return FORKED
+
+
 @pytest.mark.parametrize(
-    "lie, check", [(keep_the_new_loops, "not an arborescence"), (decide_for_alpha_2, "color histogram")]
+    "lie, check",
+    [
+        (keep_the_new_loops, "not an arborescence"),
+        (decide_for_alpha_2, "not an arborescence"),
+        (recolor_the_moved_arcs, "color histogram"),
+    ],
 )
 def test_find_refuses_an_uncertified_result(monkeypatch, tmp_path, capsys, lie, check):
     text = lie(monkeypatch)

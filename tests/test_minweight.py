@@ -14,7 +14,7 @@ from ccarb.laplacian import SymbolicMatrix
 from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, is_arborescence, oracle_min_weight
 
-from support import alphas, contract_keeping_loops, small_digraphs
+from support import alphas, contract_keeping_loops, small_digraphs, unusable_arcs
 
 ORACLE = settings(max_examples=100, deadline=None)
 
@@ -61,6 +61,30 @@ def test_find_min_returns_a_certified_minimizer(inst):
         for other in enumerate_arborescences(graph, root)
         if color_histogram(graph, other.edge_ids)[: graph.q - 1] == alpha
         and sum(graph.edge(i).weight for i in other.edge_ids) == weight
+    )
+
+
+@ORACLE
+@given(instances())
+def test_find_min_asks_only_about_usable_arcs(inst):
+    expected = oracle_min_weight(*inst)
+    with mock.patch.object(minweight, "c_alpha_r", wraps=c_alpha_r) as spy:
+        result = find_min(*inst)
+    if expected is None:
+        assert result is None
+        return
+    # The first call takes the target on the whole lowered graph; every
+    # later one is a search question, which holds no arc into the root, none
+    # of a color alpha has no room left for, and no two parallel arcs of one
+    # color.
+    for call in spy.call_args_list[1:]:
+        assert unusable_arcs(*call.args[:3]) == []
+    graph, root, alpha = inst
+    assert result[0] == next(
+        other
+        for other in enumerate_arborescences(graph, root)
+        if color_histogram(graph, other.edge_ids)[: graph.q - 1] == alpha
+        and sum(graph.edge(i).weight for i in other.edge_ids) == expected[0]
     )
 
 
@@ -118,29 +142,41 @@ def test_heavy_weights_are_not_refused(tmp_path, capsys):
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("operation, most", [(min_weight, 12), (find_min, 45)])
-def test_heavy_weights_take_few_evaluations(monkeypatch, operation, most):
+@pytest.mark.parametrize("operation, points_taken", [(min_weight, 12), (find_min, 28)])
+def test_heavy_weights_take_few_evaluations(monkeypatch, operation, points_taken):
     # Every non-root vertex of HEAVY has a color-1 in-arc, but d's in-arcs
     # (from b and c) all have color 1, so det_poly factors x1 out of d's
     # row.  No other row of the minor reduces (a, b, c, e and f mix colors),
     # so 5 rows keep x1 and det_poly evaluates 6 grid points, each once
     # whatever the weights.  min_weight takes 2 det_polys (the count, then
-    # the coefficient at r = count + 1): 12 points.  find_min adds one per
-    # search question, fixing a, ..., f in turn.  Each of a, b and c (in
-    # degree 3) asks at most about its first in-arc alone, then about the
-    # first of the other two alone; each of d, e and f (in-degree 2) at most
-    # about its first.  So every question contracts the arc it asks about,
-    # and the graph asked about keeps 5, 4, 3, 2, 1 and 0 non-root vertices
-    # for a, ..., f.  Contraction never adds a color to a row, so d's row
-    # still factors while d is left: at most 4, 3, 2, 2, 1 and 0 rows keep
-    # x1, hence 5, 4, 3, 3, 2 and 1 points per question.  That is at most
-    # 2 * (5 + 4 + 3) + 3 + 2 + 1 = 30 points, and 12 + 30 = 42 in all.
+    # the coefficient at r = count + 1): 12 points.
+    #
+    # find_min adds one det_poly per search question.  Alpha (3,) asks for 3
+    # arcs of each color; the minimizers, of weight 1200, are {sa, sb, bc,
+    # bd, de, df} and {sa, ab, bc, bd, de, ef}.  A vertex's row keeps x1
+    # when its usable in-arcs mix colors; a row of one color factors, and
+    # one whose arcs all leave the root is then expanded away.
+    # - a asks about sa alone: yes.  On G/sa, ab and ac leave s, and rows
+    #   b, c, e and f mix colors: 5 points.
+    # - b asks about sb alone: yes.  On G/sa/sb, bc and bd leave s; rows c,
+    #   e and f mix colors and d (arcs cd and sd) factors: 4 points.
+    # - c asks about ac (now s -> c, color 1) alone: no, both minimizers use
+    #   bc.  Contracting it moves cd to s, where bd, the lighter, is kept,
+    #   so d's row is sd alone and goes; e (de, ce) and f (ef, df) mix
+    #   colors: 3 points.  The other two are halved: bc alone asks yes, and
+    #   its graph reduces the same way: 3 points.
+    # - d has one usable in-arc, bd, taken unasked.
+    # - e asks about de alone: yes.  That leaves room for one arc, of color
+    #   1, so the moved ef (color 2) is dropped and f's row, df from s alone,
+    #   goes: 1 point.
+    # - f has one usable in-arc, df, taken unasked.
+    # That is 5 + 4 + 3 + 3 + 1 = 16 points, and 12 + 16 = 28 in all.
     points = []
     real = SymbolicMatrix.evaluate
     monkeypatch.setattr(SymbolicMatrix, "evaluate", lambda matrix, point: points.append(point) or real(matrix, point))
     result = operation(parse_graph(HEAVY), 1, (3,))
     assert (result if operation is min_weight else result[1]) == 1200
-    assert 0 < len(points) <= most
+    assert len(points) == points_taken
 
 
 # Rooted at s, the lightest in-weights are 5 (a), 3 (b) and 1 (c), so the
@@ -233,12 +269,27 @@ def test_find_min_halves_the_in_arcs_of_each_vertex(monkeypatch):
     monkeypatch.setattr(minweight, "c_alpha_r", lambda *args: calls.append(args[3]) or c_alpha_r(*args))
     _, weight = find_min(*inst)
     assert weight == oracle_min_weight(*inst)[0]
-    # The target, then for each of the four non-root vertices, whose 8
-    # in-arcs come from the other four vertices, the first in-arc alone and
-    # up to ceil(log2 7) = 3 halvings of the rest.  Here color refusals and
-    # early contractions keep it to 3, 4, 4 and 2 questions for vertices 2
-    # to 5: 14 in all, where one question per arc would make n + m = 5 + 40.
-    assert len(calls) <= 2 + 4 * 3
+    # Alpha (2,) asks for 2 arcs of each color.  Each vertex's lightest
+    # in-arcs are 1->2 and 4->2 (color 2, weight 1), 2->3 and 5->3 (color
+    # 1, 2), 3->4 (color 1, 1) and 2->5 (color 2, 1), so the minimizers take
+    # those; 4->2 closes a cycle with 3->4, so 1->2 is in every one.
+    # Questions, after the target:
+    # - Vertex 2 has 8 usable in-arcs.  1->2 of color 1 alone: no.  The
+    #   first 3 of the other 7, with the rest deleted: yes.  1->2 of color 2
+    #   alone: yes.  3 questions.
+    # - Contracting 1->2 moves 2's out-arcs to 1, where of each parallel
+    #   pair the lighter stays: 2->3 of color 1 and 1->3 of color 2.
+    #   Vertex 3 has 6 usable in-arcs: 1->3 (color 2), 2->3, then 4->3 and
+    #   5->3 of each color.  1->3 alone: no.  The first 2 of the other 5:
+    #   yes.  2->3 alone: yes.  3 questions.
+    # - Vertex 4 keeps 1->4 of color 2 and, moved, 3->4 of color 1, then
+    #   5->4 of each color: 4.  1->4 alone: no.  Then 3->4 alone: yes.  2.
+    # - 2->3 and 3->4 used up color 1, so vertex 5 keeps only 2->5 of color
+    #   2, lighter than 1->5 and the moved 3->5 and 4->5: taken unasked.
+    # So 1 + 3 + 3 + 2 = 9, where 1 + ceil(log2(d - 1)) questions for
+    # d = 8, 6, 4 and 1 would allow 1 + 4 + 4 + 3 = 12, and one question per
+    # arc n + m = 5 + 40.
+    assert len(calls) == 9
 
 
 # Rooted at s: {sa, sb} has alpha 1 and weight 3, {sa, ab} alpha 2 and
