@@ -150,7 +150,8 @@ def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], keeps) -> 
                 question, tries = _drop(question, half), rest
             size = len(tries) // 2
         taken.append(tries[0].id)
-        question = through or _through(question, tries[0])
+        if len(taken) < graph.n - 1:  # the last vertex's arc leaves nothing to ask about
+            question = through or _through(question, tries[0])
     edge_ids = tuple(sorted(taken))
     if not is_arborescence(graph, root, edge_ids):
         raise ValueError("certificate check failed: the result is not an arborescence")

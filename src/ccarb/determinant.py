@@ -14,21 +14,32 @@ expanded the same way, and an all-zero row makes the determinant 0.
 Then the rest is interpolated.  Every entry is affine in all the variables
 together, so the reduced determinant's degree in x_c is at most the number
 d_c of its rows that contain x_c, and its total degree at most the number
-t of its rows that contain any variable.  Its monomials therefore lie in
-the lower set {k : k_c <= d_c, sum(k) <= t}.  The reduced matrix is
-evaluated once at each point of that set, each point's determinant is
-taken exactly by fraction-free (Bareiss) elimination, and the values are
-interpolated back into a polynomial with integer coefficients, which the
-factors taken out scale and shift.
+t of its rows that contain any variable.  The variable held by the most
+rows, x_w, is packed (Kronecker substitution: L. Kronecker, J. reine
+angew. Math. 92, 1882): at x_w = 2^bits the determinant is the sum over k
+of its x_w^k part times 2^(k bits).  The reduced matrix is evaluated at
+each point of the lower set {k : k_c <= d_c, sum(k) <= t} over the other
+variables, each determinant is taken exactly by fraction-free (Bareiss)
+elimination, and the values are interpolated over Z.  Each interpolated
+coefficient is split into d_w + 1 balanced base-2^bits digits, one per
+power of x_w; bits exceeds the bit length of the Leibniz bound (the product
+of the rows' absolute term sums) by one or more, so no digit carries.  Past
+PACKED_BITS the big-integer divisions get slow, and x_w keeps its axis of
+the lower set instead.  The factors taken out scale and shift the result.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 from .laplacian import SymbolicMatrix
 from .polynomials import Poly, interpolate
+
+# CPython divides big integers in quadratic time: longer packed values cost
+# more than the axis they replace.
+PACKED_BITS = 4096
 
 
 def _bareiss(rows: list[list[int]]) -> int:
@@ -37,26 +48,31 @@ def _bareiss(rows: list[list[int]]) -> int:
     # and maps every later row to (pivot * row - lead * upper) // prev, which
     # Sylvester's identity makes exact; the leading column, now zero, is
     # dropped.  The last pivot is the determinant up to the swaps' sign.
+    # Rows are lazy: a row whose lead is 0 would only be scaled by
+    # pivot / prev, so it is left as it is and keeps the pivot it was last
+    # divided by.  These factors telescope, so its next update divides by
+    # that pivot instead, and it is scaled up to date only as a pivot row.
     sign, prev = 1, 1
-    while rows:
-        index = next((i for i, row in enumerate(rows) if row[0]), -1)
+    lazy = [(1, row) for row in rows]
+    while lazy:
+        index = next((i for i, (_, row) in enumerate(lazy) if row[0]), -1)
         if index < 0:
             return 0
         if index:
-            rows[0], rows[index] = rows[index], rows[0]
+            lazy[0], lazy[index] = lazy[index], lazy[0]
             sign = -sign
-        upper = rows[0]
+        last, upper = lazy[0]
+        if last != prev:
+            upper = [a * prev // last for a in upper]
         pivot = upper[0]
         rest = []
-        for row in rows[1:]:
+        for last, row in lazy[1:]:
             lead = row[0]
             if lead:
-                row = [(pivot * a - lead * b) // prev for a, b in zip(row, upper)]
-            elif pivot != prev:
-                row = [pivot * a // prev for a in row]
+                row, last = [(pivot * a - lead * b) // last for a, b in zip(row, upper)], pivot
             del row[0]
-            rest.append(row)
-        rows, prev = rest, pivot
+            rest.append((last, row))
+        lazy, prev = rest, pivot
     return sign * prev
 
 
@@ -122,25 +138,48 @@ def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], SymbolicMatrix] | N
     return scale, exponents, SymbolicMatrix(matrix.nvars, rows)
 
 
+def _digits(packed: int, bits: int, count: int) -> list[int]:
+    # The count balanced base-2^bits digits of packed, lowest first, each in
+    # (-2^(bits-1), 2^(bits-1)): offset by 2^(bits-1), they are plain bytes.
+    width = bits // 8
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    data = (packed + offset).to_bytes(width * count, "little")
+    return [int.from_bytes(data[i : i + width], "little") - (1 << bits - 1) for i in range(0, width * count, width)]
+
+
 def det_poly(matrix: SymbolicMatrix) -> Poly:
     """Exact integer determinant polynomial of a symbolic matrix.
 
     Every coefficient is returned as its exact, possibly negative, integer.
-    The matrix is first reduced by factoring out single-variable rows and
-    expanding forced rows (see the module docstring); the points evaluated
-    are the lower set cut out by the reduced matrix's degree bounds
-    `variable_rows` (per variable) and `variable_degree` (total).
+    The matrix is reduced, then the variable in the most rows (the first on
+    ties) is packed into base-2^bits digits over the lower set of the other
+    variables, or, without variables or past PACKED_BITS, the lower set of
+    all variables is evaluated (see the module docstring).
     """
     reduced = _reduce(matrix)
     if reduced is None:
         return {}
     scale, exponents, rest = reduced
-    degree = rest.variable_degree
-    box = itertools.product(*(range(1 + rows) for rows in rest.variable_rows))
-    values = {point: _bareiss(rest.evaluate(point)) for point in box if sum(point) <= degree}
-    return {
-        tuple(k + e for k, e in zip(mono, exponents)): scale * coeff for mono, coeff in interpolate(values).items()
-    }
+    bounds, degree = rest.variable_rows, rest.variable_degree
+    # Leibniz: the coefficients' absolute values sum to at most the product
+    # of the rows' absolute term sums, so each digit lies in +-2^(bits-1).
+    bound = math.prod(sum(abs(term[2]) for term in row) for row in rest.rows)
+    bits = 8 * -(-(bound.bit_length() + 1) // 8)
+    wide = max(range(rest.nvars), key=bounds.__getitem__, default=None)
+    if wide is None or (bounds[wide] + 1) * bits > PACKED_BITS:
+        box = itertools.product(*(range(1 + rows) for rows in bounds))
+        poly = interpolate({point: _bareiss(rest.evaluate(point)) for point in box if sum(point) <= degree})
+    else:
+        others = bounds[:wide] + bounds[wide + 1 :]
+        box = itertools.product(*(range(1 + rows) for rows in others))
+        values = {p: _bareiss(rest.evaluate((*p[:wide], 1 << bits, *p[wide:]))) for p in box if sum(p) <= degree}
+        poly = {
+            (*p[:wide], k, *p[wide:]): digit
+            for p, value in (interpolate(values) if others else values).items()
+            for k, digit in enumerate(_digits(value, bits, bounds[wide] + 1))
+            if digit
+        }
+    return {tuple(k + e for k, e in zip(mono, exponents)): scale * coeff for mono, coeff in poly.items()}
 
 
 # No engine code calls the functions below.  The benchmark's layer tracer

@@ -165,10 +165,13 @@ def test_unused_colors_do_not_grow_the_grid(monkeypatch):
     wide = count_table(complete_digraph(6), 1)
     # Colors 3-6 are declared but unused, so only x1 and x2 need more than
     # one node.  Each of the 5 minor rows holds both, so the determinant has
-    # total degree at most 5 and the points are a, b <= 5 with a + b <= 5:
-    # C(7, 2) = 21, evaluated once each, where the 6 x 6 box has 36 and
-    # n^(q-1) = 7,776.
-    assert len(calls) == 21
+    # total degree at most 5.  x1, the first of the two, is packed: a row's
+    # absolute terms sum to 5 + 5 on the diagonal plus 2 in each of the 4
+    # other columns, 18, and 18^5 < 2^21 makes 6 digits of 24 bits, far
+    # below PACKED_BITS.  So x2 = 0..5 with x3 = x4 = x5 = 0: 6 points,
+    # evaluated once each, where the grid without packing takes a, b <= 5
+    # with a + b <= 5, C(7, 2) = 21, and n^(q-1) = 7,776.
+    assert len(calls) == 6
     # Each alpha's full histogram (a, 5 - a) padded with zeros to q-1 = 5 colors.
     assert wide == {(a, 5 - a, 0, 0, 0): value for (a,), value in narrow.items()}
 
@@ -197,6 +200,20 @@ def test_find_asks_about_the_first_in_arc_then_halves(monkeypatch):
     # d = 10, 8, 3, 2 and 1 would allow 1 + 5 + 4 + 2 + 1 = 13, and one
     # decide per arc would make 61.
     assert len(calls) == 5
+
+
+def test_find_contracts_nothing_after_the_last_vertex(monkeypatch):
+    # On the path 1 -> 2 -> ... -> 6 each non-root vertex has one usable
+    # in-arc, taken unasked.  Vertices 2-5 are contracted out so that the
+    # next one's in-arcs can be read; after vertex 6 nothing is asked, so
+    # 4 contractions, and only the decide on the whole graph.
+    graph = ColoredDigraph(6, 1, tuple(Edge(i, i + 1, i + 2, 1) for i in range(5)))
+    contracted, decided = [], []
+    real_contract, real_decide = counting.contract, counting.decide
+    monkeypatch.setattr(counting, "contract", lambda *args: contracted.append(args) or real_contract(*args))
+    monkeypatch.setattr(counting, "decide", lambda *args: decided.append(args) or real_decide(*args))
+    assert find(graph, 1, ()).edge_ids == (0, 1, 2, 3, 4)
+    assert (len(contracted), len(decided)) == (4, 1)
 
 
 @pytest.mark.parametrize("d", range(2, 10))

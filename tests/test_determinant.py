@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccarb.determinant import (
+    PACKED_BITS,
     PRIME_LIMIT,
     det_mod_p,
     det_poly,
@@ -47,6 +48,12 @@ def sparse_symbolic_matrix(rng: random.Random, dim: int, nvars: int) -> Symbolic
                 row += [(column, slot, rng.randint(-3, 3)) for slot in range(nvars + 1)]
         rows.append(tuple(row))
     return SymbolicMatrix(nvars, tuple(rows))
+
+
+def scale_row(m: SymbolicMatrix, factor: int) -> SymbolicMatrix:
+    """The matrix with row 1 multiplied by factor: its determinant, and its coefficient bound, scale by it."""
+    first = tuple((j, slot, coeff * factor) for j, slot, coeff in m.rows[0])
+    return SymbolicMatrix(m.nvars, (first, *m.rows[1:]))
 
 
 def zero_some_variables(rng: random.Random, m: SymbolicMatrix) -> SymbolicMatrix:
@@ -212,17 +219,87 @@ class TestDetPoly:
             assert det_poly(short) == cofactor_det(short)
 
     def test_evaluates_the_lower_set(self, evaluated):
-        # Every row of the 4 x 4 matrix holds x1 and x2, so the points are
-        # a, b <= 4 with a + b <= 4: C(6, 2) = 15, where the box has 25.
-        # A row of constants only lowers both bounds to 3: C(5, 2) = 10.
+        # Every row of the 4 x 4 matrix holds x1 and x2.  x1, the first of
+        # the two widest, is packed, so the points are x2 = 0..4: 5.  A row
+        # of constants only lowers both bounds to 3: 4 points.  With row 1
+        # scaled by 2^5000 the packed values would pass PACKED_BITS, so both
+        # keep their grid axes: a, b <= 4 with a + b <= 4 is C(6, 2) = 15,
+        # where the box has 25, and C(5, 2) = 10 for the second.
         rng = random.Random(19)
         full = tuple(tuple((j, slot, rng.randint(1, 5)) for j in range(4) for slot in range(3)) for _ in range(4))
         one_constant = (tuple(term for term in full[0] if term[1] == 0), *full[1:])
-        for rows, points in ((full, 15), (one_constant, 10)):
-            m = SymbolicMatrix(2, rows)
-            evaluated.clear()
-            assert det_poly(m) == cofactor_det(m)
-            assert len(evaluated) == len(set(evaluated)) == points
+        for rows, packed, grid in ((full, 5, 15), (one_constant, 4, 10)):
+            for m, points in ((SymbolicMatrix(2, rows), packed), (scale_row(SymbolicMatrix(2, rows), 2**5000), grid)):
+                evaluated.clear()
+                assert det_poly(m) == cofactor_det(m)
+                assert len(evaluated) == len(set(evaluated)) == points
+
+    def test_packing_stops_at_packed_bits(self, evaluated):
+        # x1 and x2 sit in all 3 rows, so x1 is packed into 4 digits of bits
+        # bits each, bits = 8 * ceil((bitlen(bound) + 1) / 8) for the product
+        # bound of the rows' absolute term sums.  Row 1 scaled to put
+        # bitlen(bound) at PACKED_BITS / 4 - 1 gives bits = PACKED_BITS / 4,
+        # exactly PACKED_BITS packed: the points are x2 = 0..3.  Doubling
+        # row 1 adds one bit to the bound, so bits grows by 8 and the grid
+        # takes all of a, b <= 3 with a + b <= 3: C(5, 2) = 10.
+        rng = random.Random(20)
+        rows = tuple(tuple((j, k, rng.randint(-5, 5)) for j in range(3) for k in range(3)) for _ in range(3))
+        m = SymbolicMatrix(2, rows)
+        bound = math.prod(sum(abs(term[2]) for term in row) for row in m.rows)
+        under = scale_row(m, 2 ** (PACKED_BITS // 4 - 1 - bound.bit_length()))
+        over = scale_row(under, 2)
+        evaluated.clear()
+        packed = det_poly(under)
+        assert sorted(evaluated) == [(1 << PACKED_BITS // 4, k) for k in range(4)]
+        evaluated.clear()
+        assert det_poly(over) == {mono: 2 * coeff for mono, coeff in packed.items()} == cofactor_det(over)
+        assert len(evaluated) == len(set(evaluated)) == 10
+        assert packed == cofactor_det(under) != {}
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # Bound 255 = 2^8 - 1 (row sums 255, or 15 and 17): 16-bit digits,
+            # where 8-bit ones could not hold -250 or -224.
+            pytest.param((((0, 0, -250), (0, 1, 5)),), {(0,): -250, (1,): 5}, id="near-the-bound"),
+            pytest.param(
+                (((0, 0, -14), (0, 1, 1)), ((1, 0, 16), (1, 1, 1))),
+                {(0,): -224, (1,): 2, (2,): 1},
+                id="near-the-bound-2x2",
+            ),
+            # At x2 = k the packed value is -200 + 25 k + 30 * 2^16; the
+            # interpolation over k = 0, 1 comes before the digits.
+            pytest.param(
+                (((0, 0, -200), (0, 1, 30), (0, 2, 25)),),
+                {(0, 0): -200, (1, 0): 30, (0, 1): 25},
+                id="near-the-bound-two-variables",
+            ),
+            # 3^5 (1 - x1)^5: bound 6^5 = 7,776, 16-bit digits whose signs
+            # alternate.
+            pytest.param(
+                tuple(((i, 0, 3), (i, 1, -3)) for i in range(5)),
+                {(k,): 243 * math.comb(5, k) * (-1) ** k for k in range(6)},
+                id="alternating-signs",
+            ),
+            # det(I - x1 P) = 1 - x1^6 for the 6-cycle P: five zero digits
+            # between two nonzero ones.
+            pytest.param(
+                tuple(((i, 0, 1), ((i + 1) % 6, 1, -1)) for i in range(6)), {(0,): 1, (6,): -1}, id="zero-digits"
+            ),
+            # The same cycle alternating x1 and x2: 1 - x1^3 x2^3, whose x1^3
+            # digit is -x2^3 and whose x1^1 and x1^2 digits are 0 at every x2.
+            pytest.param(
+                tuple(((i, 0, 1), ((i + 1) % 6, 1 + i % 2, -1)) for i in range(6)),
+                {(0, 0): 1, (3, 3): -1},
+                id="zero-digits-two-variables",
+            ),
+        ],
+    )
+    def test_packed_digits_decode_exactly(self, rows, expected):
+        # Balanced digits: negative ones, ones close to the digit width and
+        # zero ones between nonzero ones.
+        m = SymbolicMatrix(max(slot for row in rows for _, slot, _ in row), rows)
+        assert det_poly(m) == cofactor_det(m) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(sparse_digraphs(), st.data())
@@ -238,23 +315,29 @@ class TestDetPoly:
     def test_forced_rows_leave_one_point(self, evaluated):
         # Rooted at 1, vertices 2..5 have one in-arc each, of colors 1, 2, 1
         # and 3.  Every row of the minor contracts: det = x1^2 x2, and only
-        # the empty matrix is evaluated, at the origin.  Unreduced, x1 sits
-        # in 2 rows, x2 in 1 and some variable in 3: 6 points.
+        # the empty matrix is evaluated, once.  x1, the first of the two
+        # variables (no row holds either), is packed into one digit: the
+        # empty product bounds it by 1, a 1-bit number plus a sign bit, which
+        # round up to 8 bits, so x1 = 2^8.  Unreduced, x1 sits in 2 rows, x2
+        # in 1 and some variable in 3: x1 packed into 3 digits, x2 = 0, 1.
         g = ColoredDigraph(5, 3, (Edge(0, 1, 2, 1), Edge(1, 2, 3, 2), Edge(2, 2, 4, 1), Edge(3, 4, 5, 3)))
         assert det_poly(minor(build_laplacian(g), 1)) == {(2, 1): 1}
-        assert evaluated == [(0, 0)]
+        assert evaluated == [(256, 0)]
 
     def test_single_color_row_shortens_its_axis(self, evaluated):
         # Rooted at 1, vertex 2 has in-arcs 1 -> 2 and 3 -> 2, both of color
         # 1, and vertex 3 has 1 -> 3 of color 1 and 2 -> 3 of color 2.  The
         # minor's rows are (2 x1, -x1) and (-x2, x1 + x2).  Row 1 is x1 times
-        # (2, -1), so only row 2 is left holding x1 and x2, and the points
-        # are k1, k2 <= 1 with k1 + k2 <= 1: 3, where the unreduced minor
-        # (x1 in 2 rows, x2 in 1, total 2) needs 5.  The trees are
-        # {1->2, 1->3}, {3->2, 1->3} and {1->2, 2->3}: 2 x1^2 + x1 x2.
+        # (2, -1), so only row 2 is left holding x1 and x2: both bounds and
+        # the total are 1.  x1, the first of the two, is packed into 2
+        # digits and x2 takes 0 and 1.  The rows' absolute sums 3 and 3
+        # bound every coefficient by 9, 4 bits plus a sign bit, so the
+        # digits have 8 bits and x1 = 2^8.  The unreduced minor (x1 in 2
+        # rows, x2 in 1, total 2) would pack x1 into 3 digits.  The trees
+        # are {1->2, 1->3}, {3->2, 1->3} and {1->2, 2->3}: 2 x1^2 + x1 x2.
         g = ColoredDigraph(3, 3, (Edge(0, 1, 2, 1), Edge(1, 3, 2, 1), Edge(2, 1, 3, 1), Edge(3, 2, 3, 2)))
         assert det_poly(minor(build_laplacian(g), 1)) == {(2, 0): 2, (1, 1): 1}
-        assert sorted(evaluated) == [(0, 0), (0, 1), (1, 0)]
+        assert sorted(evaluated) == [(256, 0), (256, 1)]
 
     def test_zero_row_needs_no_point(self, evaluated):
         # Vertex 3 has no in-arc, so its row of the minor is zero.

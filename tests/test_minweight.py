@@ -142,35 +142,58 @@ def test_heavy_weights_are_not_refused(tmp_path, capsys):
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("operation, points_taken", [(min_weight, 12), (find_min, 28)])
+@pytest.mark.parametrize("operation, points_taken", [(min_weight, 7), (find_min, 19)])
 def test_heavy_weights_take_few_evaluations(monkeypatch, operation, points_taken):
+    # q = 2, so det_poly packs x1, the only variable, and evaluates once,
+    # unless its packed values would pass PACKED_BITS = 4096; then x1 keeps
+    # its axis 0..k for the k rows that hold it.  With D digits of bits
+    # bits, the grid is taken when D * bits > 4096, and bits is 8 *
+    # ceil((bitlen(B) + 1) / 8) for B the product of the rows' absolute
+    # term sums.
+    #
     # Every non-root vertex of HEAVY has a color-1 in-arc, but d's in-arcs
     # (from b and c) all have color 1, so det_poly factors x1 out of d's
     # row.  No other row of the minor reduces (a, b, c, e and f mix colors),
-    # so 5 rows keep x1 and det_poly evaluates 6 grid points, each once
-    # whatever the weights.  min_weight takes 2 det_polys (the count, then
-    # the coefficient at r = count + 1): 12 points.
+    # so 5 rows keep x1: 6 digits.  min_weight takes 2 det_polys.  For the
+    # count, a row's sum is at most twice its in-degree 3, so B <= 6^6 and
+    # the digits have 24 bits: 1 point.  The coefficient at
+    # r = count + 1 has entries r^w with the lowered weights: in-arcs of a
+    # weigh 1, 31, 71 (sa, ba, fa); b 91, 1, 61 (sb, ab, eb); c 91, 1, 31
+    # (ac, bc, fc); d 61, 1 (cd, bd); e 1, 81 (de, ce); f 91, 1 (ef, df).
+    # Each row's sum is at least its heaviest r^w, so B >= r^486.  Alpha
+    # (3,) has 3 arcs of each color; with sa and sb, the other 4 in-arcs
+    # hold one more of color 1 in 7 arborescences ({ac, de, ef}, {bc, ce,
+    # ef}, {bc, de, df}, each with cd or bd, and {fc, bd, de, df}), and
+    # {sa, ab, bc, bd, de, ef} is an eighth.  So r >= 9, B >= 2^1540 and
+    # 6 * bits > 4096: the 6-point grid.  7 points.
     #
-    # find_min adds one det_poly per search question.  Alpha (3,) asks for 3
-    # arcs of each color; the minimizers, of weight 1200, are {sa, sb, bc,
-    # bd, de, df} and {sa, ab, bc, bd, de, ef}.  A vertex's row keeps x1
-    # when its usable in-arcs mix colors; a row of one color factors, and
-    # one whose arcs all leave the root is then expanded away.
+    # find_min adds one det_poly per search question.  The minimizers, of
+    # weight 1200, are {sa, sb, bc, bd, de, df} and {sa, ab, bc, bd, de,
+    # ef}.  A vertex's row keeps x1 when its usable in-arcs mix colors; a
+    # row of one color factors, and one whose arcs all leave the root is
+    # then expanded away.  At most 3 * 3 * 3 * 2 * 2 * 2 = 216 subgraphs
+    # take one in-arc per vertex, so 9 <= r <= 217.
     # - a asks about sa alone: yes.  On G/sa, ab and ac leave s, and rows
-    #   b, c, e and f mix colors: 5 points.
+    #   b, c, e and f mix colors: 5 digits.  Rows b, c, d, e and f hold
+    #   r^91, r^91, r^61, r^81 and r^91, so B >= r^415 >= 2^1315 and
+    #   5 * bits > 4096: 5 points.
     # - b asks about sb alone: yes.  On G/sa/sb, bc and bd leave s; rows c,
-    #   e and f mix colors and d (arcs cd and sd) factors: 4 points.
+    #   e and f mix colors and d (arcs cd and sd) factors: 4 digits.  Rows
+    #   c, d, e and f hold r^91, r^61, r^81 and r^91, so B >= r^324 >=
+    #   2^1027 and 4 * bits > 4096: 4 points.
     # - c asks about ac (now s -> c, color 1) alone: no, both minimizers use
     #   bc.  Contracting it moves cd to s, where bd, the lighter, is kept,
     #   so d's row is sd alone and goes; e (de, ce) and f (ef, df) mix
-    #   colors: 3 points.  The other two are halved: bc alone asks yes, and
-    #   its graph reduces the same way: 3 points.
+    #   colors: 3 digits.  Column d is gone, so e's row sums to r + r^81
+    #   and f's to 2 r^91 + r: B < r^174 <= 217^174 < 2^1351, bits <= 1352
+    #   and 3 * bits <= 4056: 1 point.  The other two are halved: bc alone
+    #   asks yes, and its graph reduces the same way: 1 point.
     # - d has one usable in-arc, bd, taken unasked.
     # - e asks about de alone: yes.  That leaves room for one arc, of color
     #   1, so the moved ef (color 2) is dropped and f's row, df from s alone,
-    #   goes: 1 point.
+    #   goes: the empty matrix, 1 point.
     # - f has one usable in-arc, df, taken unasked.
-    # That is 5 + 4 + 3 + 3 + 1 = 16 points, and 12 + 16 = 28 in all.
+    # That is 5 + 4 + 1 + 1 + 1 = 12 points, and 7 + 12 = 19 in all.
     points = []
     real = SymbolicMatrix.evaluate
     monkeypatch.setattr(SymbolicMatrix, "evaluate", lambda matrix, point: points.append(point) or real(matrix, point))
