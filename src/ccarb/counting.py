@@ -11,7 +11,6 @@ determinant of the full out-degree Laplacian.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .determinant import det_poly
 from .graph import (
@@ -22,9 +21,9 @@ from .graph import (
     check_index,
     check_integer,
     color_histogram,
-    contract,
     dedup_min_weight,
     is_arborescence,
+    lightest,
     reaches_all,
     remove_edge,
     reverse,
@@ -85,73 +84,64 @@ def decide(graph: ColoredDigraph, root: int, alpha) -> bool:
     return count(graph, root, alpha) > 0
 
 
-class _Question(NamedTuple):
-    """Has `graph` a `root`-arborescence with histogram `alpha`?  `spent`: weight contracted out so far."""
-
-    graph: ColoredDigraph
-    root: int
-    alpha: tuple[int, ...]
-    spent: int
-
-
-def _question(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], spent: int) -> _Question:
-    """The question with only the arcs a solution can use; color q has room for n - 1 - sum(alpha) arcs."""
-    room, graph = (*alpha, graph.n - 1 - sum(alpha)), dedup_min_weight(graph)
-    unusable = (e.id for e in graph.edges if e.head == root or room[e.color - 1] <= 0)
-    return _Question(remove_edge(graph, *unusable), root, alpha, spent)
-
-
-def _through(question: _Question, arc) -> _Question:
-    """The question whose solutions are, by their other arcs, those of `question` through `arc`."""
-    return _question(
-        contract(question.graph, arc.id),
-        question.root - (question.root > arc.head),
-        tuple(a - (c == arc.color) for c, a in enumerate(question.alpha, 1)),
-        question.spent + (arc.weight or 0),
-    )
-
-
-def _drop(question: _Question, arcs) -> _Question:
-    return question._replace(graph=remove_edge(question.graph, *(e.id for e in arcs)))
+def _without(graph: ColoredDigraph, arcs) -> ColoredDigraph:
+    return remove_edge(graph, *(e.id for e in arcs)) if arcs else graph
 
 
 def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], keeps) -> Arborescence:
-    """The first solution by the in-arc id of vertex 1, then 2, ...; `keeps(question)` answers a `_Question`.
+    """The first solution by the in-arc id of vertex 1, then 2, ...; `keeps(subgraph)` answers a question.
 
-    Every question holds only the arcs a solution can use: of each parallel
-    same-color group the lightest, none into the root, none of a color alpha
-    has no room left for.  Each non-root vertex v in ascending order takes
-    the smallest-id in-arc some solution still uses, which is contracted
-    out, so later questions see one vertex fewer.  v's first usable in-arc
-    is asked about alone, by contraction; if unused, it is deleted and the
-    rest halved, keeping the first half when some solution uses it (asked
-    with the rest deleted, or by contraction for one arc).  The last is
-    taken unasked: at most 1 + ceil(log2(d - 1)) questions for d usable
-    in-arcs.  The result is certified against `graph` (ValueError if not).
+    Every question is a subgraph of `dedup_min_weight(graph)` with its
+    vertices, root and alpha, holding no arc into the root and, of a color
+    whose room the taken arcs fill, only those.  Each non-root vertex v, in
+    ascending order, keeps only the smallest-id in-arc some solution still
+    uses: a one-arc row, which `determinant._reduce` contracts.  v's
+    candidates are its in-arcs whose tail does not lead back to v through
+    the taken arcs, one per color and "top" (where those arcs lead the
+    tail), picked as `dedup_min_weight` picks.  The first is asked about
+    alone, with v's other candidates deleted and, if it would fill its
+    color's room, that color's arcs into later vertices; if unused, it is
+    deleted and the rest halved, keeping the first half when some solution
+    uses it.  The last is taken unasked: at most 1 + ceil(log2(d - 1))
+    questions for d candidates.  The result is certified against `graph`
+    (ValueError if not).
     """
-    question = _question(graph, root, alpha, 0)
+    room = [*alpha, graph.n - 1 - sum(alpha)]
+    question = dedup_min_weight(graph)
+    question = _without(question, [e for e in question.edges if e.head == root or room[e.color - 1] <= 0])
+    tail: dict[int, int] = {}
+
+    def top(vertex: int) -> int:
+        while vertex in tail:
+            vertex = tail[vertex]
+        return vertex
+
+    def filled(question: ColoredDigraph, arc) -> list:
+        # The arcs into later vertices of arc's color, if arc would fill its room.
+        if room[arc.color - 1] > 1:
+            return []
+        return [e for e in question.edges if e.head > arc.head and e.color == arc.color]
+
     taken = []
     for v in range(1, graph.n + 1):
         if v == root:
             continue
-        # Every vertex below v but the root has been contracted out.
-        head = v - (graph.n - question.graph.n)
-        tries, size, through = [e for e in question.graph.edges if e.head == head], 1, None
+        arcs = [e for e in question.edges if e.head == v]
+        tries = [e for e in lightest(arcs, lambda e: (top(e.tail), e.color)) if top(e.tail) != v]
         if not tries:
             break  # only a wrong answer leaves v no usable in-arc; the certificates refuse the result
-        while through is None and len(tries) > 1:
+        candidates = {e.id for e in tries}
+        question, size = _without(question, [e for e in arcs if e.id not in candidates]), 1
+        while len(tries) > 1:
             half, rest = tries[:size], tries[size:]
-            if size > 1:
-                without = _drop(question, rest)
-                question, tries = (without, half) if keeps(without) else (_drop(question, half), rest)
-            elif keeps(probe := _through(question, half[0])):
-                through, tries = probe, half
-            else:
-                question, tries = _drop(question, half), rest
+            without = _without(question, rest + (filled(question, half[0]) if size == 1 else []))
+            question, tries = (without, half) if keeps(without) else (_without(question, half), rest)
             size = len(tries) // 2
-        taken.append(tries[0].id)
-        if len(taken) < graph.n - 1:  # the last vertex's arc leaves nothing to ask about
-            question = through or _through(question, tries[0])
+        arc = tries[0]
+        question = _without(question, filled(question, arc))
+        tail[v] = arc.tail
+        room[arc.color - 1] -= 1
+        taken.append(arc.id)
     edge_ids = tuple(sorted(taken))
     if not is_arborescence(graph, root, edge_ids):
         raise ValueError("certificate check failed: the result is not an arborescence")
@@ -164,19 +154,20 @@ def find(graph: ColoredDigraph, root: int, alpha) -> Arborescence | None:
     """Find one arborescence matching the color constraint, or None.
 
     After one decide on the whole graph, each non-root vertex, in ascending
-    order, takes the smallest-id in-arc that a matching arborescence still
-    uses and contracts it out.  Decides see only usable arcs (the lightest,
-    then smallest-id, of each parallel same-color group; none into the root
-    or of a color alpha has no room left for), at most 1 + ceil(log2(d - 1))
-    for a vertex with d usable in-arcs.  On an unweighted graph the result
-    is the first match by the in-arc id of vertex 1, then 2, and so on.  It
-    is checked to be an arborescence with the requested histogram
-    (ValueError if not).  Edge ids refer to the input.
+    order, keeps the smallest-id in-arc that a matching arborescence still
+    uses, and its other in-arcs are deleted.  Decides see subgraphs of the
+    input with only usable arcs (the lightest, then smallest-id, of each
+    parallel same-color group; none into the root or of a color whose room
+    is filled), at most 1 + ceil(log2(d - 1)) for a vertex with d
+    candidates.  On an unweighted graph the result is the first match by
+    the in-arc id of vertex 1, then 2, and so on.  It is checked to be an
+    arborescence with the requested histogram (ValueError if not).  Edge
+    ids refer to the input.
     """
     constraint = _checked_alpha(graph.q, alpha)
     if not decide(graph, root, constraint):
         return None
-    return _search(graph, root, constraint, lambda question: decide(question.graph, question.root, question.alpha))
+    return _search(graph, root, constraint, lambda subgraph: decide(subgraph, root, constraint))
 
 
 def count_spanning_trees(graph: ColoredMultigraph, alpha) -> int:

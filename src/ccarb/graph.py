@@ -250,12 +250,17 @@ def dedup_min_weight(graph: ColoredDigraph) -> ColoredDigraph:
     graphs are accepted.
     """
     check_directed(graph)
-    best: dict[tuple[int, int, int], Edge] = {}
-    for e in graph.edges:
-        kept = best.setdefault((e.tail, e.head, e.color), e)
+    return replace(graph, edges=tuple(lightest(graph.edges, lambda e: (e.tail, e.head, e.color))))
+
+
+def lightest(edges, key) -> list[Edge]:
+    """The minimum-weight edge of each group of equal `key(edge)`, the first of the group on ties, in edge order."""
+    best: dict = {}
+    for e in edges:
+        kept = best.setdefault(group := key(e), e)
         if (e.weight or 0) < (kept.weight or 0):
-            best[e.tail, e.head, e.color] = e
-    return replace(graph, edges=tuple(sorted(best.values(), key=lambda e: e.id)))
+            best[group] = e
+    return sorted(best.values(), key=lambda e: e.id)
 
 
 def reaches_all(graph: ColoredDigraph, root: int) -> bool:
@@ -283,28 +288,6 @@ def remove_edge(graph: _Graph, *edge_ids: int) -> _Graph:
     """Delete the edges with the given ids, keeping the graph's kind; every id must be one of the graph's."""
     dropped = {graph.edge(edge_id).id for edge_id in edge_ids}
     return replace(graph, edges=tuple(e for e in graph.edges if e.id not in dropped))
-
-
-def contract(graph: ColoredDigraph, edge_id: int) -> ColoredDigraph:
-    """Contract the arc u -> v into u, keeping the graph's kind; ids, colors and weights are preserved.
-
-    Deletes v's in-arcs, re-points v's out-arcs to u, drops the arcs that
-    become loops, renumbers the vertices above v down by one and drops v's
-    label.  The arborescences that use the arc are, by their other arcs, the
-    arborescences of the result rooted at the root's new number.  Only
-    directed graphs are accepted, and the arc must not be a self-loop.
-    """
-    check_directed(graph)
-    arc = graph.edge(edge_id)
-    u, v = arc.tail, arc.head
-    if u == v:
-        raise ValueError(f"edge {edge_id} is a self-loop and cannot be contracted")
-    edges = []
-    for e in graph.edges:
-        if e.head != v and (e.tail, e.head) != (v, u):
-            tail = u if e.tail == v else e.tail
-            edges.append(Edge(e.id, tail - (tail > v), e.head - (e.head > v), e.color, e.weight))
-    return replace(graph, n=graph.n - 1, edges=tuple(edges), labels=graph.labels[: v - 1] + graph.labels[v:])
 
 
 def bidirect(graph: ColoredMultigraph) -> ColoredDigraph:

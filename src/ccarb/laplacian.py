@@ -1,8 +1,9 @@
 """Symbolic in-degree Laplacians of colored multidigraphs and their minors.
 
-Row v holds only v's in-arcs, so rows are stored sparsely as terms; this is
-the only module that reads that layout.  Color q contributes to the
-constant term (x_q is fixed to 1).
+Row v holds only v's in-arcs, so rows are stored sparsely as terms, which
+`determinant` reads too: `_reduce` rewrites them and `det_poly` sums them
+for its Leibniz bound.  Color q contributes to the constant term (x_q is
+fixed to 1).
 """
 
 from __future__ import annotations

@@ -109,26 +109,20 @@ def find_min(graph: ColoredDigraph, root: int, alpha) -> tuple[Arborescence, int
     Computes r and the lowered graph once, as `min_weight` does, then
     searches the lowered graph as `find` does: the result is the first
     minimizer by the in-arc id of vertex 1, then 2, and so on, found by at
-    most 1 + ceil(log2(d - 1)) questions for a vertex with d usable in-arcs.
-    A question holds when the valuation at r of its coefficient equals the
-    lowered minimum less the weight of the arcs contracted out so far (a
-    zero coefficient means it does not).  One r serves every question:
-    deleting and contracting arcs never raise the count, and a kept arc
-    never weighs less than its head's lightest.  The result is checked
-    against the input graph's weights to be an arborescence with the
-    requested histogram and the minimum weight (ValueError if not).
+    most 1 + ceil(log2(d - 1)) questions for a vertex with d candidates.
+    A question, a subgraph of the lowered graph, holds when the valuation
+    at r of its coefficient equals the lowered minimum (a zero coefficient
+    means it does not).  One r serves every question: deleting arcs never
+    raises the count.  The result is checked against the input graph's
+    weights to be an arborescence with the requested histogram and the
+    minimum weight (ValueError if not).
     """
     plan = _plan(graph, root, alpha)
     if plan is None:
         return None
     constraint, r, lowered, shift = plan
     target = _lowered_min(lowered, root, constraint, r)
-    arb = _search(
-        lowered,
-        root,
-        constraint,
-        lambda question: _lowered_min(question.graph, question.root, question.alpha, r) == target - question.spent,
-    )
+    arb = _search(lowered, root, constraint, lambda subgraph: _lowered_min(subgraph, root, constraint, r) == target)
     if sum(graph.edge(i).weight for i in arb.edge_ids) != target + shift:
         raise ValueError("certificate check failed: the weight differs from the minimum")
     return arb, target + shift

@@ -1,4 +1,4 @@
-"""Shared test helpers: independent reference computations, generators and faulty transforms.
+"""Shared test helpers: independent reference computations and generators.
 
 The polynomial arithmetic and determinants here are deliberately naive and
 separate from the library code paths they check.
@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 
 from hypothesis import strategies as st
 
-from ccarb.graph import ColoredDigraph, ColoredMultigraph, Edge, contract
+from ccarb.graph import ColoredDigraph, ColoredMultigraph, Edge
 from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor
 
 # ---------------------------------------------------------------- dict polys
@@ -327,27 +326,3 @@ def unusable_arcs(graph: ColoredDigraph, root: int, alpha) -> list[Edge]:
             unusable.append(e)
         seen.add((e.tail, e.head, e.color))
     return unusable
-
-
-# ----------------------------------------------------------- faulty transforms
-
-def contract_keeping_loops(graph: ColoredDigraph, edge_id: int) -> ColoredDigraph:
-    """A faulty `graph.contract` that keeps the loops it makes (and contracts loops too)."""
-    arc = graph.edge(edge_id)
-
-    def moved(x: int) -> int:
-        x = arc.tail if x == arc.head else x
-        return x - (x > arc.head)
-
-    kept = (e for e in graph.edges if e.head != arc.head)
-    return ColoredDigraph(
-        graph.n - 1, graph.q, tuple(Edge(e.id, moved(e.tail), moved(e.head), e.color, e.weight) for e in kept)
-    )
-
-
-def contract_recoloring(graph: ColoredDigraph, edge_id: int) -> ColoredDigraph:
-    """A faulty `graph.contract` that moves every re-pointed arc to the next color (color q to color 1)."""
-    moved = {e.id for e in graph.edges if e.tail == graph.edge(edge_id).head}
-    contracted = contract(graph, edge_id)
-    edges = tuple(replace(e, color=e.color % graph.q + 1) if e.id in moved else e for e in contracted.edges)
-    return replace(contracted, edges=edges)

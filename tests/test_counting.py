@@ -8,7 +8,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccarb import counting, minweight
@@ -23,8 +23,6 @@ from support import (
     alphas,
     bareiss_det,
     classical_in_laplacian_minor,
-    contract_keeping_loops,
-    contract_recoloring,
     poly_eval,
     random_digraph,
     small_digraphs,
@@ -202,18 +200,70 @@ def test_find_asks_about_the_first_in_arc_then_halves(monkeypatch):
     assert len(calls) == 5
 
 
-def test_find_contracts_nothing_after_the_last_vertex(monkeypatch):
-    # On the path 1 -> 2 -> ... -> 6 each non-root vertex has one usable
-    # in-arc, taken unasked.  Vertices 2-5 are contracted out so that the
-    # next one's in-arcs can be read; after vertex 6 nothing is asked, so
-    # 4 contractions, and only the decide on the whole graph.
+def test_find_asks_nothing_about_a_path(monkeypatch):
+    # On the path 1 -> 2 -> ... -> 6 each non-root vertex has one candidate,
+    # taken unasked, so only the decide on the whole graph is made.
     graph = ColoredDigraph(6, 1, tuple(Edge(i, i + 1, i + 2, 1) for i in range(5)))
-    contracted, decided = [], []
-    real_contract, real_decide = counting.contract, counting.decide
-    monkeypatch.setattr(counting, "contract", lambda *args: contracted.append(args) or real_contract(*args))
-    monkeypatch.setattr(counting, "decide", lambda *args: decided.append(args) or real_decide(*args))
+    decided = []
+    real = counting.decide
+    monkeypatch.setattr(counting, "decide", lambda *args: decided.append(args) or real(*args))
     assert find(graph, 1, ()).edge_ids == (0, 1, 2, 3, 4)
-    assert (len(contracted), len(decided)) == (4, 1)
+    assert len(decided) == 1
+
+
+@st.composite
+def matched(draw):
+    """A weighted graph, a root and a histogram some arborescence has, or None if none has one."""
+    graph = draw(small_digraphs(weights=True))
+    root = draw(st.integers(1, graph.n))
+    histogram = arborescence_histogram(graph, root)
+    return graph, root, draw(st.sampled_from(sorted(histogram))) if histogram else None
+
+
+@ORACLE
+@given(matched())
+# b's in-arcs ab and sb both lead to s once a takes sa, so b keeps ab
+# alone; c's candidates sc and dc lead to s and d, so c's probe of sc is
+# asked with b fixed.
+@example((parse_graph("5 1\ns a 1 1\na b 1 1\ns b 1 1\ns c 1 1\nd c 1 1\ns d 1 1\n"), 1, ()))
+# a takes sa unasked, which fills color 1's one room, so sb and sc are
+# deleted: b and c have one candidate each, and no question follows the
+# first.
+@example((parse_graph("4 2\ns a 1 1\ns b 1 1\na b 2 1\ns b 2 1\ns c 1 1\na c 2 1\nb c 2 1\n"), 1, (1,)))
+def test_search_questions_are_subgraphs_of_the_input(case):
+    # After the first call, on the whole graph, find and find_min ask only
+    # about subgraphs of the input with its vertices, root and alpha, in
+    # which every vertex already decided keeps only its taken in-arc.  The
+    # search picks each vertex's candidates with one `lightest` call, which
+    # names the vertex being decided.
+    graph, root, alpha = case
+    if alpha is None:
+        return
+    arcs = {(e.id, e.tail, e.head, e.color) for e in graph.edges}
+    for operation, module, name in ((find, counting, "decide"), (find_min, minweight, "c_alpha_r")):
+        events, ask, lightest = [], getattr(module, name), counting.lightest
+        with mock.patch.object(module, name, lambda *args: events.append(args) or ask(*args)):
+            with mock.patch.object(counting, "lightest", lambda edges, key: events.append(edges) or lightest(edges, key)):
+                result = operation(graph, root, alpha)
+        taken = {graph.edge(i).head: i for i in (result if operation is find else result[0]).edge_ids}
+        questions, v = 0, None
+        for event in events:
+            if isinstance(event, list):
+                v = event[0].head
+                continue
+            questions += 1
+            subgraph = event[0]
+            if questions == 1:
+                continue
+            assert (subgraph.n, event[1:3]) == (graph.n, (root, alpha))
+            assert {(e.id, e.tail, e.head, e.color) for e in subgraph.edges} <= arcs
+            decided = [w for w in range(1, v) if w != root]
+            for w in decided:
+                assert [e.id for e in subgraph.edges if e.head == w] == [taken[w]]
+            # No vertex left to decide keeps an in-arc of a color whose room the taken arcs fill.
+            used = Counter(graph.edge(taken[w]).color for w in decided)
+            room = (*alpha, graph.n - 1 - sum(alpha))
+            assert all(used[e.color] < room[e.color - 1] for e in subgraph.edges if e.head >= v)
 
 
 @pytest.mark.parametrize("d", range(2, 10))
@@ -241,40 +291,42 @@ CROSSED = "3 2\ns a 1\na b 1\ns b 1\nb a 2\n"
 FORKED = "3 2\ns a 1\na b 1\ns b 2\n"
 
 
-def keep_the_new_loops(monkeypatch):
-    # With sa, b would need an in-arc of color 2, so a takes ba unasked.
-    # Contracting it turns ab into a loop at b, which this contraction
-    # keeps.  That loop is b's first candidate and contracting it leaves
-    # one vertex, so it is taken: the search ends on the cycle {ab, ba}.
-    monkeypatch.setattr(counting, "contract", contract_keeping_loops)
+def always_yes(monkeypatch):
+    # Every decide reads yes, the whole graph's included.  a's first
+    # candidate sa is kept, and it takes the one room of color 1, so ab and
+    # sb, b's only in-arcs, are deleted: b has no candidate and the search
+    # stops on {sa}.
+    monkeypatch.setattr(counting, "decide", lambda graph, root, alpha: True)
     return CROSSED
 
 
 def decide_for_alpha_2(monkeypatch):
-    # The whole graph has {sa, ab}, so the search starts.  Every contracted
-    # graph has too few vertices for two arcs of color 1, so a's probe of sa
-    # reads no and a takes ba unasked.  Alpha 1 leaves room for one arc of
-    # color 2, which ba fills, so b's only in-arc sb is dropped: b has no
-    # usable in-arc and the search stops on {ba}.
+    # The whole graph has {sa, ab}, so the search starts.  a's probe of sa
+    # holds sa and sb (sa takes the one room of color 1, so ab is deleted),
+    # which has no arborescence of alpha 2: no.  a takes ba unasked, which
+    # takes the one room of color 2, so sb is deleted.  b's last in-arc ab
+    # leaves a, which leads back to b through ba, so b has no candidate and
+    # the search stops on {ba}.
     monkeypatch.setattr(counting, "decide", lambda graph, root, alpha: decide(graph, root, (2,)))
     return DIRECTED
 
 
-def recolor_the_moved_arcs(monkeypatch):
-    # a takes its only in-arc sa unasked.  Contracting it moves ab to
-    # s -> b, which this contraction recolors from 1 to 2, so b's in-arcs
-    # ab and sb run parallel in color 2 and ab, the smaller id, is kept and
-    # taken unasked.  The search ends on {sa, ab}, an arborescence of alpha 2.
-    monkeypatch.setattr(counting, "contract", contract_recoloring)
+def delete_nothing(monkeypatch):
+    # Every question is then the whole graph, so every question reads yes.
+    # a takes its only in-arc sa unasked.  b's candidates are ab (color 1,
+    # from a, which leads to s) and sb (color 2, from s); the probe of ab
+    # reads yes, so b takes it.  The search ends on {sa, ab}, an
+    # arborescence of alpha 2.
+    monkeypatch.setattr(counting, "remove_edge", lambda graph, *edge_ids: graph)
     return FORKED
 
 
 @pytest.mark.parametrize(
     "lie, check",
     [
-        (keep_the_new_loops, "not an arborescence"),
+        (always_yes, "not an arborescence"),
         (decide_for_alpha_2, "not an arborescence"),
-        (recolor_the_moved_arcs, "color histogram"),
+        (delete_nothing, "color histogram"),
     ],
 )
 def test_find_refuses_an_uncertified_result(monkeypatch, tmp_path, capsys, lie, check):

@@ -14,7 +14,7 @@ from ccarb.laplacian import SymbolicMatrix
 from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, is_arborescence, oracle_min_weight
 
-from support import alphas, contract_keeping_loops, small_digraphs, unusable_arcs
+from support import alphas, small_digraphs, unusable_arcs
 
 ORACLE = settings(max_examples=100, deadline=None)
 
@@ -318,17 +318,24 @@ def test_find_min_halves_the_in_arcs_of_each_vertex(monkeypatch):
 # Rooted at s: {sa, sb} has alpha 1 and weight 3, {sa, ab} alpha 2 and
 # weight 4, {ba, sb} alpha 0 and weight 3.
 WEIGHTED = "3 2\ns a 1 1\ns b 2 2\na b 1 3\nb a 2 1\n"
-# Rooted at s, only {ba, sb} has alpha 1; it weighs 3, and ab weighs as much as sb.
+# Rooted at s, only {ba, sb} has alpha 1; it weighs 3.
 CROSSED = "3 2\ns a 1 1\na b 1 2\ns b 1 2\nb a 2 1\n"
 
 
-def keep_the_new_loops(monkeypatch):
-    # With sa, b would need an in-arc of color 2, so a takes ba unasked.
-    # Contracting it turns ab into a loop at b, which this contraction
-    # keeps.  That loop is b's first candidate, and contracting it leaves one
-    # vertex with ba and ab spent, which weigh as much as {ba, sb}, so it is
-    # taken: the search ends on the cycle {ab, ba}.
-    monkeypatch.setattr(counting, "contract", contract_keeping_loops)
+def always_yes(monkeypatch):
+    # Every call after the first, on the whole lowered graph, returns the
+    # first call's value, so every question reads the target: yes.  a's
+    # first candidate sa is kept, and it takes the one room of color 1, so
+    # ab and sb, b's only in-arcs, are deleted: b has no candidate and the
+    # search stops on {sa}.
+    real, first = minweight.c_alpha_r, []
+
+    def the_first_value(*args):
+        if not first:
+            first.append(real(*args))
+        return first[0]
+
+    monkeypatch.setattr(minweight, "c_alpha_r", the_first_value)
     return CROSSED
 
 
@@ -342,7 +349,7 @@ def misreport_the_minimum(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "lie, check", [(keep_the_new_loops, "not an arborescence"), (misreport_the_minimum, "weight")]
+    "lie, check", [(always_yes, "not an arborescence"), (misreport_the_minimum, "weight")]
 )
 def test_find_min_refuses_an_uncertified_result(monkeypatch, tmp_path, capsys, lie, check):
     text = lie(monkeypatch)
