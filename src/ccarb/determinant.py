@@ -11,27 +11,28 @@ into column u leaves a alone in the row, so a is factored out and the row
 and its column are deleted.  A row with a alone on the diagonal is
 expanded the same way, and an all-zero row makes the determinant 0.
 
-Then the rest is interpolated.  Every entry is affine in all the variables
-together, so the reduced determinant's degree in x_c is at most the number
-d_c of its rows that contain x_c, and its total degree at most the number
-t of its rows that contain any variable.  The variable held by the most
-rows, x_w, is packed (Kronecker substitution: L. Kronecker, J. reine
-angew. Math. 92, 1882): at x_w = 2^bits the determinant is the sum over k
-of its x_w^k part times 2^(k bits).  The reduced matrix is evaluated at
-each point of the lower set {k : k_c <= d_c, sum(k) <= t} over the other
-variables, each determinant is taken exactly by fraction-free (Bareiss)
-elimination, and the values are interpolated over Z.  Each interpolated
-coefficient is split into d_w + 1 balanced base-2^bits digits, one per
-power of x_w; bits exceeds the bit length of the Leibniz bound (the product
-of the rows' absolute term sums) by one or more, so no digit carries.  Past
-PACKED_BITS the big-integer divisions get slow, and x_w keeps its axis of
-the lower set instead.  The factors taken out scale and shift the result.
+Then the rest is packed and interpolated.  Every entry is affine in all the
+variables together, so the reduced determinant's degree in x_c is at most
+the number d_c of its rows that contain x_c, and its total degree at most
+the number t of its rows that contain any variable.  The variables, in
+order of most rows (the first on ties), are packed while the packed values
+fit in PACKED_BITS (Kronecker substitution: L. Kronecker, J. reine angew.
+Math. 92, 1882): x_c is set to 2^(bits stride_c), stride_c the product of
+d + 1 over the variables packed before it.  The reduced matrix is evaluated
+at each point of the lower set {k : k_c <= d_c, sum(k) <= t} over the
+other variables, each determinant is taken exactly by fraction-free
+(Bareiss) elimination, and the values are interpolated over Z.  Digit i of
+an interpolated coefficient, in balanced base 2^bits, is the coefficient
+of the packed monomial with k_c = floor(i / stride_c) mod (d_c + 1); bits
+exceeds the bit length of the Leibniz bound (the product of the rows'
+absolute term sums) by one or more, so no digit carries.  With nothing
+packed there is one digit.  The factors taken out scale and shift the
+result.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Sequence
 
 from .laplacian import SymbolicMatrix
@@ -88,12 +89,14 @@ def _add(row: dict[int, dict[int, int]], column: int, slot: int, coeff: int) -> 
             del row[column]
 
 
-def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], SymbolicMatrix] | None:
-    # (scale, exponents, rest) with det(matrix) = scale * x^exponents *
-    # det(rest), or None when a row is zero.  Rows and columns keep their
-    # indices until the end, and entries[i][j] maps each slot of entry
-    # (i, j) to its coefficient.  One worklist pass: a row is queued again
-    # only when its entries change.
+def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], SymbolicMatrix, list[int], int, int] | None:
+    # (scale, exponents, rest, rows, degree, bound) with det(matrix) = scale
+    # * x^exponents * det(rest), or None when a row is zero; rows[c - 1]
+    # counts rest's rows holding x_c, degree those holding any variable, and
+    # bound is the Leibniz bound.  Rows and columns keep their indices until
+    # the end, and entries[i][j] maps each slot of entry (i, j) to its
+    # coefficient.  One worklist pass: a row is queued again only when its
+    # entries change.
     entries: dict[int, dict[int, dict[int, int]]] = {}
     for i, terms in enumerate(matrix.rows):
         entries[i] = row = {}
@@ -131,11 +134,16 @@ def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], SymbolicMatrix] | N
                 del other[v]
                 queue.append(i)
     index = {j: k for k, j in enumerate(entries)}
-    rows = tuple(
-        tuple((index[j], slot, coeff) for j, entry in row.items() for slot, coeff in entry.items())
-        for row in entries.values()
-    )
-    return scale, exponents, SymbolicMatrix(matrix.nvars, rows)
+    rows, counts, degree, bound = [], [0] * (matrix.nvars + 1), 0, 1
+    for row in entries.values():
+        terms = tuple((index[j], slot, coeff) for j, entry in row.items() for slot, coeff in entry.items())
+        rows.append(terms)
+        slots = {slot for _, slot, _ in terms}
+        for slot in slots:
+            counts[slot] += 1
+        degree += any(slots)
+        bound *= sum(abs(coeff) for _, _, coeff in terms)
+    return scale, exponents, SymbolicMatrix(matrix.nvars, tuple(rows)), counts[1:], degree, bound
 
 
 def _digits(packed: int, bits: int, count: int) -> list[int]:
@@ -151,35 +159,37 @@ def det_poly(matrix: SymbolicMatrix) -> Poly:
     """Exact integer determinant polynomial of a symbolic matrix.
 
     Every coefficient is returned as its exact, possibly negative, integer.
-    The matrix is reduced, then the variable in the most rows (the first on
-    ties) is packed into base-2^bits digits over the lower set of the other
-    variables, or, without variables or past PACKED_BITS, the lower set of
-    all variables is evaluated (see the module docstring).
+    The matrix is reduced, the variables that fit in PACKED_BITS are packed
+    into mixed-radix base-2^bits digits, and the lower set of the others is
+    evaluated and interpolated (see the module docstring).
     """
     reduced = _reduce(matrix)
     if reduced is None:
         return {}
-    scale, exponents, rest = reduced
-    bounds, degree = rest.variable_rows, rest.variable_degree
-    # Leibniz: the coefficients' absolute values sum to at most the product
-    # of the rows' absolute term sums, so each digit lies in +-2^(bits-1).
-    bound = math.prod(sum(abs(term[2]) for term in row) for row in rest.rows)
+    scale, exponents, rest, rows, degree, bound = reduced
+    # A sign bit over the Leibniz bound, in whole bytes for _digits.
     bits = 8 * -(-(bound.bit_length() + 1) // 8)
-    wide = max(range(rest.nvars), key=bounds.__getitem__, default=None)
-    if wide is None or (bounds[wide] + 1) * bits > PACKED_BITS:
-        box = itertools.product(*(range(1 + rows) for rows in bounds))
-        poly = interpolate({point: _bareiss(rest.evaluate(point)) for point in box if sum(point) <= degree})
-    else:
-        others = bounds[:wide] + bounds[wide + 1 :]
-        box = itertools.product(*(range(1 + rows) for rows in others))
-        values = {p: _bareiss(rest.evaluate((*p[:wide], 1 << bits, *p[wide:]))) for p in box if sum(p) <= degree}
-        poly = {
-            (*p[:wide], k, *p[wide:]): digit
-            for p, value in (interpolate(values) if others else values).items()
-            for k, digit in enumerate(_digits(value, bits, bounds[wide] + 1))
-            if digit
-        }
-    return {tuple(k + e for k, e in zip(mono, exponents)): scale * coeff for mono, coeff in poly.items()}
+    strides, size = {}, 1
+    for c in sorted(range(rest.nvars), key=rows.__getitem__, reverse=True):
+        if not rows[c] or size * (rows[c] + 1) * bits > PACKED_BITS:
+            break
+        strides[c], size = size, size * (rows[c] + 1)
+    free = [c for c in range(rest.nvars) if c not in strides]
+    x = [1 << bits * strides[c] if c in strides else 0 for c in range(rest.nvars)]
+    values = {}
+    for point in itertools.product(*(range(1 + rows[c]) for c in free)):
+        if sum(point) <= degree:
+            for c, k in zip(free, point):
+                x[c] = k
+            values[point] = _bareiss(rest.evaluate(tuple(x)))
+    poly = {}
+    for point, value in interpolate(values).items():
+        mono = dict(zip(free, point))
+        for i, digit in enumerate(_digits(value, bits, size)):
+            if digit:
+                mono.update((c, i // stride % (rows[c] + 1)) for c, stride in strides.items())
+                poly[tuple(mono[c] + e for c, e in enumerate(exponents))] = scale * digit
+    return poly
 
 
 # No engine code calls the functions below.  The benchmark's layer tracer

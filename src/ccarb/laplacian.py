@@ -1,9 +1,9 @@
 """Symbolic in-degree Laplacians of colored multidigraphs and their minors.
 
 Row v holds only v's in-arcs, so rows are stored sparsely as terms, which
-`determinant` reads too: `_reduce` rewrites them and `det_poly` sums them
-for its Leibniz bound.  Color q contributes to the constant term (x_q is
-fixed to 1).
+`determinant._reduce` reads too: it rewrites them and sums them for the
+Leibniz bound.  Color q contributes to the constant term (x_q is fixed to
+1).
 """
 
 from __future__ import annotations
@@ -39,20 +39,6 @@ class SymbolicMatrix:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def variable_rows(self) -> tuple[int, ...]:
-        """Number of rows with a nonzero x_c term (the determinant's degree bound in x_c), for c = 1..nvars."""
-        counts = [0] * (self.nvars + 1)
-        for row in self.rows:
-            for slot in {slot for _, slot, coeff in row if coeff}:
-                counts[slot] += 1
-        return tuple(counts[1:])
-
-    @property
-    def variable_degree(self) -> int:
-        """Number of rows with a nonzero term in some variable: the determinant's total-degree bound."""
-        return sum(any(slot and coeff for _, slot, coeff in row) for row in self.rows)
 
     def evaluate(self, point: tuple[int, ...]) -> list[list[int]]:
         """Substitute integers for x_1..x_nvars; the entries are exact integers."""

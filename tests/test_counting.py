@@ -162,14 +162,14 @@ def test_unused_colors_do_not_grow_the_grid(monkeypatch):
     monkeypatch.setattr(SymbolicMatrix, "evaluate", lambda matrix, point: calls.append(point) or real(matrix, point))
     wide = count_table(complete_digraph(6), 1)
     # Colors 3-6 are declared but unused, so only x1 and x2 need more than
-    # one node.  Each of the 5 minor rows holds both, so the determinant has
-    # total degree at most 5.  x1, the first of the two, is packed: a row's
-    # absolute terms sum to 5 + 5 on the diagonal plus 2 in each of the 4
-    # other columns, 18, and 18^5 < 2^21 makes 6 digits of 24 bits, far
-    # below PACKED_BITS.  So x2 = 0..5 with x3 = x4 = x5 = 0: 6 points,
-    # evaluated once each, where the grid without packing takes a, b <= 5
-    # with a + b <= 5, C(7, 2) = 21, and n^(q-1) = 7,776.
-    assert len(calls) == 6
+    # one node.  Each of the 5 minor rows holds both.  A row's absolute
+    # terms sum to 5 + 5 on the diagonal plus 2 in each of the 4 other
+    # columns, 18, and 18^5 < 2^21 makes digits of 24 bits.  x1 is packed
+    # into 6 digits and x2 into 6 more with stride 6: 36 digits, 864 bits,
+    # below PACKED_BITS.  x3, x4 and x5 sit in no row and take their one
+    # node, 0: 1 point, where the grid without packing takes a, b <= 5 with
+    # a + b <= 5, C(7, 2) = 21, and n^(q-1) = 7,776.
+    assert calls == [(1 << 24, 1 << 144, 0, 0, 0)]
     # Each alpha's full histogram (a, 5 - a) padded with zeros to q-1 = 5 colors.
     assert wide == {(a, 5 - a, 0, 0, 0): value for (a,), value in narrow.items()}
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccarb import determinant
 from ccarb.determinant import (
     PACKED_BITS,
     PRIME_LIMIT,
@@ -219,29 +220,34 @@ class TestDetPoly:
             assert det_poly(short) == cofactor_det(short)
 
     def test_evaluates_the_lower_set(self, evaluated):
-        # Every row of the 4 x 4 matrix holds x1 and x2.  x1, the first of
-        # the two widest, is packed, so the points are x2 = 0..4: 5.  A row
-        # of constants only lowers both bounds to 3: 4 points.  With row 1
-        # scaled by 2^5000 the packed values would pass PACKED_BITS, so both
-        # keep their grid axes: a, b <= 4 with a + b <= 4 is C(6, 2) = 15,
-        # where the box has 25, and C(5, 2) = 10 for the second.
+        # Every row of the 4 x 4 matrix holds x1 and x2, and its 12 terms
+        # lie in 1..5, so the rows' absolute sums lie in 12..60, the bound in
+        # 12^4..60^4, within 2^14..2^24, and the digits have 16 to 32 bits.
+        # x1 is packed into 5 digits and x2 into 5 more with stride 5: 25
+        # digits, at most 800 bits, so both pack and only 1 point is left.  A
+        # row of constants only lowers both bounds to 3: 16 digits, 1 point.
+        # With row 1 scaled by 2^5000 the digits pass 5000 bits, so not even
+        # x1 packs and both keep their axes: a, b <= 4 with a + b <= 4 is
+        # C(6, 2) = 15, where the box has 25, and C(5, 2) = 10 for the second.
         rng = random.Random(19)
         full = tuple(tuple((j, slot, rng.randint(1, 5)) for j in range(4) for slot in range(3)) for _ in range(4))
         one_constant = (tuple(term for term in full[0] if term[1] == 0), *full[1:])
-        for rows, packed, grid in ((full, 5, 15), (one_constant, 4, 10)):
+        for rows, packed, grid in ((full, 1, 15), (one_constant, 1, 10)):
             for m, points in ((SymbolicMatrix(2, rows), packed), (scale_row(SymbolicMatrix(2, rows), 2**5000), grid)):
                 evaluated.clear()
                 assert det_poly(m) == cofactor_det(m)
                 assert len(evaluated) == len(set(evaluated)) == points
 
     def test_packing_stops_at_packed_bits(self, evaluated):
-        # x1 and x2 sit in all 3 rows, so x1 is packed into 4 digits of bits
-        # bits each, bits = 8 * ceil((bitlen(bound) + 1) / 8) for the product
-        # bound of the rows' absolute term sums.  Row 1 scaled to put
-        # bitlen(bound) at PACKED_BITS / 4 - 1 gives bits = PACKED_BITS / 4,
-        # exactly PACKED_BITS packed: the points are x2 = 0..3.  Doubling
-        # row 1 adds one bit to the bound, so bits grows by 8 and the grid
-        # takes all of a, b <= 3 with a + b <= 3: C(5, 2) = 10.
+        # x1 and x2 sit in all 3 rows, so x1, the first, is packed into 4
+        # digits of bits bits each, bits = 8 * ceil((bitlen(bound) + 1) / 8)
+        # for the product bound of the rows' absolute term sums.  Row 1
+        # scaled to put bitlen(bound) at PACKED_BITS / 4 - 1 gives bits =
+        # PACKED_BITS / 4, exactly PACKED_BITS packed, so x2's 4 more digits
+        # per digit of x1 do not fit: the points are x2 = 0..3.  Doubling
+        # row 1 adds one bit to the bound, so bits grows by 8, nothing is
+        # packed and the grid takes all of a, b <= 3 with a + b <= 3:
+        # C(5, 2) = 10.
         rng = random.Random(20)
         rows = tuple(tuple((j, k, rng.randint(-5, 5)) for j in range(3) for k in range(3)) for _ in range(3))
         m = SymbolicMatrix(2, rows)
@@ -267,8 +273,8 @@ class TestDetPoly:
                 {(0,): -224, (1,): 2, (2,): 1},
                 id="near-the-bound-2x2",
             ),
-            # At x2 = k the packed value is -200 + 25 k + 30 * 2^16; the
-            # interpolation over k = 0, 1 comes before the digits.
+            # x1 and x2 each sit in the one row, so both pack into 16-bit
+            # digits, x2 with stride 2: -200 + 30 * 2^16 + 25 * 2^32.
             pytest.param(
                 (((0, 0, -200), (0, 1, 30), (0, 2, 25)),),
                 {(0, 0): -200, (1, 0): 30, (0, 1): 25},
@@ -286,8 +292,9 @@ class TestDetPoly:
             pytest.param(
                 tuple(((i, 0, 1), ((i + 1) % 6, 1, -1)) for i in range(6)), {(0,): 1, (6,): -1}, id="zero-digits"
             ),
-            # The same cycle alternating x1 and x2: 1 - x1^3 x2^3, whose x1^3
-            # digit is -x2^3 and whose x1^1 and x1^2 digits are 0 at every x2.
+            # The same cycle alternating x1 and x2: 1 - x1^3 x2^3.  Bound 2^6,
+            # 8-bit digits, x1 packed with stride 1 and x2 with stride 4: 16
+            # digits, 1 at digit 0 and -1 at digit 3 + 4 * 3 = 15, zeros between.
             pytest.param(
                 tuple(((i, 0, 1), ((i + 1) % 6, 1 + i % 2, -1)) for i in range(6)),
                 {(0, 0): 1, (3, 3): -1},
@@ -300,6 +307,36 @@ class TestDetPoly:
         # zero ones between nonzero ones.
         m = SymbolicMatrix(max(slot for row in rows for _, slot, _ in row), rows)
         assert det_poly(m) == cofactor_det(m) == expected
+
+    def test_unequal_strides_decode_exactly(self, evaluated):
+        # det [[2 x1 + 3 x2, 1], [1, x1 + 5 x3]] = 2 x1^2 + 3 x1 x2 + 10 x1 x3
+        # + 15 x2 x3 - 1.  x1 sits in 2 rows, x2 and x3 in 1 each, and no
+        # row reduces.  The rows' absolute sums 6 and 7 bound the
+        # coefficients by 42, 6 bits plus a sign bit: 8-bit digits.  x1 is
+        # packed with radix 3 and stride 1, x2 with radix 2 and stride 3, x3
+        # with radix 2 and stride 6: 12 digits, 96 bits, so all three pack
+        # and the one point is (2^8, 2^24, 2^48).  x1^a x2^b x3^c is digit
+        # a + 3 b + 6 c: -1 at 0, 2 at 2, 3 at 4, 10 at 7 and 15 at 9.
+        m = SymbolicMatrix(3, (((0, 1, 2), (0, 2, 3), (1, 0, 1)), ((0, 0, 1), (1, 1, 1), (1, 3, 5))))
+        expected = {(0, 0, 0): -1, (2, 0, 0): 2, (1, 1, 0): 3, (1, 0, 1): 10, (0, 1, 1): 15}
+        assert det_poly(m) == cofactor_det(m) == expected
+        assert evaluated == [(1 << 8, 1 << 24, 1 << 48)]
+        assert poly_eval(expected, evaluated[0]) == sum(d << 8 * i for i, d in ((0, -1), (2, 2), (4, 3), (7, 10), (9, 15)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 4), st.integers(0, 3))
+    def test_matches_cofactor_at_every_packing_limit(self, rng, dim, nvars):
+        # Digits have at least 8 bits, so 0 packs nothing.  By the digit
+        # width and the rows holding each variable, 16, 48 and 96 pack
+        # nothing, a prefix or every variable; the default most often packs
+        # every variable of these small matrices.
+        m = random_symbolic_matrix(rng, dim, nvars)
+        for matrix in (m, zero_some_variables(rng, m)):
+            expected = cofactor_det(matrix)
+            for limit in (0, 16, 48, 96, PACKED_BITS):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(determinant, "PACKED_BITS", limit)
+                    assert det_poly(matrix) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(sparse_digraphs(), st.data())
@@ -315,29 +352,28 @@ class TestDetPoly:
     def test_forced_rows_leave_one_point(self, evaluated):
         # Rooted at 1, vertices 2..5 have one in-arc each, of colors 1, 2, 1
         # and 3.  Every row of the minor contracts: det = x1^2 x2, and only
-        # the empty matrix is evaluated, once.  x1, the first of the two
-        # variables (no row holds either), is packed into one digit: the
-        # empty product bounds it by 1, a 1-bit number plus a sign bit, which
-        # round up to 8 bits, so x1 = 2^8.  Unreduced, x1 sits in 2 rows, x2
-        # in 1 and some variable in 3: x1 packed into 3 digits, x2 = 0, 1.
+        # the empty matrix is evaluated, once.  No row holds x1 or x2, so
+        # neither is packed and both take their one node, 0.  Unreduced, x1
+        # sits in 2 rows and x2 in 1: both would pack, x2 with stride 3.
         g = ColoredDigraph(5, 3, (Edge(0, 1, 2, 1), Edge(1, 2, 3, 2), Edge(2, 2, 4, 1), Edge(3, 4, 5, 3)))
         assert det_poly(minor(build_laplacian(g), 1)) == {(2, 1): 1}
-        assert evaluated == [(256, 0)]
+        assert evaluated == [(0, 0)]
 
     def test_single_color_row_shortens_its_axis(self, evaluated):
         # Rooted at 1, vertex 2 has in-arcs 1 -> 2 and 3 -> 2, both of color
         # 1, and vertex 3 has 1 -> 3 of color 1 and 2 -> 3 of color 2.  The
         # minor's rows are (2 x1, -x1) and (-x2, x1 + x2).  Row 1 is x1 times
         # (2, -1), so only row 2 is left holding x1 and x2: both bounds and
-        # the total are 1.  x1, the first of the two, is packed into 2
-        # digits and x2 takes 0 and 1.  The rows' absolute sums 3 and 3
-        # bound every coefficient by 9, 4 bits plus a sign bit, so the
-        # digits have 8 bits and x1 = 2^8.  The unreduced minor (x1 in 2
-        # rows, x2 in 1, total 2) would pack x1 into 3 digits.  The trees
-        # are {1->2, 1->3}, {3->2, 1->3} and {1->2, 2->3}: 2 x1^2 + x1 x2.
+        # the total are 1.  The rows' absolute sums 3 and 3 bound every
+        # coefficient by 9, 4 bits plus a sign bit, so the digits have 8
+        # bits.  x1, the first of the two, is packed into 2 digits with
+        # stride 1 and x2 into 2 more with stride 2: x1 = 2^8, x2 = 2^16,
+        # one point.  The unreduced minor (x1 in 2 rows, x2 in 1) would pack
+        # x1 into 3 digits and x2 with stride 3.  The trees are {1->2, 1->3}, {3->2, 1->3} and
+        # {1->2, 2->3}: 2 x1^2 + x1 x2.
         g = ColoredDigraph(3, 3, (Edge(0, 1, 2, 1), Edge(1, 3, 2, 1), Edge(2, 1, 3, 1), Edge(3, 2, 3, 2)))
         assert det_poly(minor(build_laplacian(g), 1)) == {(2, 0): 2, (1, 1): 1}
-        assert sorted(evaluated) == [(256, 0), (256, 1)]
+        assert evaluated == [(1 << 8, 1 << 16)]
 
     def test_zero_row_needs_no_point(self, evaluated):
         # Vertex 3 has no in-arc, so its row of the minor is zero.

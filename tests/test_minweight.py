@@ -145,11 +145,11 @@ def test_heavy_weights_are_not_refused(tmp_path, capsys):
 @pytest.mark.parametrize("operation, points_taken", [(min_weight, 7), (find_min, 19)])
 def test_heavy_weights_take_few_evaluations(monkeypatch, operation, points_taken):
     # q = 2, so det_poly packs x1, the only variable, and evaluates once,
-    # unless its packed values would pass PACKED_BITS = 4096; then x1 keeps
-    # its axis 0..k for the k rows that hold it.  With D digits of bits
-    # bits, the grid is taken when D * bits > 4096, and bits is 8 *
-    # ceil((bitlen(B) + 1) / 8) for B the product of the rows' absolute
-    # term sums.
+    # unless its packed values would pass PACKED_BITS = 4096; then nothing
+    # is packed and x1 keeps its axis 0..k for the k rows that hold it.
+    # With D digits of bits bits, the grid is taken when D * bits > 4096,
+    # and bits is 8 * ceil((bitlen(B) + 1) / 8) for B the product of the
+    # rows' absolute term sums.
     #
     # Every non-root vertex of HEAVY has a color-1 in-arc, but d's in-arcs
     # (from b and c) all have color 1, so det_poly factors x1 out of d's
