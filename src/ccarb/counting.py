@@ -88,12 +88,14 @@ def _without(graph: ColoredDigraph, arcs) -> ColoredDigraph:
     return remove_edge(graph, *(e.id for e in arcs)) if arcs else graph
 
 
-def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], keeps) -> Arborescence:
-    """The first solution by the in-arc id of vertex 1, then 2, ...; `keeps(subgraph)` answers a question.
+def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int | None, keeps) -> Arborescence:
+    """The first solution by the in-arc id of vertex 1, then 2, ...; `keeps(coefficient)` answers a question.
 
     Every question is a subgraph of `dedup_min_weight(graph)` with its
-    vertices, root and alpha, holding no arc into the root and, of a color
-    whose room the taken arcs fill, only those.  Each non-root vertex v, in
+    vertices, holding no arc into the root and, of a color whose room the
+    taken arcs fill, only those.  It is one `det_poly` call, on its
+    Laplacian minor at the root with arc values r^w (1 when r is None), and
+    `keeps` gets the alpha coefficient.  Each non-root vertex v, in
     ascending order, keeps only the smallest-id in-arc some solution still
     uses: a one-arc row, which `determinant._reduce` contracts.  v's
     candidates are its in-arcs whose tail does not lead back to v through
@@ -135,7 +137,8 @@ def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], keeps) -> 
         while len(tries) > 1:
             half, rest = tries[:size], tries[size:]
             without = _without(question, rest + (filled(question, half[0]) if size == 1 else []))
-            question, tries = (without, half) if keeps(without) else (_without(question, half), rest)
+            kept = keeps(det_poly(minor(build_laplacian(without, r), root)).get(alpha, 0))
+            question, tries = (without, half) if kept else (_without(question, half), rest)
             size = len(tries) // 2
         arc = tries[0]
         question = _without(question, filled(question, arc))
@@ -155,19 +158,20 @@ def find(graph: ColoredDigraph, root: int, alpha) -> Arborescence | None:
 
     After one decide on the whole graph, each non-root vertex, in ascending
     order, keeps the smallest-id in-arc that a matching arborescence still
-    uses, and its other in-arcs are deleted.  Decides see subgraphs of the
-    input with only usable arcs (the lightest, then smallest-id, of each
-    parallel same-color group; none into the root or of a color whose room
-    is filled), at most 1 + ceil(log2(d - 1)) for a vertex with d
-    candidates.  On an unweighted graph the result is the first match by
-    the in-arc id of vertex 1, then 2, and so on.  It is checked to be an
-    arborescence with the requested histogram (ValueError if not).  Edge
-    ids refer to the input.
+    uses, and its other in-arcs are deleted.  Each question is a subgraph
+    of the input with only usable arcs (the lightest, then smallest-id, of
+    each parallel same-color group; none into the root or of a color whose
+    room is filled), and holds when its coefficient, the number of its
+    arborescences matching alpha, is nonzero.  A vertex with d candidates
+    asks at most 1 + ceil(log2(d - 1)) questions.  On an unweighted graph
+    the result is the first match by the in-arc id of vertex 1, then 2,
+    and so on.  It is checked to be an arborescence with the requested
+    histogram (ValueError if not).  Edge ids refer to the input.
     """
     constraint = _checked_alpha(graph.q, alpha)
     if not decide(graph, root, constraint):
         return None
-    return _search(graph, root, constraint, lambda subgraph: decide(subgraph, root, constraint))
+    return _search(graph, root, constraint, None, bool)
 
 
 def count_spanning_trees(graph: ColoredMultigraph, alpha) -> int:

@@ -13,7 +13,7 @@ lowering all of v's in-weights by the same amount lowers every weight by it
 and keeps the minimizers.  Each v's in-weights are lowered by m_v - 1, where
 m_v is the lightest of them, so every lightest in-arc weighs 1 and the graph
 stays a valid weighted graph with the same edge ids.  This divides the
-coefficient, and every grid determinant the engine takes for it, by
+coefficient, and every determinant the engine takes for it, by
 r^sum(m_v - 1); the minimum is the lowered one plus sum(m_v - 1).
 """
 
@@ -83,11 +83,6 @@ def _plan(graph: ColoredDigraph, root: int, alpha):
     return constraint, matching + 1, replace(graph, edges=lowered), shift
 
 
-def _lowered_min(graph: ColoredDigraph, root: int, constraint: tuple[int, ...], r: int) -> int | None:
-    value = c_alpha_r(graph, root, constraint, r)
-    return valuation(value, r) if value else None
-
-
 def min_weight(graph: ColoredDigraph, root: int, alpha) -> int | None:
     """Minimum weight of an arborescence matching the constraint, or None.
 
@@ -100,7 +95,7 @@ def min_weight(graph: ColoredDigraph, root: int, alpha) -> int | None:
     if plan is None:
         return None
     constraint, r, lowered, shift = plan
-    return _lowered_min(lowered, root, constraint, r) + shift
+    return valuation(c_alpha_r(lowered, root, constraint, r), r) + shift
 
 
 def find_min(graph: ColoredDigraph, root: int, alpha) -> tuple[Arborescence, int] | None:
@@ -110,19 +105,19 @@ def find_min(graph: ColoredDigraph, root: int, alpha) -> tuple[Arborescence, int
     searches the lowered graph as `find` does: the result is the first
     minimizer by the in-arc id of vertex 1, then 2, and so on, found by at
     most 1 + ceil(log2(d - 1)) questions for a vertex with d candidates.
-    A question, a subgraph of the lowered graph, holds when the valuation
-    at r of its coefficient equals the lowered minimum (a zero coefficient
-    means it does not).  One r serves every question: deleting arcs never
-    raises the count.  The result is checked against the input graph's
-    weights to be an arborescence with the requested histogram and the
-    minimum weight (ValueError if not).
+    A question, a subgraph of the lowered graph, holds when its coefficient
+    at r, the sum of r^w over its matching arborescences, is nonzero and
+    has the lowered minimum as its valuation.  One r serves every
+    question: deleting arcs never raises the count.  The result is checked
+    against the input graph's weights to be an arborescence with the
+    requested histogram and the minimum weight (ValueError if not).
     """
     plan = _plan(graph, root, alpha)
     if plan is None:
         return None
     constraint, r, lowered, shift = plan
-    target = _lowered_min(lowered, root, constraint, r)
-    arb = _search(lowered, root, constraint, lambda subgraph: _lowered_min(subgraph, root, constraint, r) == target)
+    target = valuation(c_alpha_r(lowered, root, constraint, r), r)
+    arb = _search(lowered, root, constraint, r, lambda value: value != 0 and valuation(value, r) == target)
     if sum(graph.edge(i).weight for i in arb.edge_ids) != target + shift:
         raise ValueError("certificate check failed: the weight differs from the minimum")
     return arb, target + shift

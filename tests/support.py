@@ -326,3 +326,10 @@ def unusable_arcs(graph: ColoredDigraph, root: int, alpha) -> list[Edge]:
             unusable.append(e)
         seen.add((e.tail, e.head, e.color))
     return unusable
+
+
+def recorded(monkeypatch, module, name: str) -> list:
+    """Wrap `module.name` for the rest of the test; returns the list its calls' argument tuples go to."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls

@@ -25,6 +25,7 @@ from support import (
     classical_in_laplacian_minor,
     poly_eval,
     random_digraph,
+    recorded,
     small_digraphs,
     small_multigraphs,
     spanning_tree_histogram,
@@ -108,13 +109,13 @@ def test_find_asks_only_about_usable_arcs(case, data):
     if not histogram:
         return
     alpha = data.draw(st.sampled_from(sorted(histogram)))
-    with mock.patch.object(counting, "decide", wraps=decide) as spy:
+    with mock.patch.object(counting, "build_laplacian", wraps=build_laplacian) as spy:
         arb = find(graph, root, alpha)
-    # The first decide is on the whole graph; every later one is a search
-    # question, which holds no arc into the root, none of a color alpha has
-    # no room left for, and no two parallel arcs of one color.
+    # The first Laplacian is the decide's, of the whole graph; every later
+    # one is a search question's, which holds no arc into the root, none of a
+    # color alpha has no room left for, and no two parallel arcs of one color.
     for call in spy.call_args_list[1:]:
-        assert unusable_arcs(*call.args) == []
+        assert unusable_arcs(call.args[0], root, alpha) == []
     assert arb == next(
         other
         for other in enumerate_arborescences(graph, root)
@@ -176,39 +177,43 @@ def test_unused_colors_do_not_grow_the_grid(monkeypatch):
 
 def test_find_asks_about_the_first_in_arc_then_halves(monkeypatch):
     graph = complete_digraph(2)
-    calls = []
-    real = counting.decide
-    monkeypatch.setattr(counting, "decide", lambda *args: calls.append(args) or real(*args))
+    decides = recorded(monkeypatch, counting, "decide")
+    determinants = recorded(monkeypatch, counting, "det_poly")
     arb = find(graph, 1, (2,))
     assert arb is not None and color_histogram(graph, arb.edge_ids)[:1] == (2,)
     # Alpha (2,) asks for 2 arcs of color 1 and 3 of color 2.  In-arcs are
-    # ordered by tail, then color.  Contracting u -> v moves v's out-arcs to
-    # u, where they run parallel to u's own, so only one of each pair stays
-    # in the question; every contracted vertex merges into the root.
-    # - One decide on the whole graph.
+    # ordered by tail, then color.  Every taken arc leaves the root, and a
+    # tail that leads back to the root through the taken arcs is grouped
+    # with it, so of each color only the root's in-arc is a candidate.  Each
+    # determinant after the decide's is one question.
+    # - One decide, and its determinant, on the whole graph.
     # - Vertex 2 has 10 usable in-arcs (not from itself, both colors).  It
-    #   asks about 1->2 of color 1 alone, which stays feasible: 1.
-    # - Vertex 3 has 8 (tails 1, 4, 5, 6).  It asks about 1->3 of color 1
-    #   alone, which stays feasible and uses up color 1: 1.
-    # - Vertex 4 now has 3 usable in-arcs, of color 2 from 1, 5 and 6.  It
-    #   asks about the one from 1 alone, which stays feasible: 1.
-    # - Vertex 5 has 2 (from 1 and 6) and does the same: 1.
-    # - Vertex 6 has 1, from 1, taken unasked: 0.
+    #   asks about 1->2 of color 1 alone, with the other 9 deleted, which
+    #   stays feasible: 1.
+    # - Vertex 3 has 8 candidates (tails 1, 4, 5, 6; tail 2 leads to 1).  It
+    #   asks about 1->3 of color 1 alone, which stays feasible and uses up
+    #   color 1, so the question also deletes the color-1 arcs into 4, 5
+    #   and 6: 1.
+    # - Vertex 4 now has 5 in-arcs, all of color 2, and 3 candidates, from
+    #   1, 5 and 6 (2 and 3 lead to 1).  It asks about the one from 1 alone,
+    #   which stays feasible: 1.
+    # - Vertex 5 has 2 candidates (from 1 and 6) and does the same: 1.
+    # - Vertex 6 has 1 candidate, from 1, taken unasked: 0.
     # So 1 + 1 + 1 + 1 + 1 = 5, where 1 + ceil(log2(d - 1)) questions for
     # d = 10, 8, 3, 2 and 1 would allow 1 + 5 + 4 + 2 + 1 = 13, and one
-    # decide per arc would make 61.
-    assert len(calls) == 5
+    # question per arc would make 61.
+    assert len(decides) == 1
+    assert len(determinants) == 5
 
 
 def test_find_asks_nothing_about_a_path(monkeypatch):
     # On the path 1 -> 2 -> ... -> 6 each non-root vertex has one candidate,
     # taken unasked, so only the decide on the whole graph is made.
     graph = ColoredDigraph(6, 1, tuple(Edge(i, i + 1, i + 2, 1) for i in range(5)))
-    decided = []
-    real = counting.decide
-    monkeypatch.setattr(counting, "decide", lambda *args: decided.append(args) or real(*args))
+    decides = recorded(monkeypatch, counting, "decide")
+    determinants = recorded(monkeypatch, counting, "det_poly")
     assert find(graph, 1, ()).edge_ids == (0, 1, 2, 3, 4)
-    assert len(decided) == 1
+    assert len(decides) == len(determinants) == 1
 
 
 @st.composite
@@ -231,32 +236,43 @@ def matched(draw):
 # first.
 @example((parse_graph("4 2\ns a 1 1\ns b 1 1\na b 2 1\ns b 2 1\ns c 1 1\na c 2 1\nb c 2 1\n"), 1, (1,)))
 def test_search_questions_are_subgraphs_of_the_input(case):
-    # After the first call, on the whole graph, find and find_min ask only
-    # about subgraphs of the input with its vertices, root and alpha, in
-    # which every vertex already decided keeps only its taken in-arc.  The
-    # search picks each vertex's candidates with one `lightest` call, which
-    # names the vertex being decided.
+    # Each question is captured where it is built, by counting's
+    # build_laplacian, and its table from the det_poly call that follows.
+    # After the first, on the whole graph (find's decide, find_min's count),
+    # find and find_min ask only about subgraphs of the input with its
+    # vertices, in which every vertex already decided keeps only its taken
+    # in-arc.  Every coefficient asked is the oracle's: the number of
+    # arborescences matching alpha, or with a base r the sum of r^w over
+    # them.  The search picks each vertex's candidates with one `lightest`
+    # call, which names the vertex being decided.
     graph, root, alpha = case
     if alpha is None:
         return
     arcs = {(e.id, e.tail, e.head, e.color) for e in graph.edges}
-    for operation, module, name in ((find, counting, "decide"), (find_min, minweight, "c_alpha_r")):
-        events, ask, lightest = [], getattr(module, name), counting.lightest
-        with mock.patch.object(module, name, lambda *args: events.append(args) or ask(*args)):
-            with mock.patch.object(counting, "lightest", lambda edges, key: events.append(edges) or lightest(edges, key)):
-                result = operation(graph, root, alpha)
+    build, det, lightest = counting.build_laplacian, counting.det_poly, counting.lightest
+    for operation in (find, find_min):
+        questions, tables, vertices = [], [], []
+        with mock.patch.multiple(
+            counting,
+            build_laplacian=lambda graph, r=None: questions.append((graph, r, vertices[-1:])) or build(graph, r),
+            det_poly=lambda matrix: tables.append(det(matrix)) or tables[-1],
+            lightest=lambda edges, key: vertices.append(edges[0].head) or lightest(edges, key),
+        ):
+            result = operation(graph, root, alpha)
+        assert len(questions) == len(tables) >= 1
         taken = {graph.edge(i).head: i for i in (result if operation is find else result[0]).edge_ids}
-        questions, v = 0, None
-        for event in events:
-            if isinstance(event, list):
-                v = event[0].head
+        for number, ((subgraph, r, picked), table) in enumerate(zip(questions, tables)):
+            weights = [
+                sum(subgraph.edge(i).weight for i in arb.edge_ids)
+                for arb in enumerate_arborescences(subgraph, root)
+                if color_histogram(subgraph, arb.edge_ids)[: graph.q - 1] == alpha
+            ]
+            assert table.get(alpha, 0) == (len(weights) if r is None else sum(r**w for w in weights))
+            if number == 0:
                 continue
-            questions += 1
-            subgraph = event[0]
-            if questions == 1:
-                continue
-            assert (subgraph.n, event[1:3]) == (graph.n, (root, alpha))
+            assert subgraph.n == graph.n and (r is None) == (operation is find)
             assert {(e.id, e.tail, e.head, e.color) for e in subgraph.edges} <= arcs
+            [v] = picked
             decided = [w for w in range(1, v) if w != root]
             for w in decided:
                 assert [e.id for e in subgraph.edges if e.head == w] == [taken[w]]
@@ -269,18 +285,20 @@ def test_search_questions_are_subgraphs_of_the_input(case):
 @pytest.mark.parametrize("d", range(2, 10))
 def test_a_vertex_whose_last_in_arc_is_the_only_feasible_one(monkeypatch, d):
     # Vertex 2 has in-arcs from 3, ..., d + 1 and, last, from the root 1, and
-    # is the only way into 3, ..., d + 1.  Contracting any other in-arc, or
-    # keeping a half without 1 -> 2, leaves the root no out-arc.
+    # is the only way into 3, ..., d + 1.  Keeping any other in-arc alone, or
+    # a half without 1 -> 2, deletes the root's one out-arc, so the
+    # question's determinant is 0.
     tails = [*range(3, d + 2), 1]
     arcs = [(t, 2) for t in tails] + [(2, w) for w in range(3, d + 2)]
     graph = ColoredDigraph(d + 1, 1, tuple(Edge(i, t, h, 1) for i, (t, h) in enumerate(arcs)))
-    calls = []
-    real = counting.decide
-    monkeypatch.setattr(counting, "decide", lambda *args: calls.append(args) or real(*args))
+    decides = recorded(monkeypatch, counting, "decide")
+    determinants = recorded(monkeypatch, counting, "det_poly")
     assert find(graph, 1, ()).edge_ids == tuple(range(d - 1, 2 * d - 1))
-    # The whole graph, then the first in-arc alone and ceil(log2(d - 1))
-    # halvings of the other d - 1; vertices 3, ..., d + 1 have one in-arc each.
-    assert len(calls) == 1 + 1 + math.ceil(math.log2(d - 1))
+    # One determinant each: the decide's on the whole graph, then the first
+    # in-arc alone and ceil(log2(d - 1)) halvings of the other d - 1;
+    # vertices 3, ..., d + 1 have one in-arc each.
+    assert len(decides) == 1
+    assert len(determinants) == 1 + 1 + math.ceil(math.log2(d - 1))
 
 
 # Rooted at s: {sa, sb} has alpha 1, {sa, ab} alpha 2 and {ba, sb} alpha 0.
@@ -292,22 +310,24 @@ FORKED = "3 2\ns a 1\na b 1\ns b 2\n"
 
 
 def always_yes(monkeypatch):
-    # Every decide reads yes, the whole graph's included.  a's first
-    # candidate sa is kept, and it takes the one room of color 1, so ab and
-    # sb, b's only in-arcs, are deleted: b has no candidate and the search
-    # stops on {sa}.
-    monkeypatch.setattr(counting, "decide", lambda graph, root, alpha: True)
+    # Every determinant has coefficient 1 at alpha (1,), so the decide on the
+    # whole graph and every question read yes.  a's first candidate sa is
+    # kept, and it takes the one room of color 1, so ab and sb, b's only
+    # in-arcs, are deleted: b has no candidate and the search stops on {sa}.
+    monkeypatch.setattr(counting, "det_poly", lambda matrix: {(1,): 1})
     return CROSSED
 
 
 def decide_for_alpha_2(monkeypatch):
-    # The whole graph has {sa, ab}, so the search starts.  a's probe of sa
-    # holds sa and sb (sa takes the one room of color 1, so ab is deleted),
-    # which has no arborescence of alpha 2: no.  a takes ba unasked, which
-    # takes the one room of color 2, so sb is deleted.  b's last in-arc ab
-    # leaves a, which leads back to b through ba, so b has no candidate and
-    # the search stops on {ba}.
-    monkeypatch.setattr(counting, "decide", lambda graph, root, alpha: decide(graph, root, (2,)))
+    # Every determinant reports its alpha-2 coefficient as alpha 1's.  The
+    # whole graph has {sa, ab}, so the decide reads yes and the search
+    # starts.  a's probe of sa holds sa and sb (sa takes the one room of
+    # color 1, so ab is deleted), which has no arborescence of alpha 2: no.
+    # a takes ba unasked, which takes the one room of color 2, so sb is
+    # deleted.  b's last in-arc ab leaves a, which leads back to b through
+    # ba, so b has no candidate and the search stops on {ba}.
+    real = counting.det_poly
+    monkeypatch.setattr(counting, "det_poly", lambda matrix: {(1,): real(matrix).get((2,), 0)})
     return DIRECTED
 
 

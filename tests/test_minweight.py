@@ -10,11 +10,11 @@ from ccarb import counting, minweight
 from ccarb.cli import main
 from ccarb.counting import Arborescence
 from ccarb.graph import parse_graph
-from ccarb.laplacian import SymbolicMatrix
+from ccarb.laplacian import SymbolicMatrix, build_laplacian
 from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, is_arborescence, oracle_min_weight
 
-from support import alphas, small_digraphs, unusable_arcs
+from support import alphas, recorded, small_digraphs, unusable_arcs
 
 ORACLE = settings(max_examples=100, deadline=None)
 
@@ -68,18 +68,18 @@ def test_find_min_returns_a_certified_minimizer(inst):
 @given(instances())
 def test_find_min_asks_only_about_usable_arcs(inst):
     expected = oracle_min_weight(*inst)
-    with mock.patch.object(minweight, "c_alpha_r", wraps=c_alpha_r) as spy:
+    with mock.patch.object(counting, "build_laplacian", wraps=build_laplacian) as spy:
         result = find_min(*inst)
     if expected is None:
         assert result is None
         return
-    # The first call takes the target on the whole lowered graph; every
-    # later one is a search question, which holds no arc into the root, none
-    # of a color alpha has no room left for, and no two parallel arcs of one
-    # color.
-    for call in spy.call_args_list[1:]:
-        assert unusable_arcs(*call.args[:3]) == []
+    # The first Laplacian built in counting is the count's, of the whole
+    # graph; every later one is a search question's, which holds no arc into
+    # the root, none of a color alpha has no room left for, and no two
+    # parallel arcs of one color.
     graph, root, alpha = inst
+    for call in spy.call_args_list[1:]:
+        assert unusable_arcs(call.args[0], root, alpha) == []
     assert result[0] == next(
         other
         for other in enumerate_arborescences(graph, root)
@@ -170,29 +170,34 @@ def test_heavy_weights_take_few_evaluations(monkeypatch, operation, points_taken
     # find_min adds one det_poly per search question.  The minimizers, of
     # weight 1200, are {sa, sb, bc, bd, de, df} and {sa, ab, bc, bd, de,
     # ef}.  A vertex's row keeps x1 when its usable in-arcs mix colors; a
-    # row of one color factors, and one whose arcs all leave the root is
-    # then expanded away.  At most 3 * 3 * 3 * 2 * 2 * 2 = 216 subgraphs
-    # take one in-arc per vertex, so 9 <= r <= 217.
-    # - a asks about sa alone: yes.  On G/sa, ab and ac leave s, and rows
-    #   b, c, e and f mix colors: 5 digits.  Rows b, c, d, e and f hold
-    #   r^91, r^91, r^61, r^81 and r^91, so B >= r^415 >= 2^1315 and
+    # row of one color factors.  A row left with its diagonal alone, as is
+    # a decided vertex's whose one in-arc leaves the root or a vertex
+    # expanded before, is expanded away, which deletes its column: the
+    # arcs out of it then touch only their heads' rows.  At most
+    # 3 * 3 * 3 * 2 * 2 * 2 = 216 subgraphs take one in-arc per vertex, so
+    # 9 <= r <= 217.
+    # - a asks about sa alone (ba and fa deleted): yes.  Row a goes, and
+    #   rows b, c, e and f mix colors: 5 digits.  Rows b, c, d, e and f
+    #   hold r^91, r^91, r^61, r^81 and r^91, so B >= r^415 >= 2^1315 and
     #   5 * bits > 4096: 5 points.
-    # - b asks about sb alone: yes.  On G/sa/sb, bc and bd leave s; rows c,
-    #   e and f mix colors and d (arcs cd and sd) factors: 4 digits.  Rows
-    #   c, d, e and f hold r^91, r^61, r^81 and r^91, so B >= r^324 >=
-    #   2^1027 and 4 * bits > 4096: 4 points.
-    # - c asks about ac (now s -> c, color 1) alone: no, both minimizers use
-    #   bc.  Contracting it moves cd to s, where bd, the lighter, is kept,
-    #   so d's row is sd alone and goes; e (de, ce) and f (ef, df) mix
-    #   colors: 3 digits.  Column d is gone, so e's row sums to r + r^81
-    #   and f's to 2 r^91 + r: B < r^174 <= 217^174 < 2^1351, bits <= 1352
-    #   and 3 * bits <= 4056: 1 point.  The other two are halved: bc alone
-    #   asks yes, and its graph reduces the same way: 1 point.
-    # - d has one usable in-arc, bd, taken unasked.
-    # - e asks about de alone: yes.  That leaves room for one arc, of color
-    #   1, so the moved ef (color 2) is dropped and f's row, df from s alone,
-    #   goes: the empty matrix, 1 point.
-    # - f has one usable in-arc, df, taken unasked.
+    # - b asks about sb alone (ab and eb deleted): yes.  Rows a and b go;
+    #   rows c, e and f mix colors and d (arcs cd and bd) factors: 4
+    #   digits.  Rows c, d, e and f hold r^91, r^61, r^81 and r^91, so
+    #   B >= r^324 >= 2^1027 and 4 * bits > 4096: 4 points.
+    # - c asks about ac alone (bc and fc deleted): no, both minimizers use
+    #   bc.  Rows a, b and c go, and then so does d's (cd and bd, both from
+    #   expanded vertices); e (de, ce) and f (ef, df) mix colors: 3 digits.
+    #   Columns c and d are gone, so e's row sums to r + r^81 and f's to
+    #   2 r^91 + r: B < r^174 <= 217^174 < 2^1351, bits <= 1352 and
+    #   3 * bits <= 4056: 1 point.  The other two are halved: bc alone asks
+    #   yes, and its matrix reduces the same way: 1 point.
+    # - d's in-arcs cd and bd both lead back to s through the taken arcs and
+    #   have one color, so the lighter, bd, is its one candidate, taken
+    #   unasked.
+    # - e asks about de alone (ce deleted): yes.  That leaves room for one
+    #   arc, of color 1, so ef (color 2) is deleted too and f's row, df
+    #   alone, goes after d's: the empty matrix, 1 point.
+    # - f has one candidate, df, taken unasked.
     # That is 5 + 4 + 1 + 1 + 1 = 12 points, and 7 + 12 = 19 in all.
     points = []
     real = SymbolicMatrix.evaluate
@@ -231,15 +236,18 @@ def test_vertices_with_different_lightest_in_weights(alpha):
 def test_valuation_base_exceeds_the_number_of_arborescences(inst):
     # The valuation is exact when r exceeds the number of minimizers, which
     # is at most the number of arborescences matching alpha.  find_min asks
-    # every step at the one base that min_weight uses.
+    # every search question, a Laplacian built in counting with a base, at
+    # the one base that min_weight uses.
     graph, root, alpha = inst
     matching = sum(
         color_histogram(graph, arb.edge_ids)[: graph.q - 1] == alpha for arb in enumerate_arborescences(graph, root)
     )
     for operation in (min_weight, find_min):
         with mock.patch.object(minweight, "c_alpha_r", wraps=c_alpha_r) as spy:
-            operation(*inst)
+            with mock.patch.object(counting, "build_laplacian", wraps=build_laplacian) as questions:
+                operation(*inst)
         bases = {call.args[3] for call in spy.call_args_list}
+        bases |= {call.args[1] for call in questions.call_args_list if len(call.args) > 1}
         if matching == 0:
             assert bases == set()
             continue
@@ -288,31 +296,36 @@ def test_find_min_halves_the_in_arcs_of_each_vertex(monkeypatch):
     arcs = [(t, h, c) for t in range(1, 6) for h in range(1, 6) if t != h for c in (1, 2)]
     lines = [f"{t} {h} {c} {1 + (3 * t + 5 * h + 7 * c) % 9}" for t, h, c in arcs]
     inst = parse_graph("5 2\n" + "\n".join(lines) + "\n"), 1, (2,)
-    calls = []
-    monkeypatch.setattr(minweight, "c_alpha_r", lambda *args: calls.append(args[3]) or c_alpha_r(*args))
+    determinants = recorded(monkeypatch, counting, "det_poly")
     _, weight = find_min(*inst)
     assert weight == oracle_min_weight(*inst)[0]
     # Alpha (2,) asks for 2 arcs of each color.  Each vertex's lightest
     # in-arcs are 1->2 and 4->2 (color 2, weight 1), 2->3 and 5->3 (color
     # 1, 2), 3->4 (color 1, 1) and 2->5 (color 2, 1), so the minimizers take
     # those; 4->2 closes a cycle with 3->4, so 1->2 is in every one.
-    # Questions, after the target:
+    # counting's determinants are the count's on the whole graph, then one
+    # per question (the target is c_alpha_r's, in minweight).  A tail that
+    # leads back to 1 through the taken arcs is grouped with 1, so of each
+    # color only the lightest in-arc from such tails is a candidate.
     # - Vertex 2 has 8 usable in-arcs.  1->2 of color 1 alone: no.  The
     #   first 3 of the other 7, with the rest deleted: yes.  1->2 of color 2
     #   alone: yes.  3 questions.
-    # - Contracting 1->2 moves 2's out-arcs to 1, where of each parallel
-    #   pair the lighter stays: 2->3 of color 1 and 1->3 of color 2.
-    #   Vertex 3 has 6 usable in-arcs: 1->3 (color 2), 2->3, then 4->3 and
-    #   5->3 of each color.  1->3 alone: no.  The first 2 of the other 5:
-    #   yes.  2->3 alone: yes.  3 questions.
-    # - Vertex 4 keeps 1->4 of color 2 and, moved, 3->4 of color 1, then
-    #   5->4 of each color: 4.  1->4 alone: no.  Then 3->4 alone: yes.  2.
-    # - 2->3 and 3->4 used up color 1, so vertex 5 keeps only 2->5 of color
-    #   2, lighter than 1->5 and the moved 3->5 and 4->5: taken unasked.
+    # - Tail 2 now leads back to 1, and of each color the lighter of 1->3
+    #   and 2->3 is the candidate: 2->3 of color 1 and 1->3 of color 2.  Vertex
+    #   3 has 6 candidates: 1->3 (color 2), 2->3, then 4->3 and 5->3 of each
+    #   color.  1->3 alone: no.  The first 2 of the other 5: yes.  2->3
+    #   alone: yes.  3 questions.
+    # - Vertex 4 has 4 candidates: of 1->4, 2->4 and 3->4, the lightest of
+    #   color 2 (1->4) and of color 1 (3->4), then 5->4 of each color.  1->4
+    #   alone: no.  Then 3->4 alone: yes.  2 questions.
+    # - 2->3 and 3->4 used up color 1, so that question deleted the color-1
+    #   arcs into vertex 5.  Its candidate is the lightest of the color-2
+    #   ones, 2->5, from tails 1 to 4, which all lead back to 1: taken
+    #   unasked.
     # So 1 + 3 + 3 + 2 = 9, where 1 + ceil(log2(d - 1)) questions for
     # d = 8, 6, 4 and 1 would allow 1 + 4 + 4 + 3 = 12, and one question per
     # arc n + m = 5 + 40.
-    assert len(calls) == 9
+    assert len(determinants) == 9
 
 
 # Rooted at s: {sa, sb} has alpha 1 and weight 3, {sa, ab} alpha 2 and
@@ -322,29 +335,39 @@ WEIGHTED = "3 2\ns a 1 1\ns b 2 2\na b 1 3\nb a 2 1\n"
 CROSSED = "3 2\ns a 1 1\na b 1 2\ns b 1 2\nb a 2 1\n"
 
 
+def lie_when_weighted(monkeypatch, lie) -> None:
+    # Pass find_min's weighted determinants through lie: the target's, taken
+    # in minweight, and each question's, in counting.  The count's, also in
+    # counting, is left alone: its unweighted terms are all 1 or -1, while
+    # every weighted term is r^w with r >= 2 and w >= 1 after lowering.
+    real = counting.det_poly
+
+    def det_poly(matrix):
+        if all(abs(coeff) == 1 for row in matrix.rows for _, _, coeff in row):
+            return real(matrix)
+        return lie(real(matrix))
+
+    monkeypatch.setattr(counting, "det_poly", det_poly)
+    monkeypatch.setattr(minweight, "det_poly", det_poly)
+
+
 def always_yes(monkeypatch):
-    # Every call after the first, on the whole lowered graph, returns the
-    # first call's value, so every question reads the target: yes.  a's
-    # first candidate sa is kept, and it takes the one room of color 1, so
-    # ab and sb, b's only in-arcs, are deleted: b has no candidate and the
+    # Every weighted determinant returns the first one's table, the target's
+    # on the whole lowered graph, so every question reads the target: yes.
+    # a's first candidate sa is kept, and it takes the one room of color 1,
+    # so ab and sb, b's only in-arcs, are deleted: b has no candidate and the
     # search stops on {sa}.
-    real, first = minweight.c_alpha_r, []
-
-    def the_first_value(*args):
-        if not first:
-            first.append(real(*args))
-        return first[0]
-
-    monkeypatch.setattr(minweight, "c_alpha_r", the_first_value)
+    first = []
+    lie_when_weighted(monkeypatch, lambda table: first.append(table) or first[0])
     return CROSSED
 
 
 def misreport_the_minimum(monkeypatch):
-    # Multiply every coefficient by r, so every lowered minimum reads one
-    # more.  The search still follows the true minimum and ends on {sa, sb},
-    # whose weight is not the reported minimum.
-    real = minweight.c_alpha_r
-    monkeypatch.setattr(minweight, "c_alpha_r", lambda graph, root, alpha, r: r * real(graph, root, alpha, r))
+    # Only {sa, sb} has alpha 1, so r = count + 1 = 2.  Doubling every
+    # weighted coefficient multiplies it by r, so every lowered minimum reads
+    # one more.  The search still follows the true minimum and ends on
+    # {sa, sb}, whose weight is not the reported minimum.
+    lie_when_weighted(monkeypatch, lambda table: {key: 2 * value for key, value in table.items()})
     return WEIGHTED
 
 
