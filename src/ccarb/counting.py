@@ -16,6 +16,7 @@ from .determinant import det_poly
 from .graph import (
     ColoredDigraph,
     ColoredMultigraph,
+    Edge,
     bidirect,
     check_directed,
     check_index,
@@ -25,10 +26,9 @@ from .graph import (
     is_arborescence,
     lightest,
     reaches_all,
-    remove_edge,
     reverse,
 )
-from .laplacian import build_laplacian, minor
+from .laplacian import build_laplacian, root_minor
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,7 @@ def count_table(graph: ColoredDigraph, root: int) -> dict[tuple[int, ...], int]:
     _checked_root(graph, root)
     if not reaches_all(graph, root):
         return {}
-    # Arcs into the root touch only the root's row, which the minor deletes.
-    reduced = minor(build_laplacian(graph), root)
-    return det_poly(reduced)
+    return det_poly(root_minor(graph.n, graph.q, graph.edges, root))
 
 
 def count(graph: ColoredDigraph, root: int, alpha) -> int:
@@ -84,20 +82,21 @@ def decide(graph: ColoredDigraph, root: int, alpha) -> bool:
     return count(graph, root, alpha) > 0
 
 
-def _without(graph: ColoredDigraph, arcs) -> ColoredDigraph:
-    return remove_edge(graph, *(e.id for e in arcs)) if arcs else graph
+def _without(question: list[Edge], arcs) -> list[Edge]:
+    dropped = {e.id for e in arcs}
+    return [e for e in question if e.id not in dropped] if dropped else question
 
 
 def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int | None, keeps) -> Arborescence:
     """The first solution by the in-arc id of vertex 1, then 2, ...; `keeps(coefficient)` answers a question.
 
-    Every question is a subgraph of `dedup_min_weight(graph)` with its
-    vertices, holding no arc into the root and, of a color whose room the
-    taken arcs fill, only those.  It is one `det_poly` call, on its
-    Laplacian minor at the root with arc values r^w (1 when r is None), and
-    `keeps` gets the alpha coefficient.  Each non-root vertex v, in
-    ascending order, keeps only the smallest-id in-arc some solution still
-    uses: a one-arc row, which `determinant._reduce` contracts.  v's
+    Every question is a list of live arcs of `dedup_min_weight(graph)`,
+    deleted by id, with no arc into the root and, of a color whose room the
+    taken arcs fill, only those.  It is one `det_poly` call, on the minor
+    `root_minor` builds from it at the root with arc values r^w (1 when r is
+    None), and `keeps` gets the alpha coefficient.  Each non-root vertex v,
+    in ascending order, keeps only the smallest-id in-arc some solution
+    still uses: a one-arc row, which `determinant._reduce` contracts.  v's
     candidates are its in-arcs whose tail does not lead back to v through
     the taken arcs, one per color and "top" (where those arcs lead the
     tail), picked as `dedup_min_weight` picks.  The first is asked about
@@ -109,8 +108,8 @@ def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int | N
     (ValueError if not).
     """
     room = [*alpha, graph.n - 1 - sum(alpha)]
-    question = dedup_min_weight(graph)
-    question = _without(question, [e for e in question.edges if e.head == root or room[e.color - 1] <= 0])
+    edges = dedup_min_weight(graph).edges
+    question = _without(list(edges), [e for e in edges if e.head == root or room[e.color - 1] <= 0])
     tail: dict[int, int] = {}
 
     def top(vertex: int) -> int:
@@ -118,17 +117,17 @@ def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int | N
             vertex = tail[vertex]
         return vertex
 
-    def filled(question: ColoredDigraph, arc) -> list:
+    def filled(question: list[Edge], arc: Edge) -> list[Edge]:
         # The arcs into later vertices of arc's color, if arc would fill its room.
         if room[arc.color - 1] > 1:
             return []
-        return [e for e in question.edges if e.head > arc.head and e.color == arc.color]
+        return [e for e in question if e.head > arc.head and e.color == arc.color]
 
     taken = []
     for v in range(1, graph.n + 1):
         if v == root:
             continue
-        arcs = [e for e in question.edges if e.head == v]
+        arcs = [e for e in question if e.head == v]
         tries = [e for e in lightest(arcs, lambda e: (top(e.tail), e.color)) if top(e.tail) != v]
         if not tries:
             break  # only a wrong answer leaves v no usable in-arc; the certificates refuse the result
@@ -137,7 +136,7 @@ def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int | N
         while len(tries) > 1:
             half, rest = tries[:size], tries[size:]
             without = _without(question, rest + (filled(question, half[0]) if size == 1 else []))
-            kept = keeps(det_poly(minor(build_laplacian(without, r), root)).get(alpha, 0))
+            kept = keeps(det_poly(root_minor(graph.n, graph.q, without, root, r)).get(alpha, 0))
             question, tries = (without, half) if kept else (_without(question, half), rest)
             size = len(tries) // 2
         arc = tries[0]
@@ -158,8 +157,8 @@ def find(graph: ColoredDigraph, root: int, alpha) -> Arborescence | None:
 
     After one decide on the whole graph, each non-root vertex, in ascending
     order, keeps the smallest-id in-arc that a matching arborescence still
-    uses, and its other in-arcs are deleted.  Each question is a subgraph
-    of the input with only usable arcs (the lightest, then smallest-id, of
+    uses, and its other in-arcs are deleted.  Each question is a list of
+    the input's arcs, only usable ones (the lightest, then smallest-id, of
     each parallel same-color group; none into the root or of a color whose
     room is filled), and holds when its coefficient, the number of its
     arborescences matching alpha, is nonzero.  A vertex with d candidates

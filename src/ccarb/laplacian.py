@@ -3,7 +3,9 @@
 Row v holds only v's in-arcs, so rows are stored sparsely as terms, which
 `determinant._reduce` reads too: it rewrites them and sums them for the
 Leibniz bound.  Color q contributes to the constant term (x_q is fixed to
-1).
+1).  The engine's minors are built straight from a list of arcs by
+`root_minor`; `minor`, which deletes a row and column of any matrix, stays
+the public matrix operation and the tests' reference for it.
 """
 
 from __future__ import annotations
@@ -54,26 +56,38 @@ class SymbolicMatrix:
         return scalar
 
 
-def build_laplacian(graph: ColoredDigraph, r: int | None = None) -> SymbolicMatrix:
-    """Build the symbolic in-degree Laplacian.
+def root_minor(n: int, q: int, arcs, root: int | None, r: int | None = None) -> SymbolicMatrix:
+    """The in-degree Laplacian of the arcs on vertices 1..n, without row and column `root`.
 
     Each arc u -> v of color c adds the term (v, c, +value) to row v and,
-    unless u = v, the term (u, c, -value), so the terms of one entry share
-    a sign.  The value is 1, or r^w for an arc of weight w when a base r is
-    given, which requires every edge to carry a weight.  Parallel arcs add
-    up, so the determinant sums over them as over distinct arcs.
+    unless u = v or u is the root, the term (u, c, -value), so the terms of
+    one entry share a sign.  Arcs into the root touch only the root's row,
+    so they are skipped.  The value is 1, or r^w for an arc of weight w when
+    a base r is given, which requires every arc to carry a weight.  Parallel
+    arcs add up, so the determinant sums over them as over distinct arcs.
+    With `root` None no row or column is left out.
     """
-    if r is not None and not graph.weighted:
+    if r is not None and any(e.weight is None for e in arcs):
         raise ValueError("a weighted Laplacian requires all edges to carry weights")
-    rows: list[list[Term]] = [[] for _ in range(graph.n)]
-    for e in graph.edges:
+    if root is not None:
+        check_index(root, "root", n)
+    column = [v - 1 - (root is not None and v > root) for v in range(n + 1)]
+    rows: list[list[Term]] = [[] for _ in range(n - (root is not None))]
+    for e in arcs:
+        if e.head == root:
+            continue
         value = 1 if r is None else r**e.weight
-        slot = 0 if e.color == graph.q else e.color
-        row = rows[e.head - 1]
-        row.append((e.head - 1, slot, value))
-        if e.tail != e.head:
-            row.append((e.tail - 1, slot, -value))
-    return SymbolicMatrix(graph.q - 1, tuple(map(tuple, rows)))
+        slot = 0 if e.color == q else e.color
+        row = rows[column[e.head]]
+        row.append((column[e.head], slot, value))
+        if e.tail != e.head and e.tail != root:
+            row.append((column[e.tail], slot, -value))
+    return SymbolicMatrix(q - 1, tuple(map(tuple, rows)))
+
+
+def build_laplacian(graph: ColoredDigraph, r: int | None = None) -> SymbolicMatrix:
+    """The symbolic in-degree Laplacian of all the graph's arcs, as `root_minor` builds it."""
+    return root_minor(graph.n, graph.q, graph.edges, None, r)
 
 
 def minor(matrix: SymbolicMatrix, index: int) -> SymbolicMatrix:

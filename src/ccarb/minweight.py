@@ -24,7 +24,7 @@ from dataclasses import replace
 from .counting import Arborescence, _checked_alpha, _checked_root, _search, count
 from .determinant import det_poly
 from .graph import ColoredDigraph, Edge, reaches_all
-from .laplacian import build_laplacian, minor
+from .laplacian import root_minor
 
 
 def _checked(graph: ColoredDigraph, root: int, alpha) -> tuple[int, ...]:
@@ -40,16 +40,15 @@ def c_alpha_r(graph: ColoredDigraph, root: int, alpha, r: int) -> int:
 
     The sum is exact for every integer r, negative or zero included.
     Computed as the constraint's coefficient in the determinant of the
-    in-degree Laplacian minor whose arcs carry the values r^w(e).  Arcs into
-    the root are left in: they touch only the root's row, which the minor
-    deletes.  A graph with a vertex unreachable from the root has no
-    arborescence and sums to 0 without a determinant.  Raises ValueError
+    Laplacian minor at the root that `root_minor` builds from the arcs with
+    the values r^w(e).  A graph with a vertex unreachable from the root has
+    no arborescence and sums to 0 without a determinant.  Raises ValueError
     where `count` does, and on an unweighted graph even if that sum is 0.
     """
     constraint = _checked(graph, root, alpha)
     if not reaches_all(graph, root):
         return 0
-    return det_poly(minor(build_laplacian(graph, r), root)).get(constraint, 0)
+    return det_poly(root_minor(graph.n, graph.q, graph.edges, root, r)).get(constraint, 0)
 
 
 def valuation(value: int, r: int) -> int:
@@ -105,10 +104,10 @@ def find_min(graph: ColoredDigraph, root: int, alpha) -> tuple[Arborescence, int
     searches the lowered graph as `find` does: the result is the first
     minimizer by the in-arc id of vertex 1, then 2, and so on, found by at
     most 1 + ceil(log2(d - 1)) questions for a vertex with d candidates.
-    A question, a subgraph of the lowered graph, holds when its coefficient
-    at r, the sum of r^w over its matching arborescences, is nonzero and
-    has the lowered minimum as its valuation.  One r serves every
-    question: deleting arcs never raises the count.  The result is checked
+    A question, a list of the lowered graph's arcs, holds when its
+    coefficient at r, the sum of r^w over its matching arborescences, is
+    nonzero and has the lowered minimum as its valuation.  One r serves
+    every question: deleting arcs never raises the count.  The result is checked
     against the input graph's weights to be an arborescence with the
     requested histogram and the minimum weight (ValueError if not).
     """

@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import strategies as st
 
+from ccarb import counting
 from ccarb.graph import ColoredDigraph, ColoredMultigraph, Edge
 from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor
 
@@ -326,6 +329,24 @@ def unusable_arcs(graph: ColoredDigraph, root: int, alpha) -> list[Edge]:
             unusable.append(e)
         seen.add((e.tail, e.head, e.color))
     return unusable
+
+
+@contextmanager
+def questions_asked():
+    """Capture every minor `counting` builds, as (graph of its arcs, r), and every table its det_poly returns.
+
+    The first minor is that of the whole graph (find's decide, find_min's
+    count); each later one is a search question's.
+    """
+    minors, tables = [], []
+    build, det = counting.root_minor, counting.det_poly
+
+    def root_minor(n, q, arcs, root, r=None):
+        minors.append((ColoredDigraph(n, q, tuple(arcs)), r))
+        return build(n, q, arcs, root, r)
+
+    with mock.patch.multiple(counting, root_minor=root_minor, det_poly=lambda m: tables.append(det(m)) or tables[-1]):
+        yield minors, tables
 
 
 def recorded(monkeypatch, module, name: str) -> list:

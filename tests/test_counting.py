@@ -24,6 +24,7 @@ from support import (
     bareiss_det,
     classical_in_laplacian_minor,
     poly_eval,
+    questions_asked,
     random_digraph,
     recorded,
     small_digraphs,
@@ -109,13 +110,15 @@ def test_find_asks_only_about_usable_arcs(case, data):
     if not histogram:
         return
     alpha = data.draw(st.sampled_from(sorted(histogram)))
-    with mock.patch.object(counting, "build_laplacian", wraps=build_laplacian) as spy:
+    with questions_asked() as (minors, tables):
         arb = find(graph, root, alpha)
-    # The first Laplacian is the decide's, of the whole graph; every later
-    # one is a search question's, which holds no arc into the root, none of a
-    # color alpha has no room left for, and no two parallel arcs of one color.
-    for call in spy.call_args_list[1:]:
-        assert unusable_arcs(call.args[0], root, alpha) == []
+    # The first minor is the decide's, of the whole graph; every later one is
+    # a search question's, which holds no arc into the root, none of a color
+    # alpha has no room left for, and no two parallel arcs of one color.
+    # Every det_poly call after the first asks a question the spy saw.
+    assert len(minors) == len(tables) >= 1
+    for question, _ in minors[1:]:
+        assert unusable_arcs(question, root, alpha) == []
     assert arb == next(
         other
         for other in enumerate_arborescences(graph, root)
@@ -235,9 +238,13 @@ def matched(draw):
 # deleted: b and c have one candidate each, and no question follows the
 # first.
 @example((parse_graph("4 2\ns a 1 1\ns b 1 1\na b 2 1\ns b 2 1\ns c 1 1\na c 2 1\nb c 2 1\n"), 1, (1,)))
+# a's probe of sa (color 1) fills color 1's one room, so it deletes sb of
+# color 1 as well as a's other candidate; the probe holds {sa, sb of color 2}.
+@example((parse_graph("3 2\ns a 1 1\ns a 2 1\ns b 1 1\ns b 2 1\n"), 1, (1,)))
 def test_search_questions_are_subgraphs_of_the_input(case):
-    # Each question is captured where it is built, by counting's
-    # build_laplacian, and its table from the det_poly call that follows.
+    # Each question is captured where its minor is built, by counting's
+    # root_minor, as a graph of its arcs, and its table from the det_poly
+    # call that follows.
     # After the first, on the whole graph (find's decide, find_min's count),
     # find and find_min ask only about subgraphs of the input with its
     # vertices, in which every vertex already decided keeps only its taken
@@ -249,12 +256,17 @@ def test_search_questions_are_subgraphs_of_the_input(case):
     if alpha is None:
         return
     arcs = {(e.id, e.tail, e.head, e.color) for e in graph.edges}
-    build, det, lightest = counting.build_laplacian, counting.det_poly, counting.lightest
+    build, det, lightest = counting.root_minor, counting.det_poly, counting.lightest
     for operation in (find, find_min):
         questions, tables, vertices = [], [], []
+
+        def root_minor(n, q, live, root, r=None):
+            questions.append((ColoredDigraph(n, q, tuple(live)), r, vertices[-1:]))
+            return build(n, q, live, root, r)
+
         with mock.patch.multiple(
             counting,
-            build_laplacian=lambda graph, r=None: questions.append((graph, r, vertices[-1:])) or build(graph, r),
+            root_minor=root_minor,
             det_poly=lambda matrix: tables.append(det(matrix)) or tables[-1],
             lightest=lambda edges, key: vertices.append(edges[0].head) or lightest(edges, key),
         ):
@@ -280,6 +292,12 @@ def test_search_questions_are_subgraphs_of_the_input(case):
             used = Counter(graph.edge(taken[w]).color for w in decided)
             room = (*alpha, graph.n - 1 - sum(alpha))
             assert all(used[e.color] < room[e.color - 1] for e in subgraph.edges if e.head >= v)
+            # A one-arc probe also deletes every arc into a later vertex of a
+            # color the probed arc would fill.
+            probed = [e for e in subgraph.edges if e.head == v]
+            if len(probed) == 1:
+                used[probed[0].color] += 1
+                assert all(used[e.color] < room[e.color - 1] for e in subgraph.edges if e.head > v)
 
 
 @pytest.mark.parametrize("d", range(2, 10))
@@ -337,7 +355,7 @@ def delete_nothing(monkeypatch):
     # from a, which leads to s) and sb (color 2, from s); the probe of ab
     # reads yes, so b takes it.  The search ends on {sa, ab}, an
     # arborescence of alpha 2.
-    monkeypatch.setattr(counting, "remove_edge", lambda graph, *edge_ids: graph)
+    monkeypatch.setattr(counting, "_without", lambda question, arcs: question)
     return FORKED
 
 

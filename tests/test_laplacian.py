@@ -2,11 +2,13 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccarb.graph import ColoredDigraph, Edge, reverse
-from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor
+from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor, root_minor
 
-from support import dense_rows, entry_poly, poly_add, random_digraph
+from support import dense_rows, entry_poly, poly_add, random_digraph, small_digraphs
 
 
 class TestBuild:
@@ -127,6 +129,35 @@ class TestMinor:
         m = SymbolicMatrix(0, (((0, 0, 1),),))
         with pytest.raises(ValueError, match="out of range"):
             minor(m, 2)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as error:
+        return str(error)
+
+
+class TestRootMinor:
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans().flatmap(lambda weights: small_digraphs(weights=weights)), st.data())
+    def test_is_the_minor_of_the_laplacian(self, graph, data):
+        # At every root, for the whole arc list and a subset of it, with or
+        # without a base r; on unweighted arcs both refuse r alike.
+        keep = data.draw(st.lists(st.booleans(), min_size=len(graph.edges), max_size=len(graph.edges)))
+        subset = tuple(e for e, kept in zip(graph.edges, keep) if kept)
+        r = data.draw(st.one_of(st.none(), st.integers(2, 7)))
+        for arcs in (graph.edges, subset):
+            reference = ColoredDigraph(graph.n, graph.q, arcs)
+            for root in range(1, graph.n + 1):
+                expected = _outcome(lambda: minor(build_laplacian(reference, r), root))
+                assert _outcome(lambda: root_minor(graph.n, graph.q, arcs, root, r)) == expected
+
+    def test_skips_arcs_into_the_root_and_terms_of_the_root(self):
+        # Root 2: the arc into it is skipped, the arc out of it keeps only
+        # its head's term, and vertex 3 becomes column 1.
+        arcs = (Edge(0, 1, 2, 1, 5), Edge(1, 2, 3, 2, 3), Edge(2, 3, 1, 1, 2))
+        assert root_minor(3, 2, arcs, 2, 2).rows == (((0, 1, 4), (1, 1, -4)), ((1, 0, 8),))
 
 
 class TestEvaluate:

@@ -10,11 +10,11 @@ from ccarb import counting, minweight
 from ccarb.cli import main
 from ccarb.counting import Arborescence
 from ccarb.graph import parse_graph
-from ccarb.laplacian import SymbolicMatrix, build_laplacian
+from ccarb.laplacian import SymbolicMatrix
 from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, is_arborescence, oracle_min_weight
 
-from support import alphas, recorded, small_digraphs, unusable_arcs
+from support import alphas, questions_asked, recorded, small_digraphs, unusable_arcs
 
 ORACLE = settings(max_examples=100, deadline=None)
 
@@ -68,18 +68,20 @@ def test_find_min_returns_a_certified_minimizer(inst):
 @given(instances())
 def test_find_min_asks_only_about_usable_arcs(inst):
     expected = oracle_min_weight(*inst)
-    with mock.patch.object(counting, "build_laplacian", wraps=build_laplacian) as spy:
+    with questions_asked() as (minors, tables):
         result = find_min(*inst)
     if expected is None:
         assert result is None
         return
-    # The first Laplacian built in counting is the count's, of the whole
-    # graph; every later one is a search question's, which holds no arc into
-    # the root, none of a color alpha has no room left for, and no two
-    # parallel arcs of one color.
+    # The first minor built in counting is the count's, of the whole graph;
+    # every later one is a search question's, which holds no arc into the
+    # root, none of a color alpha has no room left for, and no two parallel
+    # arcs of one color.  Every det_poly call in counting after the first
+    # asks a question the spy saw.
     graph, root, alpha = inst
-    for call in spy.call_args_list[1:]:
-        assert unusable_arcs(call.args[0], root, alpha) == []
+    assert len(minors) == len(tables) >= 1
+    for question, _ in minors[1:]:
+        assert unusable_arcs(question, root, alpha) == []
     assert result[0] == next(
         other
         for other in enumerate_arborescences(graph, root)
@@ -236,18 +238,18 @@ def test_vertices_with_different_lightest_in_weights(alpha):
 def test_valuation_base_exceeds_the_number_of_arborescences(inst):
     # The valuation is exact when r exceeds the number of minimizers, which
     # is at most the number of arborescences matching alpha.  find_min asks
-    # every search question, a Laplacian built in counting with a base, at
-    # the one base that min_weight uses.
+    # every search question, a minor built in counting with a base, at the
+    # one base that min_weight uses.
     graph, root, alpha = inst
     matching = sum(
         color_histogram(graph, arb.edge_ids)[: graph.q - 1] == alpha for arb in enumerate_arborescences(graph, root)
     )
     for operation in (min_weight, find_min):
-        with mock.patch.object(minweight, "c_alpha_r", wraps=c_alpha_r) as spy:
-            with mock.patch.object(counting, "build_laplacian", wraps=build_laplacian) as questions:
-                operation(*inst)
+        with mock.patch.object(minweight, "c_alpha_r", wraps=c_alpha_r) as spy, questions_asked() as (minors, tables):
+            operation(*inst)
+        assert len(minors) == len(tables)
         bases = {call.args[3] for call in spy.call_args_list}
-        bases |= {call.args[1] for call in questions.call_args_list if len(call.args) > 1}
+        bases |= {r for _, r in minors if r is not None}
         if matching == 0:
             assert bases == set()
             continue
