@@ -9,7 +9,10 @@ factoring), is the forced arc of Tutte's directed matrix-tree theorem
 (W. T. Tutte, Proc. Cambridge Philos. Soc. 44, 1948): adding its column
 into column u leaves a alone in the row, so a is factored out and the row
 and its column are deleted.  A row with a alone on the diagonal is
-expanded the same way, and an all-zero row makes the determinant 0.
+expanded the same way, and an all-zero row makes the determinant 0.  Last,
+the determinant being linear in each row, every row left is divided by its
+content, the gcd of its coefficients: a weighted row with entries r^w
+sheds at least r^m, m its lightest weight.
 
 Then the rest is packed and interpolated.  Every entry is affine in all the
 variables together, so the reduced determinant's degree in x_c is at most
@@ -33,6 +36,7 @@ result.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 from .laplacian import SymbolicMatrix
@@ -133,10 +137,16 @@ def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], SymbolicMatrix, lis
                         _add(other, u, slot, coeff)
                 del other[v]
                 queue.append(i)
+    # Each row's content, the gcd of its coefficients, goes into scale too,
+    # before the counts and the bound are taken.
     index = {j: k for k, j in enumerate(entries)}
     rows, counts, degree, bound = [], [0] * (matrix.nvars + 1), 0, 1
     for row in entries.values():
         terms = tuple((index[j], slot, coeff) for j, entry in row.items() for slot, coeff in entry.items())
+        content = math.gcd(*(coeff for _, _, coeff in terms))
+        if content > 1:
+            scale *= content
+            terms = tuple((j, slot, coeff // content) for j, slot, coeff in terms)
         rows.append(terms)
         slots = {slot for _, slot, _ in terms}
         for slot in slots:

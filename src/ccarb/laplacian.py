@@ -85,9 +85,9 @@ def root_minor(n: int, q: int, arcs, root: int | None, r: int | None = None) -> 
     return SymbolicMatrix(q - 1, tuple(map(tuple, rows)))
 
 
-def build_laplacian(graph: ColoredDigraph, r: int | None = None) -> SymbolicMatrix:
+def build_laplacian(graph: ColoredDigraph) -> SymbolicMatrix:
     """The symbolic in-degree Laplacian of all the graph's arcs, as `root_minor` builds it."""
-    return root_minor(graph.n, graph.q, graph.edges, None, r)
+    return root_minor(graph.n, graph.q, graph.edges, None)
 
 
 def minor(matrix: SymbolicMatrix, index: int) -> SymbolicMatrix:

@@ -39,6 +39,14 @@ def evaluated(monkeypatch):
     return points
 
 
+def det_poly_and_points(matrix: SymbolicMatrix) -> tuple[dict, list]:
+    """det_poly(matrix) and the points at which it evaluates the matrix, in call order."""
+    points = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SymbolicMatrix, "evaluate", lambda m, point: points.append(point) or EVALUATE(m, point))
+        return det_poly(matrix), points
+
+
 def sparse_symbolic_matrix(rng: random.Random, dim: int, nvars: int) -> SymbolicMatrix:
     """About half the entries nonzero, each coefficient drawn from [-3, 3]."""
     rows = []
@@ -51,10 +59,16 @@ def sparse_symbolic_matrix(rng: random.Random, dim: int, nvars: int) -> Symbolic
     return SymbolicMatrix(nvars, tuple(rows))
 
 
-def scale_row(m: SymbolicMatrix, factor: int) -> SymbolicMatrix:
-    """The matrix with row 1 multiplied by factor: its determinant, and its coefficient bound, scale by it."""
-    first = tuple((j, slot, coeff * factor) for j, slot, coeff in m.rows[0])
-    return SymbolicMatrix(m.nvars, (first, *m.rows[1:]))
+def scale_row(m: SymbolicMatrix, index: int, factor: int) -> SymbolicMatrix:
+    """The matrix with row `index` (0-based) multiplied by factor: its determinant scales by it."""
+    scaled = tuple((j, slot, coeff * factor) for j, slot, coeff in m.rows[index])
+    return SymbolicMatrix(m.nvars, (*m.rows[:index], scaled, *m.rows[index + 1 :]))
+
+
+def grow_first_term(m: SymbolicMatrix, extra: int) -> SymbolicMatrix:
+    """The matrix with extra added to the coefficient of row 1's first term."""
+    (j, slot, coeff), *rest = m.rows[0]
+    return SymbolicMatrix(m.nvars, (((j, slot, coeff + extra), *rest), *m.rows[1:]))
 
 
 def zero_some_variables(rng: random.Random, m: SymbolicMatrix) -> SymbolicMatrix:
@@ -226,41 +240,68 @@ class TestDetPoly:
         # x1 is packed into 5 digits and x2 into 5 more with stride 5: 25
         # digits, at most 800 bits, so both pack and only 1 point is left.  A
         # row of constants only lowers both bounds to 3: 16 digits, 1 point.
-        # With row 1 scaled by 2^5000 the digits pass 5000 bits, so not even
-        # x1 packs and both keep their axes: a, b <= 4 with a + b <= 4 is
-        # C(6, 2) = 15, where the box has 25, and C(5, 2) = 10 for the second.
+        # Row 1's first coefficient is 1 in both; 2^5000 added to it puts the
+        # bound, and the digits, past 5000 bits, so not even x1 packs and
+        # both keep their axes: a, b <= 4 with a + b <= 4 is C(6, 2) = 15,
+        # where the box has 25, and C(5, 2) = 10 for the second.  Row 1's
+        # other coefficients include 1 (full) or 3 and 5 (constants only), so
+        # its content stays 1.  Scaling the row instead would not do: the
+        # engine divides each row by its content.
         rng = random.Random(19)
         full = tuple(tuple((j, slot, rng.randint(1, 5)) for j in range(4) for slot in range(3)) for _ in range(4))
         one_constant = (tuple(term for term in full[0] if term[1] == 0), *full[1:])
         for rows, packed, grid in ((full, 1, 15), (one_constant, 1, 10)):
-            for m, points in ((SymbolicMatrix(2, rows), packed), (scale_row(SymbolicMatrix(2, rows), 2**5000), grid)):
+            m = SymbolicMatrix(2, rows)
+            assert m.rows[0][0][2] == 1
+            for matrix, points in ((m, packed), (grow_first_term(m, 2**5000), grid)):
                 evaluated.clear()
-                assert det_poly(m) == cofactor_det(m)
+                assert det_poly(matrix) == cofactor_det(matrix)
                 assert len(evaluated) == len(set(evaluated)) == points
 
     def test_packing_stops_at_packed_bits(self, evaluated):
         # x1 and x2 sit in all 3 rows, so x1, the first, is packed into 4
         # digits of bits bits each, bits = 8 * ceil((bitlen(bound) + 1) / 8)
-        # for the product bound of the rows' absolute term sums.  Row 1
-        # scaled to put bitlen(bound) at PACKED_BITS / 4 - 1 gives bits =
-        # PACKED_BITS / 4, exactly PACKED_BITS packed, so x2's 4 more digits
-        # per digit of x1 do not fit: the points are x2 = 0..3.  Doubling
-        # row 1 adds one bit to the bound, so bits grows by 8, nothing is
-        # packed and the grid takes all of a, b <= 3 with a + b <= 3:
-        # C(5, 2) = 10.
+        # for the product bound of the rows' absolute term sums, 30, 24 and
+        # 17 here.  Each row holds a coefficient 1 or -1, so no row has
+        # content above 1, and row 1 keeps its -1 when its first
+        # coefficient, 5, grows by t: the bound is (30 + t) 408.  With
+        # t = ceil(2^1022 / 408) - 30 it lies in [2^1022, 2^1022 + 408), so
+        # bitlen(bound) = PACKED_BITS / 4 - 1 and bits = PACKED_BITS / 4:
+        # exactly PACKED_BITS packed, and x2's 4 more digits per digit of x1
+        # do not fit: the points are x2 = 0..3.  With t = ceil(2^1023 / 408)
+        # - 30, one bit longer, bitlen(bound) is one more, so bits grows by
+        # 8, nothing is packed and the grid takes all of a, b <= 3 with
+        # a + b <= 3: C(5, 2) = 10.
         rng = random.Random(20)
         rows = tuple(tuple((j, k, rng.randint(-5, 5)) for j in range(3) for k in range(3)) for _ in range(3))
         m = SymbolicMatrix(2, rows)
-        bound = math.prod(sum(abs(term[2]) for term in row) for row in m.rows)
-        under = scale_row(m, 2 ** (PACKED_BITS // 4 - 1 - bound.bit_length()))
-        over = scale_row(under, 2)
+        sums = [sum(abs(term[2]) for term in row) for row in m.rows]
+        assert sums == [30, 24, 17] and m.rows[0][0][2] == 5
+        assert all(any(abs(term[2]) == 1 for term in row) for row in m.rows)
+        # t is the least with (30 + t) 408 >= 2^b: ceil(2^b / 408) - 30.
+        limit = PACKED_BITS // 4
+        under, over = (grow_first_term(m, -(-(1 << b) // 408) - 30) for b in (limit - 2, limit - 1))
+        for matrix, bitlen in ((under, limit - 1), (over, limit)):
+            assert math.prod(sum(abs(term[2]) for term in row) for row in matrix.rows).bit_length() == bitlen
         evaluated.clear()
         packed = det_poly(under)
-        assert sorted(evaluated) == [(1 << PACKED_BITS // 4, k) for k in range(4)]
+        assert sorted(evaluated) == [(1 << limit, k) for k in range(4)]
         evaluated.clear()
-        assert det_poly(over) == {mono: 2 * coeff for mono, coeff in packed.items()} == cofactor_det(over)
+        assert det_poly(over) == cofactor_det(over)
         assert len(evaluated) == len(set(evaluated)) == 10
         assert packed == cofactor_det(under) != {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(0, 3), st.sampled_from((3, 2**5000)))
+    def test_a_scaled_row_scales_every_coefficient(self, rng, dim, nvars, factor):
+        # A determinant is linear in each row, and the engine divides each
+        # row by its content, so scaling a row leaves the points evaluated
+        # as they were, even by a factor that would pass PACKED_BITS.
+        m = random_symbolic_matrix(rng, dim, nvars)
+        det, points = det_poly_and_points(m)
+        scaled_det, scaled_points = det_poly_and_points(scale_row(m, rng.randrange(dim), factor))
+        assert scaled_det == {mono: factor * coeff for mono, coeff in det.items()}
+        assert scaled_points == points
 
     @pytest.mark.parametrize(
         "rows, expected",

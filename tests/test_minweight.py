@@ -1,5 +1,8 @@
 """Minimum-weight operations, checked against the brute-force oracle (n <= 6)."""
 
+import importlib.util
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from ccarb import counting, minweight
 from ccarb.cli import main
-from ccarb.counting import Arborescence
+from ccarb.counting import Arborescence, count
 from ccarb.graph import parse_graph
 from ccarb.laplacian import SymbolicMatrix
 from ccarb.minweight import c_alpha_r, find_min, min_weight
@@ -17,6 +20,8 @@ from ccarb.oracle import color_histogram, enumerate_arborescences, is_arborescen
 from support import alphas, questions_asked, recorded, small_digraphs, unusable_arcs
 
 ORACLE = settings(max_examples=100, deadline=None)
+
+SUITE = Path(__file__).resolve().parents[1] / "benchmark" / "suite.py"
 
 
 @st.composite
@@ -144,6 +149,16 @@ def test_heavy_weights_are_not_refused(tmp_path, capsys):
     assert captured.err == ""
 
 
+def raised(text: str, head: str, extra: int) -> str:
+    """The weighted graph text with every in-weight of vertex `head` raised by extra."""
+    header, *lines = text.splitlines()
+    for i, line in enumerate(lines):
+        tail, to, color, weight = line.split()
+        if to == head:
+            lines[i] = f"{tail} {to} {color} {int(weight) + extra}"
+    return "\n".join([header, *lines]) + "\n"
+
+
 @pytest.mark.parametrize("operation, points_taken", [(min_weight, 7), (find_min, 19)])
 def test_heavy_weights_take_few_evaluations(monkeypatch, operation, points_taken):
     # q = 2, so det_poly packs x1, the only variable, and evaluates once,
@@ -151,23 +166,21 @@ def test_heavy_weights_take_few_evaluations(monkeypatch, operation, points_taken
     # is packed and x1 keeps its axis 0..k for the k rows that hold it.
     # With D digits of bits bits, the grid is taken when D * bits > 4096,
     # and bits is 8 * ceil((bitlen(B) + 1) / 8) for B the product of the
-    # rows' absolute term sums.
+    # rows' absolute term sums, each row divided by its content first.
     #
     # Every non-root vertex of HEAVY has a color-1 in-arc, but d's in-arcs
     # (from b and c) all have color 1, so det_poly factors x1 out of d's
     # row.  No other row of the minor reduces (a, b, c, e and f mix colors),
     # so 5 rows keep x1: 6 digits.  min_weight takes 2 det_polys.  For the
-    # count, a row's sum is at most twice its in-degree 3, so B <= 6^6 and
-    # the digits have 24 bits: 1 point.  The coefficient at
-    # r = count + 1 has entries r^w with the lowered weights: in-arcs of a
-    # weigh 1, 31, 71 (sa, ba, fa); b 91, 1, 61 (sb, ab, eb); c 91, 1, 31
-    # (ac, bc, fc); d 61, 1 (cd, bd); e 1, 81 (de, ce); f 91, 1 (ef, df).
-    # Each row's sum is at least its heaviest r^w, so B >= r^486.  Alpha
-    # (3,) has 3 arcs of each color; with sa and sb, the other 4 in-arcs
-    # hold one more of color 1 in 7 arborescences ({ac, de, ef}, {bc, ce,
-    # ef}, {bc, de, df}, each with cd or bd, and {fc, bd, de, df}), and
-    # {sa, ab, bc, bd, de, ef} is an eighth.  So r >= 9, B >= 2^1540 and
-    # 6 * bits > 4096: the 6-point grid.  7 points.
+    # count, 21, a row's sum is at most twice its in-degree 3, so
+    # B <= 6^6 < 2^16, the digits have at most 24 bits and 6 * 24 <= 4096:
+    # 1 point.  The coefficient at r = 22 has entries r^w, and the row of
+    # a vertex, which holds only its in-arcs, has content r^m for its
+    # lightest in-weight m.  Divided by it, the
+    # in-arcs of a weigh 0, 30, 70 (sa, ba, fa); b 90, 0, 60 (sb, ab, eb);
+    # c 90, 0, 30 (ac, bc, fc); d 60, 0 (cd, bd); e 0, 80 (de, ce); f 90, 0
+    # (ef, df).  Each row's sum is at least its heaviest r^w, so
+    # B >= 22^480 > 2^2140 and 6 * bits > 4096: the 6-point grid.  7 points.
     #
     # find_min adds one det_poly per search question.  The minimizers, of
     # weight 1200, are {sa, sb, bc, bd, de, df} and {sa, ab, bc, bd, de,
@@ -175,24 +188,24 @@ def test_heavy_weights_take_few_evaluations(monkeypatch, operation, points_taken
     # row of one color factors.  A row left with its diagonal alone, as is
     # a decided vertex's whose one in-arc leaves the root or a vertex
     # expanded before, is expanded away, which deletes its column: the
-    # arcs out of it then touch only their heads' rows.  At most
-    # 3 * 3 * 3 * 2 * 2 * 2 = 216 subgraphs take one in-arc per vertex, so
-    # 9 <= r <= 217.
+    # arcs out of it then touch only their heads' rows.  In each question
+    # below, every row left still holds its vertex's lightest in-arc, so
+    # its content is the same r^m.
     # - a asks about sa alone (ba and fa deleted): yes.  Row a goes, and
     #   rows b, c, e and f mix colors: 5 digits.  Rows b, c, d, e and f
-    #   hold r^91, r^91, r^61, r^81 and r^91, so B >= r^415 >= 2^1315 and
+    #   hold r^90, r^90, r^60, r^80 and r^90, so B >= 22^410 > 2^1828 and
     #   5 * bits > 4096: 5 points.
     # - b asks about sb alone (ab and eb deleted): yes.  Rows a and b go;
     #   rows c, e and f mix colors and d (arcs cd and bd) factors: 4
-    #   digits.  Rows c, d, e and f hold r^91, r^61, r^81 and r^91, so
-    #   B >= r^324 >= 2^1027 and 4 * bits > 4096: 4 points.
+    #   digits.  Rows c, d, e and f hold r^90, r^60, r^80 and r^90, so
+    #   B >= 22^320 > 2^1426, bits >= 1432 and 4 * bits > 4096: 4 points.
     # - c asks about ac alone (bc and fc deleted): no, both minimizers use
     #   bc.  Rows a, b and c go, and then so does d's (cd and bd, both from
     #   expanded vertices); e (de, ce) and f (ef, df) mix colors: 3 digits.
-    #   Columns c and d are gone, so e's row sums to r + r^81 and f's to
-    #   2 r^91 + r: B < r^174 <= 217^174 < 2^1351, bits <= 1352 and
-    #   3 * bits <= 4056: 1 point.  The other two are halved: bc alone asks
-    #   yes, and its matrix reduces the same way: 1 point.
+    #   Columns c and d are gone, so e's row sums to 1 + r^80 and f's to
+    #   2 r^90 + 1: B < 3 r^170 < 2^763, bits <= 768 and 3 * bits <= 4096:
+    #   1 point.  The other two are halved: bc alone asks yes, and its
+    #   matrix reduces the same way: 1 point.
     # - d's in-arcs cd and bd both lead back to s through the taken arcs and
     #   have one color, so the lighter, bd, is its one candidate, taken
     #   unasked.
@@ -201,16 +214,48 @@ def test_heavy_weights_take_few_evaluations(monkeypatch, operation, points_taken
     #   alone, goes after d's: the empty matrix, 1 point.
     # - f has one candidate, df, taken unasked.
     # That is 5 + 4 + 1 + 1 + 1 = 12 points, and 7 + 12 = 19 in all.
-    points = []
+    #
+    # Raising every in-weight of c by 1,000 raises every arborescence's
+    # weight by 1,000, as each takes one in-arc of c, and leaves the count
+    # and r alone.  It multiplies c's row by r^1000, which its content
+    # takes out again, so every point evaluated is the same.
+    graphs = {extra: parse_graph(raised(HEAVY, "c", extra)) for extra in (0, 1000)}
+    assert [count(graph, 1, (3,)) for graph in graphs.values()] == [21, 21]
+    points = {}
     real = SymbolicMatrix.evaluate
-    monkeypatch.setattr(SymbolicMatrix, "evaluate", lambda matrix, point: points.append(point) or real(matrix, point))
-    result = operation(parse_graph(HEAVY), 1, (3,))
-    assert (result if operation is min_weight else result[1]) == 1200
-    assert len(points) == points_taken
+    for extra, graph in graphs.items():
+        taken = points[extra] = []
+        monkeypatch.setattr(SymbolicMatrix, "evaluate", lambda matrix, point: taken.append(point) or real(matrix, point))
+        result = operation(graph, 1, (3,))
+        assert (result if operation is min_weight else result[1]) == 1200 + extra
+        assert len(taken) == points_taken
+    assert points[0] == points[1000]
+
+
+def test_heaviest_benchmark_probes_match_the_oracle(monkeypatch):
+    # The weighted workload's probes, four min-weight ops on n = 7 with
+    # W = 150, 200, 250 and 300, are its heaviest weights, and n = 7 is
+    # within the oracle's cap.  benchmark/suite.py is loaded read-only.
+    spec = importlib.util.spec_from_file_location("weighted_suite", SUITE)
+    suite = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, suite)
+    spec.loader.exec_module(suite)
+    _, probes = suite.build("weighted", 1)
+    assert sorted((op.instance.n, op.instance.max_weight) for op in probes) == [(7, w) for w in (150, 200, 250, 300)]
+    for op in probes:
+        graph = parse_graph(op.instance.text())
+        inst = graph, graph.vertex_index(f"v{op.instance.root}"), op.alpha
+        weight, _ = oracle_min_weight(*inst)
+        assert min_weight(*inst) == weight
+        arb, found = find_min(*inst)
+        assert found == weight == sum(graph.edge(i).weight for i in arb.edge_ids)
+        assert is_arborescence(graph, inst[1], arb.edge_ids)
+        assert color_histogram(graph, arb.edge_ids)[: graph.q - 1] == op.alpha
 
 
 # Rooted at s, the lightest in-weights are 5 (a), 3 (b) and 1 (c), so the
-# lowering totals 4 + 2 + 0 = 6, which each answer must add back.
+# weighted minor's rows of a and b have contents r^5 and r^3, which the
+# engine divides out, and c's has r.
 SHIFTED = """4 2
 s a 1 5
 b a 2 7
@@ -262,6 +307,19 @@ def test_valuation_rejects_a_base_below_two(r):
     # Every integer is a multiple of 1, so r = 1 would never stop dividing.
     with pytest.raises(ValueError, match="r >= 2"):
         minweight.valuation(12, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 200), st.integers(1, 10**9), st.integers(0, 3000))
+def test_valuation_strips_every_power_of_r(r, m, k):
+    # Composite bases included: the valuation is the plain loop's count of
+    # divisions by r, which is k when r does not divide m.
+    value, plain = m * r**k, 0
+    while value % r == 0:
+        value //= r
+        plain += 1
+    assert minweight.valuation(m * r**k, r) == plain
+    assert m % r == 0 or plain == k
 
 
 # Four vertices, m = 12, every weight 1: the 13 arborescences with alpha 2
@@ -341,7 +399,8 @@ def lie_when_weighted(monkeypatch, lie) -> None:
     # Pass find_min's weighted determinants through lie: the target's, taken
     # in minweight, and each question's, in counting.  The count's, also in
     # counting, is left alone: its unweighted terms are all 1 or -1, while
-    # every weighted term is r^w with r >= 2 and w >= 1 after lowering.
+    # every weighted term is r^w with r >= 2 and w >= 1, weights being
+    # positive.
     real = counting.det_poly
 
     def det_poly(matrix):
@@ -355,7 +414,8 @@ def lie_when_weighted(monkeypatch, lie) -> None:
 
 def always_yes(monkeypatch):
     # Every weighted determinant returns the first one's table, the target's
-    # on the whole lowered graph, so every question reads the target: yes.
+    # on the whole graph, so every question reads the target's coefficient,
+    # r^W times a count below r, not a multiple of r^(W + 1): yes.
     # a's first candidate sa is kept, and it takes the one room of color 1,
     # so ab and sb, b's only in-arcs, are deleted: b has no candidate and the
     # search stops on {sa}.
@@ -366,9 +426,10 @@ def always_yes(monkeypatch):
 
 def misreport_the_minimum(monkeypatch):
     # Only {sa, sb} has alpha 1, so r = count + 1 = 2.  Doubling every
-    # weighted coefficient multiplies it by r, so every lowered minimum reads
-    # one more.  The search still follows the true minimum and ends on
-    # {sa, sb}, whose weight is not the reported minimum.
+    # weighted coefficient multiplies it by r, so the minimum reads one
+    # more, 4.  A question then holds when its doubled coefficient is not a
+    # multiple of r^5, so the search still follows the true minimum and
+    # ends on {sa, sb}, whose weight is not the reported minimum.
     lie_when_weighted(monkeypatch, lambda table: {key: 2 * value for key, value in table.items()})
     return WEIGHTED
 
