@@ -87,25 +87,25 @@ def _without(question: list[Edge], arcs) -> list[Edge]:
     return [e for e in question if e.id not in dropped] if dropped else question
 
 
-def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int | None, keeps) -> Arborescence:
-    """The first solution by the in-arc id of vertex 1, then 2, ...; `keeps(coefficient)` answers a question.
+def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int | None, above: int) -> Arborescence:
+    """The first solution by the in-arc id of vertex 1, then 2, ...; a question holds unless `above` divides it.
 
     Every question is a list of live arcs of `dedup_min_weight(graph)`,
     deleted by id, with no arc into the root and, of a color whose room the
     taken arcs fill, only those.  It is one `det_poly` call, on the minor
     `root_minor` builds from it at the root with arc values r^w (1 when r is
-    None), and `keeps` gets the alpha coefficient.  Each non-root vertex v,
-    in ascending order, keeps only the smallest-id in-arc some solution
-    still uses: a one-arc row, which `determinant._reduce` contracts.  v's
-    candidates are its in-arcs whose tail does not lead back to v through
-    the taken arcs, one per color and "top" (where those arcs lead the
-    tail), picked as `dedup_min_weight` picks.  The first is asked about
-    alone, with v's other candidates deleted and, if it would fill its
-    color's room, that color's arcs into later vertices; if unused, it is
-    deleted and the rest halved, keeping the first half when some solution
-    uses it.  The last is taken unasked: at most 1 + ceil(log2(d - 1))
-    questions for d candidates.  The result is certified against `graph`
-    (ValueError if not).
+    None), and its alpha coefficient modulo `above` answers it.  Each
+    non-root vertex v, in ascending order, keeps only the smallest-id
+    in-arc some solution still uses: a one-arc row, which
+    `determinant._reduce` contracts.  v's candidates are its in-arcs whose
+    tail does not lead back to v through the taken arcs, one per color and
+    "top" (where those arcs lead the tail), picked as `dedup_min_weight`
+    picks.  The first is asked about alone, with v's other candidates
+    deleted and, if it would fill its color's room, that color's arcs into
+    later vertices; if unused, it is deleted and the rest halved, keeping
+    the first half when some solution uses it.  The last is taken unasked:
+    at most 1 + ceil(log2(d - 1)) questions for d candidates.  The result
+    is certified against `graph` (ValueError if not).
     """
     room = [*alpha, graph.n - 1 - sum(alpha)]
     edges = dedup_min_weight(graph).edges
@@ -136,7 +136,7 @@ def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int | N
         while len(tries) > 1:
             half, rest = tries[:size], tries[size:]
             without = _without(question, rest + (filled(question, half[0]) if size == 1 else []))
-            kept = keeps(det_poly(root_minor(graph.n, graph.q, without, root, r)).get(alpha, 0))
+            kept = det_poly(root_minor(graph.n, graph.q, without, root, r)).get(alpha, 0) % above
             question, tries = (without, half) if kept else (_without(question, half), rest)
             size = len(tries) // 2
         arc = tries[0]
@@ -155,22 +155,23 @@ def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int | N
 def find(graph: ColoredDigraph, root: int, alpha) -> Arborescence | None:
     """Find one arborescence matching the color constraint, or None.
 
-    After one decide on the whole graph, each non-root vertex, in ascending
-    order, keeps the smallest-id in-arc that a matching arborescence still
-    uses, and its other in-arcs are deleted.  Each question is a list of
-    the input's arcs, only usable ones (the lightest, then smallest-id, of
-    each parallel same-color group; none into the root or of a color whose
-    room is filled), and holds when its coefficient, the number of its
-    arborescences matching alpha, is nonzero.  A vertex with d candidates
-    asks at most 1 + ceil(log2(d - 1)) questions.  On an unweighted graph
-    the result is the first match by the in-arc id of vertex 1, then 2,
-    and so on.  It is checked to be an arborescence with the requested
-    histogram (ValueError if not).  Edge ids refer to the input.
+    Counts the matching arborescences once (None when there are none).
+    Then each non-root vertex, in ascending order, keeps the smallest-id
+    in-arc that a matching arborescence still uses, and its other in-arcs
+    are deleted.  Each question is a list of the input's arcs, only usable
+    ones (the lightest, then smallest-id, of each parallel same-color
+    group; none into the root or of a color whose room is filled).  Its
+    coefficient counts its matching arborescences, at most the count, so
+    it holds unless count + 1 divides it, which is when it is nonzero:
+    `find_min`'s rule at W = 0 and r = count + 1.  A vertex with d
+    candidates asks at most 1 + ceil(log2(d - 1)) questions.  On an
+    unweighted graph the result is the first match by the in-arc id of
+    vertex 1, then 2, and so on.  It is checked to be an arborescence with
+    the requested histogram (ValueError if not).  Edge ids refer to the input.
     """
     constraint = _checked_alpha(graph.q, alpha)
-    if not decide(graph, root, constraint):
-        return None
-    return _search(graph, root, constraint, None, bool)
+    matching = count_table(graph, root).get(constraint, 0)
+    return _search(graph, root, constraint, None, matching + 1) if matching else None
 
 
 def count_spanning_trees(graph: ColoredMultigraph, alpha) -> int:

@@ -16,7 +16,7 @@ m.  `valuation` strips r^(2^j) for falling j, not one r at a time.
 
 from __future__ import annotations
 
-from .counting import Arborescence, _checked_alpha, _checked_root, _search, count
+from .counting import Arborescence, _checked_alpha, _checked_root, _search, count_table
 from .determinant import det_poly
 from .graph import ColoredDigraph, reaches_all
 from .laplacian import root_minor
@@ -67,7 +67,7 @@ def valuation(value: int, r: int) -> int:
 def _plan(graph: ColoredDigraph, root: int, alpha):
     """(constraint, r, minimum weight), or None if nothing matches."""
     constraint = _checked(graph, root, alpha)
-    matching = count(graph, root, constraint)
+    matching = count_table(graph, root).get(constraint, 0)
     if matching == 0:
         return None
     r = matching + 1
@@ -103,8 +103,7 @@ def find_min(graph: ColoredDigraph, root: int, alpha) -> tuple[Arborescence, int
     if plan is None:
         return None
     constraint, r, minimum = plan
-    above = r ** (minimum + 1)
-    arb = _search(graph, root, constraint, r, lambda value: value % above != 0)
+    arb = _search(graph, root, constraint, r, r ** (minimum + 1))
     if sum(graph.edge(i).weight for i in arb.edge_ids) != minimum:
         raise ValueError("certificate check failed: the weight differs from the minimum")
     return arb, minimum

@@ -1,0 +1,79 @@
+"""One SHA-256 per benchmark workload over the CLI's answers to every op.
+
+    python3 tests/cli_digest.py 1 2 3
+
+For each workload of ``benchmark/suite.py`` and each seed given (default 1),
+every timed op and probe is run in-process through ``ccarb.cli.main``, once
+as text and once with ``--json``.  The digest covers each call's exit code,
+stdout and stderr in run order, so two checkouts print the same line for a
+workload exactly when their CLI bytes agree on it.  The suite is read, not
+changed, and ccarb is imported from this checkout's ``src``.  pytest does
+not collect this file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import ccarb.cli  # noqa: E402
+
+
+def load_suite():
+    spec = importlib.util.spec_from_file_location("benchmark_suite", ROOT / "benchmark" / "suite.py")
+    suite = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = suite  # its dataclasses look their module up
+    spec.loader.exec_module(suite)
+    return suite
+
+
+def call(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = ccarb.cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(suite, workload: str, seeds: list[int]) -> tuple[int, str]:
+    """(calls made, hex SHA-256 of their exit codes, stdout and stderr)."""
+    sha, calls = hashlib.sha256(), 0
+    for seed in seeds:
+        timed, probes = suite.build(workload, seed)
+        for op in timed + probes:
+            # Relative paths, so no message can differ by where it ran.
+            Path(op.instance.name).write_text(op.instance.text(), encoding="utf-8")
+            for extra in ([], ["--json"]):
+                sha.update(json.dumps(call(op.argv(op.instance.name) + extra)).encode() + b"\n")
+                calls += 1
+    return calls, sha.hexdigest()
+
+
+def main(argv: list[str]) -> None:
+    seeds = [int(seed) for seed in argv] or [1]
+    suite = load_suite()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for workload in suite.WORKLOADS:
+                calls, hexdigest = digest(suite, workload, seeds)
+                print(f"{workload}\t{calls} calls\t{hexdigest}")
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -335,8 +335,8 @@ def unusable_arcs(graph: ColoredDigraph, root: int, alpha) -> list[Edge]:
 def questions_asked():
     """Capture every minor `counting` builds, as (graph of its arcs, r), and every table its det_poly returns.
 
-    The first minor is that of the whole graph (find's decide, find_min's
-    count); each later one is a search question's.
+    The first minor is that of the whole graph, for the count that find and
+    find_min each make once; each later one is a search question's.
     """
     minors, tables = [], []
     build, det = counting.root_minor, counting.det_poly

@@ -112,7 +112,7 @@ def test_find_asks_only_about_usable_arcs(case, data):
     alpha = data.draw(st.sampled_from(sorted(histogram)))
     with questions_asked() as (minors, tables):
         arb = find(graph, root, alpha)
-    # The first minor is the decide's, of the whole graph; every later one is
+    # The first minor is the count's, of the whole graph; every later one is
     # a search question's, which holds no arc into the root, none of a color
     # alpha has no room left for, and no two parallel arcs of one color.
     # Every det_poly call after the first asks a question the spy saw.
@@ -180,7 +180,7 @@ def test_unused_colors_do_not_grow_the_grid(monkeypatch):
 
 def test_find_asks_about_the_first_in_arc_then_halves(monkeypatch):
     graph = complete_digraph(2)
-    decides = recorded(monkeypatch, counting, "decide")
+    counts = recorded(monkeypatch, counting, "count_table")
     determinants = recorded(monkeypatch, counting, "det_poly")
     arb = find(graph, 1, (2,))
     assert arb is not None and color_histogram(graph, arb.edge_ids)[:1] == (2,)
@@ -188,8 +188,8 @@ def test_find_asks_about_the_first_in_arc_then_halves(monkeypatch):
     # ordered by tail, then color.  Every taken arc leaves the root, and a
     # tail that leads back to the root through the taken arcs is grouped
     # with it, so of each color only the root's in-arc is a candidate.  Each
-    # determinant after the decide's is one question.
-    # - One decide, and its determinant, on the whole graph.
+    # determinant after the count's is one question.
+    # - One count, and its determinant, on the whole graph.
     # - Vertex 2 has 10 usable in-arcs (not from itself, both colors).  It
     #   asks about 1->2 of color 1 alone, with the other 9 deleted, which
     #   stays feasible: 1.
@@ -205,18 +205,18 @@ def test_find_asks_about_the_first_in_arc_then_halves(monkeypatch):
     # So 1 + 1 + 1 + 1 + 1 = 5, where 1 + ceil(log2(d - 1)) questions for
     # d = 10, 8, 3, 2 and 1 would allow 1 + 5 + 4 + 2 + 1 = 13, and one
     # question per arc would make 61.
-    assert len(decides) == 1
+    assert len(counts) == 1
     assert len(determinants) == 5
 
 
 def test_find_asks_nothing_about_a_path(monkeypatch):
     # On the path 1 -> 2 -> ... -> 6 each non-root vertex has one candidate,
-    # taken unasked, so only the decide on the whole graph is made.
+    # taken unasked, so only the count on the whole graph is made.
     graph = ColoredDigraph(6, 1, tuple(Edge(i, i + 1, i + 2, 1) for i in range(5)))
-    decides = recorded(monkeypatch, counting, "decide")
+    counts = recorded(monkeypatch, counting, "count_table")
     determinants = recorded(monkeypatch, counting, "det_poly")
     assert find(graph, 1, ()).edge_ids == (0, 1, 2, 3, 4)
-    assert len(decides) == len(determinants) == 1
+    assert len(counts) == len(determinants) == 1
 
 
 @st.composite
@@ -245,20 +245,23 @@ def test_search_questions_are_subgraphs_of_the_input(case):
     # Each question is captured where its minor is built, by counting's
     # root_minor, as a graph of its arcs, and its table from the det_poly
     # call that follows.
-    # After the first, on the whole graph (find's decide, find_min's count),
-    # find and find_min ask only about subgraphs of the input with its
-    # vertices, in which every vertex already decided keeps only its taken
-    # in-arc.  Every coefficient asked is the oracle's: the number of
-    # arborescences matching alpha, or with a base r the sum of r^w over
-    # them.  The search picks each vertex's candidates with one `lightest`
-    # call, which names the vertex being decided.
+    # After the first, the count on the whole graph that both make, find
+    # and find_min ask only about subgraphs of the input with its vertices,
+    # in which every vertex already decided keeps only its taken in-arc.
+    # Every coefficient asked is the oracle's: the number of arborescences
+    # matching alpha, or with a base r the sum of r^w over them.  The search
+    # picks each vertex's candidates with one `lightest` call, which names
+    # the vertex being decided.  One rule answers every question: it holds
+    # unless `above` divides its coefficient.  find's `above` is the count
+    # plus 1, which divides only 0 because no subgraph has more matching
+    # arborescences; find_min's r exceeds every question's count.
     graph, root, alpha = case
     if alpha is None:
         return
     arcs = {(e.id, e.tail, e.head, e.color) for e in graph.edges}
-    build, det, lightest = counting.root_minor, counting.det_poly, counting.lightest
+    build, det, lightest, search = counting.root_minor, counting.det_poly, counting.lightest, counting._search
     for operation in (find, find_min):
-        questions, tables, vertices = [], [], []
+        questions, tables, vertices, searches = [], [], [], []
 
         def root_minor(n, q, live, root, r=None):
             questions.append((ColoredDigraph(n, q, tuple(live)), r, vertices[-1:]))
@@ -269,9 +272,12 @@ def test_search_questions_are_subgraphs_of_the_input(case):
             root_minor=root_minor,
             det_poly=lambda matrix: tables.append(det(matrix)) or tables[-1],
             lightest=lambda edges, key: vertices.append(edges[0].head) or lightest(edges, key),
+            _search=lambda *args: searches.append(args) or search(*args),
         ):
             result = operation(graph, root, alpha)
         assert len(questions) == len(tables) >= 1
+        if operation is find:
+            [(*_, above)] = searches
         taken = {graph.edge(i).head: i for i in (result if operation is find else result[0]).edge_ids}
         for number, ((subgraph, r, picked), table) in enumerate(zip(questions, tables)):
             weights = [
@@ -279,7 +285,12 @@ def test_search_questions_are_subgraphs_of_the_input(case):
                 for arb in enumerate_arborescences(subgraph, root)
                 if color_histogram(subgraph, arb.edge_ids)[: graph.q - 1] == alpha
             ]
-            assert table.get(alpha, 0) == (len(weights) if r is None else sum(r**w for w in weights))
+            coefficient = table.get(alpha, 0)
+            assert coefficient == (len(weights) if r is None else sum(r**w for w in weights))
+            if operation is find:
+                assert 0 <= coefficient < above
+            elif r is not None:
+                assert len(weights) < r
             if number == 0:
                 continue
             assert subgraph.n == graph.n and (r is None) == (operation is find)
@@ -309,13 +320,13 @@ def test_a_vertex_whose_last_in_arc_is_the_only_feasible_one(monkeypatch, d):
     tails = [*range(3, d + 2), 1]
     arcs = [(t, 2) for t in tails] + [(2, w) for w in range(3, d + 2)]
     graph = ColoredDigraph(d + 1, 1, tuple(Edge(i, t, h, 1) for i, (t, h) in enumerate(arcs)))
-    decides = recorded(monkeypatch, counting, "decide")
+    counts = recorded(monkeypatch, counting, "count_table")
     determinants = recorded(monkeypatch, counting, "det_poly")
     assert find(graph, 1, ()).edge_ids == tuple(range(d - 1, 2 * d - 1))
-    # One determinant each: the decide's on the whole graph, then the first
+    # One determinant each: the count's on the whole graph, then the first
     # in-arc alone and ceil(log2(d - 1)) halvings of the other d - 1;
     # vertices 3, ..., d + 1 have one in-arc each.
-    assert len(decides) == 1
+    assert len(counts) == 1
     assert len(determinants) == 1 + 1 + math.ceil(math.log2(d - 1))
 
 
@@ -328,19 +339,20 @@ FORKED = "3 2\ns a 1\na b 1\ns b 2\n"
 
 
 def always_yes(monkeypatch):
-    # Every determinant has coefficient 1 at alpha (1,), so the decide on the
-    # whole graph and every question read yes.  a's first candidate sa is
-    # kept, and it takes the one room of color 1, so ab and sb, b's only
-    # in-arcs, are deleted: b has no candidate and the search stops on {sa}.
+    # Every determinant has coefficient 1 at alpha (1,), so the count on the
+    # whole graph reads 1, `above` is 2 and every question holds.  a's first
+    # candidate sa is kept, and it takes the one room of color 1, so ab and
+    # sb, b's only in-arcs, are deleted: b has no candidate and the search
+    # stops on {sa}.
     monkeypatch.setattr(counting, "det_poly", lambda matrix: {(1,): 1})
     return CROSSED
 
 
 def decide_for_alpha_2(monkeypatch):
     # Every determinant reports its alpha-2 coefficient as alpha 1's.  The
-    # whole graph has {sa, ab}, so the decide reads yes and the search
-    # starts.  a's probe of sa holds sa and sb (sa takes the one room of
-    # color 1, so ab is deleted), which has no arborescence of alpha 2: no.
+    # whole graph has {sa, ab}, so the count reads 1 and the search starts.
+    # a's probe of sa holds sa and sb (sa takes the one room of color 1, so
+    # ab is deleted), which has no arborescence of alpha 2, so it reads 0.
     # a takes ba unasked, which takes the one room of color 2, so sb is
     # deleted.  b's last in-arc ab leaves a, which leads back to b through
     # ba, so b has no candidate and the search stops on {ba}.
@@ -426,10 +438,20 @@ def test_find_keeps_the_lighter_of_parallel_arcs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, code, out", [(["count-all"], 0, ""), (["min-weight", "--alpha", "1"], 1, "infeasible\n")]
+    "argv, code, out",
+    [
+        (["count-all"], 0, ""),
+        (["min-weight", "--alpha", "1"], 1, "infeasible\n"),
+        (["find", "--alpha", "1"], 1, "none\n"),
+        (["find-min", "--alpha", "1"], 1, "infeasible\n"),
+        (["decide", "--alpha", "1"], 1, "no\n"),
+        (["count", "--alpha", "1"], 0, "0\n"),
+    ],
 )
 def test_unreachable_vertices_build_no_determinant(monkeypatch, tmp_path, capsys, argv, code, out):
-    # 20,000 declared vertices, one arc: the dense minor would have 4 * 10^8 entries.
+    # 20,000 declared vertices, one arc: the dense minor would have 4 * 10^8
+    # entries.  Every operation counts first, and the count sees an
+    # unreachable vertex before it builds a minor.
     calls = []
     for module in (counting, minweight):
         monkeypatch.setattr(module, "det_poly", lambda matrix: calls.append(matrix))
@@ -462,4 +484,14 @@ WEIGHTED_UNDIRECTED = "3 2\nundirected\na b 1 1\nb c 2 2\na c 1 3\n"
 def test_directed_operations_refuse_an_undirected_graph(operation):
     with pytest.raises(ValueError, match="needs a directed graph, got ColoredMultigraph"):
         operation(parse_graph(WEIGHTED_UNDIRECTED))
+
+
+@pytest.mark.parametrize(
+    "operation, args", [(count_table, ()), (find, ((1,),)), (min_weight, ((1,),))], ids=["count_table", "find", "min_weight"]
+)
+def test_arborescence_operations_refuse_a_self_loop(operation, args):
+    # The parser refuses self-loops; a graph built in code can hold one.
+    graph = ColoredDigraph(2, 2, (Edge(0, 1, 2, 1, 1), Edge(1, 2, 2, 2, 1)))
+    with pytest.raises(ValueError, match="self-loops are not allowed here"):
+        operation(graph, 1, *args)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -98,6 +99,23 @@ class TestParse:
         g = parse_graph("2 1\ns t 1 7\n")
         assert g.weighted
         assert g.edges[0].weight == 7
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("2 1 3\na b 1\n", 1, "expected header 'n q'"),
+            ("# comment\n2 x\na b 1\n", 2, "header values must be integers"),
+            ("2 0\n", 1, "vertex and color counts must be positive"),
+            ("2 1\na b 1\nundirected\n", 3, "orientation header must precede edge lines"),
+            ("2 2\n\na b two\n", 3, "color must be an integer"),
+            ("2 1\na b 1 1.5\n", 2, "weight must be an integer"),
+            ("# no header\n\n", 1, "missing header 'n q'"),
+        ],
+        ids=["header-fields", "header-integers", "header-positive", "late-orientation", "color", "weight", "no-header"],
+    )
+    def test_malformed_files_name_the_line(self, text, line, message):
+        with pytest.raises(GraphParseError, match=re.escape(f"line {line}: {message}")):
+            parse_graph(text)
 
 
 class TestReverse:
@@ -323,6 +341,23 @@ class TestValidation:
         # carry one (a weight of 1.5 once came back as a minimum weight).
         with pytest.raises(ValueError, match=f"{message} is not an integer"):
             Edge(*fields)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ColoredDigraph(0, 1, ()), "vertex count must be positive"),
+            (lambda: ColoredDigraph(1, 0, ()), "color count must be positive"),
+            (lambda: ColoredMultigraph(1, 1, (), ("a", "b")), "more labels than vertices"),
+            (lambda: ColoredDigraph(2, 1, (), ("a", "a")), "duplicate vertex labels"),
+            (lambda: ColoredDigraph(2, 1, (Edge(0, 1, 2, 1), Edge(1, 2, 1, 2))), "edge 1: color out of range 1..1"),
+            (lambda: ColoredDigraph(2, 1, (Edge(0, 1, 2, 1, 0),)), "edge 0: weight must be >= 1"),
+            (lambda: parse_graph("3 1\ns t 1\n").vertex_label(3), "vertex 3 has no label"),
+        ],
+        ids=["no-vertices", "no-colors", "labels", "duplicate-labels", "color", "weight", "unlabelled"],
+    )
+    def test_invalid_graphs_are_refused(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
     def test_lookup_helpers(self):
         g = parse_graph("2 1\ns t 1\n")

@@ -175,6 +175,10 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=re.escape(f"row 1: term {term} is outside columns 0..1 or slots 0..1")):
             SymbolicMatrix(1, (((0, 0, 1),), ((1, 1, 1), term)))
 
+    def test_negative_variable_count_rejected(self):
+        with pytest.raises(ValueError, match="variable count must be nonnegative"):
+            SymbolicMatrix(-1, ())
+
     def test_duplicate_terms_add_up(self):
         m = SymbolicMatrix(1, (((0, 1, 2), (1, 0, -1), (0, 1, 3), (0, 0, 1)), ((1, 0, 4), (1, 0, 4))))
         assert m.evaluate((10,)) == [[51, -1], [0, 8]]

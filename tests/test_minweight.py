@@ -309,6 +309,13 @@ def test_valuation_rejects_a_base_below_two(r):
         minweight.valuation(12, r)
 
 
+@pytest.mark.parametrize("value", [0, -12])
+def test_valuation_rejects_a_value_below_one(value):
+    # Zero is a multiple of every power of r, so it has no valuation.
+    with pytest.raises(ValueError, match="valuation needs a positive integer"):
+        minweight.valuation(value, 2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 200), st.integers(1, 10**9), st.integers(0, 3000))
 def test_valuation_strips_every_power_of_r(r, m, k):
