@@ -87,14 +87,14 @@ def _without(question: list[Edge], arcs) -> list[Edge]:
     return [e for e in question if e.id not in dropped] if dropped else question
 
 
-def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int | None, above: int) -> Arborescence:
+def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int, above: int) -> Arborescence:
     """The first solution by the in-arc id of vertex 1, then 2, ...; a question holds unless `above` divides it.
 
     Every question is a list of live arcs of `dedup_min_weight(graph)`,
     deleted by id, with no arc into the root and, of a color whose room the
     taken arcs fill, only those.  It is one `det_poly` call, on the minor
-    `root_minor` builds from it at the root with arc values r^w (1 when r is
-    None), and its alpha coefficient modulo `above` answers it.  Each
+    `root_minor` builds from it at the root with arc values r^w, and its
+    alpha coefficient modulo `above` answers it.  Each
     non-root vertex v, in ascending order, keeps only the smallest-id
     in-arc some solution still uses: a one-arc row, which
     `determinant._reduce` contracts.  v's candidates are its in-arcs whose
@@ -171,7 +171,7 @@ def find(graph: ColoredDigraph, root: int, alpha) -> Arborescence | None:
     """
     constraint = _checked_alpha(graph.q, alpha)
     matching = count_table(graph, root).get(constraint, 0)
-    return _search(graph, root, constraint, None, matching + 1) if matching else None
+    return _search(graph, root, constraint, 1, matching + 1) if matching else None
 
 
 def count_spanning_trees(graph: ColoredMultigraph, alpha) -> int:

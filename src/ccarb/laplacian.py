@@ -3,9 +3,10 @@
 Row v holds only v's in-arcs, so rows are stored sparsely as terms, which
 `determinant._reduce` reads too: it rewrites them and sums them for the
 Leibniz bound.  Color q contributes to the constant term (x_q is fixed to
-1).  The engine's minors are built straight from a list of arcs by
-`root_minor`; `minor`, which deletes a row and column of any matrix, stays
-the public matrix operation and the tests' reference for it.
+1).  Every matrix the operations take is built by `root_minor`, without
+the row and column of a real root; the full Laplacian is the minor at an
+added vertex with no arcs.  `minor`, which deletes a row and column of any
+matrix, stays the public matrix operation and the tests' reference for it.
 """
 
 from __future__ import annotations
@@ -56,27 +57,24 @@ class SymbolicMatrix:
         return scalar
 
 
-def root_minor(n: int, q: int, arcs, root: int | None, r: int | None = None) -> SymbolicMatrix:
+def root_minor(n: int, q: int, arcs, root: int, r: int = 1) -> SymbolicMatrix:
     """The in-degree Laplacian of the arcs on vertices 1..n, without row and column `root`.
 
-    Each arc u -> v of color c adds the term (v, c, +value) to row v and,
-    unless u = v or u is the root, the term (u, c, -value), so the terms of
-    one entry share a sign.  Arcs into the root touch only the root's row,
-    so they are skipped.  The value is 1, or r^w for an arc of weight w when
-    a base r is given, which requires every arc to carry a weight.  Parallel
-    arcs add up, so the determinant sums over them as over distinct arcs.
-    With `root` None no row or column is left out.
+    Each arc u -> v of color c and weight w is worth r^w, an unweighted arc
+    weighing 0 as `graph.lightest` takes it, so every arc is worth 1 at the
+    default r = 1.  It adds the term (v, c, +r^w) to row v and, unless u = v
+    or u is the root, the term (u, c, -r^w), so the terms of one entry share
+    a sign.  Arcs into the root touch only the root's row, so they are
+    skipped.  Parallel arcs add up, so the determinant sums over them as over
+    distinct arcs.
     """
-    if r is not None and any(e.weight is None for e in arcs):
-        raise ValueError("a weighted Laplacian requires all edges to carry weights")
-    if root is not None:
-        check_index(root, "root", n)
-    column = [v - 1 - (root is not None and v > root) for v in range(n + 1)]
-    rows: list[list[Term]] = [[] for _ in range(n - (root is not None))]
+    check_index(root, "root", n)
+    column = [v - 1 - (v > root) for v in range(n + 1)]
+    rows: list[list[Term]] = [[] for _ in range(n - 1)]
     for e in arcs:
         if e.head == root:
             continue
-        value = 1 if r is None else r**e.weight
+        value = r ** (e.weight or 0)
         slot = 0 if e.color == q else e.color
         row = rows[column[e.head]]
         row.append((column[e.head], slot, value))
@@ -86,8 +84,8 @@ def root_minor(n: int, q: int, arcs, root: int | None, r: int | None = None) -> 
 
 
 def build_laplacian(graph: ColoredDigraph) -> SymbolicMatrix:
-    """The symbolic in-degree Laplacian of all the graph's arcs, as `root_minor` builds it."""
-    return root_minor(graph.n, graph.q, graph.edges, None)
+    """The in-degree Laplacian of all the graph's arcs, each worth 1: the minor at an added vertex with no arcs."""
+    return root_minor(graph.n + 1, graph.q, graph.edges, graph.n + 1)
 
 
 def minor(matrix: SymbolicMatrix, index: int) -> SymbolicMatrix:

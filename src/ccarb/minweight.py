@@ -8,17 +8,18 @@ therefore W exactly when r does not divide N.  N is at most count_alpha, the
 number of matching arborescences, so the base r = count_alpha + 1 makes a
 single valuation exact (r need not be prime: 0 < N < r).
 
-The coefficient is large, r^W being a factor of it.  The determinant engine
-keeps its work small by dividing every row by its content: a vertex's row
-holds only its in-arcs, so it sheds at least r^m for its lightest in-weight
-m.  `valuation` strips r^(2^j) for falling j, not one r at a time.
+The coefficient is large.  The engine keeps its work small by dividing each
+row by its content: row v holds only v's in-arcs, so it sheds at least r^m_v
+for v's lightest in-weight m_v.  Every arborescence weighs at least low, the
+sum of m_v over non-root v, so `valuation` sees only the cofactor left after
+r^low is divided out; it strips r^(2^j) for falling j, not one r at a time.
 """
 
 from __future__ import annotations
 
 from .counting import Arborescence, _checked_alpha, _checked_root, _search, count_table
 from .determinant import det_poly
-from .graph import ColoredDigraph, reaches_all
+from .graph import ColoredDigraph, lightest, reaches_all
 from .laplacian import root_minor
 
 
@@ -71,7 +72,8 @@ def _plan(graph: ColoredDigraph, root: int, alpha):
     if matching == 0:
         return None
     r = matching + 1
-    return constraint, r, valuation(c_alpha_r(graph, root, constraint, r), r)
+    low = sum(e.weight for e in lightest(graph.edges, lambda e: e.head) if e.head != root)
+    return constraint, r, low + valuation(c_alpha_r(graph, root, constraint, r) // r**low, r)
 
 
 def min_weight(graph: ColoredDigraph, root: int, alpha) -> int | None:

@@ -341,7 +341,7 @@ def questions_asked():
     minors, tables = [], []
     build, det = counting.root_minor, counting.det_poly
 
-    def root_minor(n, q, arcs, root, r=None):
+    def root_minor(n, q, arcs, root, r=1):
         minors.append((ColoredDigraph(n, q, tuple(arcs)), r))
         return build(n, q, arcs, root, r)
 

@@ -248,13 +248,14 @@ def test_search_questions_are_subgraphs_of_the_input(case):
     # After the first, the count on the whole graph that both make, find
     # and find_min ask only about subgraphs of the input with its vertices,
     # in which every vertex already decided keeps only its taken in-arc.
-    # Every coefficient asked is the oracle's: the number of arborescences
-    # matching alpha, or with a base r the sum of r^w over them.  The search
-    # picks each vertex's candidates with one `lightest` call, which names
-    # the vertex being decided.  One rule answers every question: it holds
-    # unless `above` divides its coefficient.  find's `above` is the count
-    # plus 1, which divides only 0 because no subgraph has more matching
-    # arborescences; find_min's r exceeds every question's count.
+    # Every coefficient asked is the oracle's: the sum of r^w over the
+    # arborescences matching alpha, which is their number at find's r = 1.
+    # The search picks each vertex's candidates with one `lightest` call,
+    # which names the vertex being decided.  One rule answers every
+    # question: it holds unless `above` divides its coefficient.  find's
+    # `above` is the count plus 1, which divides only 0 because no subgraph
+    # has more matching arborescences; find_min's r exceeds every question's
+    # count.
     graph, root, alpha = case
     if alpha is None:
         return
@@ -263,7 +264,7 @@ def test_search_questions_are_subgraphs_of_the_input(case):
     for operation in (find, find_min):
         questions, tables, vertices, searches = [], [], [], []
 
-        def root_minor(n, q, live, root, r=None):
+        def root_minor(n, q, live, root, r=1):
             questions.append((ColoredDigraph(n, q, tuple(live)), r, vertices[-1:]))
             return build(n, q, live, root, r)
 
@@ -286,14 +287,14 @@ def test_search_questions_are_subgraphs_of_the_input(case):
                 if color_histogram(subgraph, arb.edge_ids)[: graph.q - 1] == alpha
             ]
             coefficient = table.get(alpha, 0)
-            assert coefficient == (len(weights) if r is None else sum(r**w for w in weights))
+            assert coefficient == sum(r**w for w in weights)
             if operation is find:
                 assert 0 <= coefficient < above
-            elif r is not None:
+            elif r > 1:
                 assert len(weights) < r
             if number == 0:
                 continue
-            assert subgraph.n == graph.n and (r is None) == (operation is find)
+            assert subgraph.n == graph.n and (r == 1) == (operation is find)
             assert {(e.id, e.tail, e.head, e.color) for e in subgraph.edges} <= arcs
             [v] = picked
             decided = [w for w in range(1, v) if w != root]

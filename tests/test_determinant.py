@@ -15,9 +15,10 @@ from ccarb.determinant import (
     select_primes,
 )
 from ccarb.graph import ColoredDigraph, Edge
-from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor
+from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor, root_minor
 
 from support import (
+    bareiss_det,
     cofactor_det,
     dense_rows,
     dict_poly_mod,
@@ -440,3 +441,48 @@ class TestDetPoly:
             for p in (10007, 65537):
                 point = tuple(rng.randint(0, p - 1) for _ in range(2))
                 assert poly_eval(poly, point) % p == det_mod_p(m.evaluate(point), p)
+
+
+def planted_digraph(rng: random.Random, n: int, q: int, max_weight: int | None) -> tuple[ColoredDigraph, int]:
+    """A digraph on 1..n in which each vertex but the root has in-degree 3, and the root.
+
+    One in-arc of each vertex comes from the vertex before it on a path
+    from the root through every vertex in random order, so an arborescence
+    exists; the two others come from random other vertices.  Colors are
+    drawn from 1..q and weights, if max_weight is given, from 1..max_weight.
+    """
+    root = rng.randint(1, n)
+    path = [root, *rng.sample([v for v in range(1, n + 1) if v != root], n - 1)]
+    arcs = list(zip(path, path[1:]))
+    arcs += [(rng.choice([u for u in range(1, n + 1) if u != v]), v) for v in path[1:] for _ in range(2)]
+    weight = (lambda: None) if max_weight is None else (lambda: rng.randint(1, max_weight))
+    return ColoredDigraph(n, q, tuple(Edge(i, t, h, rng.randint(1, q), weight()) for i, (t, h) in enumerate(arcs))), root
+
+
+@pytest.mark.parametrize(
+    "n, q, max_weight, r",
+    [
+        # Unweighted, sized by q; at n = 60 the packed x1 would pass
+        # PACKED_BITS, so det_poly evaluates it along its axis.
+        (60, 2, None, 1),
+        (30, 3, None, 1),
+        (20, 4, None, 1),
+        # Weighted at a base r: rows hold r^w and shed large contents.
+        (16, 2, 1000, 3),
+        (24, 3, 60, 5),
+    ],
+)
+def test_det_poly_matches_the_unreduced_minor_at_scale(n, q, max_weight, r):
+    # The root minor of a seeded digraph far past the oracle's reach, reduced
+    # and packed by det_poly, must equal Bareiss elimination of the same
+    # minor, unreduced, at random points: a wrong nonzero difference of
+    # degree d vanishes at a random point with probability at most d / 2e6
+    # (Schwartz-Zippel).
+    rng = random.Random(n * q)
+    graph, root = planted_digraph(rng, n, q, max_weight)
+    matrix = root_minor(n, q, graph.edges, root, r)
+    poly = det_poly(matrix)
+    assert poly
+    for _ in range(2):
+        point = tuple(rng.randint(-(10**6), 10**6) for _ in range(q - 1))
+        assert poly_eval(poly, point) == bareiss_det(matrix.evaluate(point))

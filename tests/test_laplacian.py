@@ -23,14 +23,10 @@ class TestBuild:
         assert lap.rows == ((), ((1, 1, 1), (0, 1, -1)))
 
     def test_weighted_color_q_constant(self):
+        # The full Laplacian is the minor at an added vertex with no arcs.
         g = ColoredDigraph(2, 2, (Edge(0, 1, 2, 2, 7),))
-        lap = root_minor(g.n, g.q, g.edges, None, 2)
+        lap = root_minor(g.n + 1, g.q, g.edges, g.n + 1, 2)
         assert lap.rows == ((), ((1, 0, 128), (0, 0, -128)))
-
-    def test_weighted_requires_weights(self):
-        g = ColoredDigraph(2, 1, (Edge(0, 1, 2, 1),))
-        with pytest.raises(ValueError, match="weights"):
-            root_minor(g.n, g.q, g.edges, None, 2)
 
     def test_self_loop_only_on_diagonal(self):
         g = ColoredDigraph(2, 1, (Edge(0, 1, 1, 1),))
@@ -131,26 +127,22 @@ class TestMinor:
             minor(m, 2)
 
 
-def _outcome(build):
-    try:
-        return build()
-    except ValueError as error:
-        return str(error)
-
-
 class TestRootMinor:
     @settings(max_examples=200, deadline=None)
     @given(st.booleans().flatmap(lambda weights: small_digraphs(weights=weights)), st.data())
     def test_is_the_minor_of_the_laplacian(self, graph, data):
-        # At every root, for the whole arc list and a subset of it, with or
-        # without a base r; on unweighted arcs both refuse r alike.
+        # At every root, for the whole arc list and a subset of it, at a base
+        # r of 1 or more; an unweighted arc weighs 0, so it is worth 1 at any r.
         keep = data.draw(st.lists(st.booleans(), min_size=len(graph.edges), max_size=len(graph.edges)))
         subset = tuple(e for e, kept in zip(graph.edges, keep) if kept)
-        r = data.draw(st.one_of(st.none(), st.integers(2, 7)))
+        r = data.draw(st.integers(1, 7))
+        n, q = graph.n, graph.q
         for arcs in (graph.edges, subset):
-            for root in range(1, graph.n + 1):
-                expected = _outcome(lambda: minor(root_minor(graph.n, graph.q, arcs, None, r), root))
-                assert _outcome(lambda: root_minor(graph.n, graph.q, arcs, root, r)) == expected
+            for root in range(1, n + 1):
+                built = root_minor(n, q, arcs, root, r)
+                assert built == minor(root_minor(n + 1, q, arcs, n + 1, r), root)
+                if all(e.weight is None for e in arcs):
+                    assert built == root_minor(n, q, arcs, root)
 
     def test_skips_arcs_into_the_root_and_terms_of_the_root(self):
         # Root 2: the arc into it is skipped, the arc out of it keeps only

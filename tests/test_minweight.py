@@ -1,5 +1,6 @@
 """Minimum-weight operations, checked against the brute-force oracle (n <= 6)."""
 
+import functools
 import importlib.util
 import sys
 from pathlib import Path
@@ -278,13 +279,42 @@ def test_vertices_with_different_lightest_in_weights(alpha):
     assert color_histogram(graph, arb.edge_ids)[:1] == alpha
 
 
+# Weights near 1,000,000.  Of the arborescences at s with one color-1 arc,
+# sb, ba, bc is the lightest: 1,000,001 + 1,000,000 + 999,999.
+MILLION = """4 2
+s a 1 1000000
+s b 2 1000001
+a b 1 1000002
+b a 2 1000000
+b c 1 999999
+a c 2 1000003
+s c 1 1000000
+"""
+
+
+@pytest.mark.parametrize("name, alpha", [*(("SHIFTED", (a,)) for a in range(4)), ("MILLION", (1,))])
+def test_valuation_sees_only_the_cofactor_above_the_lightest_in_weights(monkeypatch, name, alpha):
+    # Every arborescence weighs at least low, the sum of the lightest
+    # in-weights of the non-root vertices, about 300,000 on SHIFTED with
+    # every weight raised by 100,000 and 3,000,000 on MILLION.  The
+    # coefficient at r then has about low * log2(r) bits, but r^low divides
+    # it, and valuation sees only the small cofactor left.
+    text = MILLION if name == "MILLION" else functools.reduce(lambda t, v: raised(t, v, 100_000), "abc", SHIFTED)
+    graph = parse_graph(text)
+    expected, _ = oracle_min_weight(graph, 1, alpha)
+    values = recorded(monkeypatch, minweight, "valuation")
+    assert min_weight(graph, 1, alpha) == expected
+    assert find_min(graph, 1, alpha)[1] == expected
+    assert len(values) == 2 and all(0 < value < 2**64 for value, _ in values)
+
+
 @ORACLE
 @given(instances())
 def test_valuation_base_exceeds_the_number_of_arborescences(inst):
     # The valuation is exact when r exceeds the number of minimizers, which
     # is at most the number of arborescences matching alpha.  find_min asks
     # every search question, a minor built in counting with a base, at the
-    # one base that min_weight uses.
+    # one base that min_weight uses; the count's minor is built at r = 1.
     graph, root, alpha = inst
     matching = sum(
         color_histogram(graph, arb.edge_ids)[: graph.q - 1] == alpha for arb in enumerate_arborescences(graph, root)
@@ -294,7 +324,7 @@ def test_valuation_base_exceeds_the_number_of_arborescences(inst):
             operation(*inst)
         assert len(minors) == len(tables)
         bases = {call.args[3] for call in spy.call_args_list}
-        bases |= {r for _, r in minors if r is not None}
+        bases |= {r for _, r in minors if r != 1}
         if matching == 0:
             assert bases == set()
             continue
