@@ -1,18 +1,15 @@
 """Exact determinants of symbolic matrices.
 
 The determinant polynomial is computed over the integers in two stages.
-First the rows that fix a factor of the determinant are taken out by
-exact row and column operations.  A row whose terms all carry one variable x_c
-is x_c times its constant row, so x_c is factored out.  A row whose only
-entries are a on the diagonal and -a in one column u, both constant (after
-factoring), is the forced arc of Tutte's directed matrix-tree theorem
-(W. T. Tutte, Proc. Cambridge Philos. Soc. 44, 1948): adding its column
-into column u leaves a alone in the row, so a is factored out and the row
-and its column are deleted.  A row with a alone on the diagonal is
-expanded the same way, and an all-zero row makes the determinant 0.  Last,
-the determinant being linear in each row, every row left is divided by its
-content, the gcd of its coefficients: a weighted row with entries r^w
-sheds at least r^m, m its lightest weight.
+First factors are taken out of the rows by one rule: each row sheds its
+content, the gcd of its coefficients times x_c when every term carries x_c.
+The determinant is linear in each row, so the content is a factor; a
+weighted row with entries r^w sheds at least r^m, m its lightest weight,
+and a zero row, of content 0, makes the determinant 0.  Shed, a row that is
+e_v - e_u or e_v up to sign is a forced arc of Tutte's directed matrix-tree
+theorem (W. T. Tutte, Proc. Cambridge Philos. Soc. 44, 1948): adding column
+v into column u leaves the row's diagonal alone, so the row and its column
+are expanded away, and each row that changes sheds its content again.
 
 Then the rest is packed and interpolated.  Every entry is affine in all the
 variables together, so the reduced determinant's degree in x_c is at most
@@ -81,31 +78,19 @@ def _bareiss(rows: list[list[int]]) -> int:
     return sign * prev
 
 
-def _add(row: dict[int, dict[int, int]], column: int, slot: int, coeff: int) -> None:
-    # Add coeff to one slot of the row's entry in column, leaving zeros out.
-    entry = row.setdefault(column, {})
-    total = entry.get(slot, 0) + coeff
-    if total:
-        entry[slot] = total
-    else:
-        entry.pop(slot, None)
-        if not entry:
-            del row[column]
-
-
 def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], SymbolicMatrix, list[int], int, int] | None:
     # (scale, exponents, rest, rows, degree, bound) with det(matrix) = scale
     # * x^exponents * det(rest), or None when a row is zero; rows[c - 1]
     # counts rest's rows holding x_c, degree those holding any variable, and
     # bound is the Leibniz bound.  Rows and columns keep their indices until
-    # the end, and entries[i][j] maps each slot of entry (i, j) to its
-    # coefficient.  One worklist pass: a row is queued again only when its
-    # entries change.
-    entries: dict[int, dict[int, dict[int, int]]] = {}
+    # the end, and entries[i] maps each (column, slot) of row i to its
+    # coefficient, zeros included until the row is next taken.  One worklist
+    # pass: a row is queued again only when its entries change.
+    entries: dict[int, dict[tuple[int, int], int]] = {}
     for i, terms in enumerate(matrix.rows):
         entries[i] = row = {}
-        for term in terms:
-            _add(row, *term)
+        for column, slot, coeff in terms:
+            row[column, slot] = row.get((column, slot), 0) + coeff
     scale, exponents = 1, [0] * matrix.nvars
     queue = list(entries)
     while queue:
@@ -113,46 +98,49 @@ def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], SymbolicMatrix, lis
         row = entries.get(v)
         if row is None:
             continue
-        if not row:
+        # The row taken sheds its content: the gcd of its coefficients, times
+        # x_c when every term carries x_c.  A zero row has content 0.  The
+        # row is rebuilt only to drop a zero or to shed a content other than 1.
+        content = math.gcd(*row.values())
+        if not content:
             return None
-        slots = {slot for entry in row.values() for slot in entry}
-        if len(slots) > 1:
+        if 0 in row.values():
+            entries[v] = row = {key: coeff for key, coeff in row.items() if coeff}
+        slots = {slot for _, slot in row}
+        shared = min(slots) if len(slots) == 1 else 0
+        if content > 1 or shared:
+            scale *= content
+            if shared:
+                exponents[shared - 1] += 1
+            entries[v] = row = {(j, slot - shared): coeff // content for (j, slot), coeff in row.items()}
+        # Shed, a forced row is e_v or e_v - e_u up to sign: constants only,
+        # the diagonal alone or with one term (u, 0) that cancels it.  Adding
+        # column v into column u leaves the diagonal alone in row v, and
+        # expanding along row v takes it out; row keeps only (u, 0), if any.
+        diagonal = row.get((v, 0))
+        if len(slots) > 1 or diagonal is None or len(row) > 2 or len(row) == 2 and sum(row.values()):
             continue
-        (slot,) = slots
-        if slot:
-            exponents[slot - 1] += 1
-            entries[v] = row = {j: {0: entry[slot]} for j, entry in row.items()}
-        diagonal = row.get(v, {}).get(0)
-        others = [j for j in row if j != v]
-        if diagonal is None or len(others) > 1 or any(row[u][0] != -diagonal for u in others):
-            continue
-        # Adding column v into column u (the other entry, if any) leaves the
-        # diagonal alone in row v; expanding along row v takes it out.
         scale *= diagonal
-        del entries[v]
+        del entries[v], row[v, 0]
         for i, other in entries.items():
-            if v in other:
-                for u in others:
-                    for slot, coeff in other[v].items():
-                        _add(other, u, slot, coeff)
-                del other[v]
+            moved = False
+            for slot in range(matrix.nvars + 1):
+                coeff = other.pop((v, slot), 0)
+                if coeff:
+                    moved = True
+                    for u, _ in row:
+                        other[u, slot] = other.get((u, slot), 0) + coeff
+            if moved:
                 queue.append(i)
-    # Each row's content, the gcd of its coefficients, goes into scale too,
-    # before the counts and the bound are taken.
     index = {j: k for k, j in enumerate(entries)}
     rows, counts, degree, bound = [], [0] * (matrix.nvars + 1), 0, 1
     for row in entries.values():
-        terms = tuple((index[j], slot, coeff) for j, entry in row.items() for slot, coeff in entry.items())
-        content = math.gcd(*(coeff for _, _, coeff in terms))
-        if content > 1:
-            scale *= content
-            terms = tuple((j, slot, coeff // content) for j, slot, coeff in terms)
-        rows.append(terms)
-        slots = {slot for _, slot, _ in terms}
+        rows.append(tuple((index[j], slot, coeff) for (j, slot), coeff in row.items()))
+        slots = {slot for _, slot in row}
         for slot in slots:
             counts[slot] += 1
         degree += any(slots)
-        bound *= sum(abs(coeff) for _, _, coeff in terms)
+        bound *= sum(map(abs, row.values()))
     return scale, exponents, SymbolicMatrix(matrix.nvars, tuple(rows)), counts[1:], degree, bound
 
 

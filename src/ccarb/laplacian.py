@@ -36,6 +36,8 @@ class SymbolicMatrix:
         dim, nvars = len(self.rows), self.nvars
         for i, row in enumerate(self.rows):
             for term in row:
+                if not (type(term) is tuple and len(term) == 3 and type(term[0]) is type(term[1]) is type(term[2]) is int):
+                    raise ValueError(f"row {i}: term {term} is not three integers")
                 if not (0 <= term[0] < dim and 0 <= term[1] <= nvars):
                     raise ValueError(f"row {i}: term {term} is outside columns 0..{dim - 1} or slots 0..{nvars}")
 

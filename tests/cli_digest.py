@@ -1,14 +1,17 @@
-"""One SHA-256 per benchmark workload over the CLI's answers to every op.
+"""SHA-256 digests per benchmark workload of the CLI's answers and of the engine's polynomials.
 
     python3 tests/cli_digest.py 1 2 3
 
 For each workload of ``benchmark/suite.py`` and each seed given (default 1),
 every timed op and probe is run in-process through ``ccarb.cli.main``, once
-as text and once with ``--json``.  The digest covers each call's exit code,
-stdout and stderr in run order, so two checkouts print the same line for a
-workload exactly when their CLI bytes agree on it.  The suite is read, not
-changed, and ccarb is imported from this checkout's ``src``.  pytest does
-not collect this file.
+as text and once with ``--json``.  The first digest covers each call's exit
+code, stdout and stderr in run order.  The second covers every polynomial
+``det_poly`` returned to the operations (``ccarb.counting.det_poly`` and
+``ccarb.minweight.det_poly``), as its sorted (monomial, coefficient) pairs,
+in call order.  So two checkouts print the same line for a workload exactly
+when their CLI bytes and their engine's answers agree on it.  The suite is
+read, not changed, and ccarb is imported from this checkout's ``src``.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import ccarb.cli  # noqa: E402
+import ccarb.counting  # noqa: E402
+import ccarb.minweight  # noqa: E402
 
 
 def load_suite():
@@ -47,9 +52,19 @@ def call(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def digest(suite, workload: str, seeds: list[int]) -> tuple[int, str]:
-    """(calls made, hex SHA-256 of their exit codes, stdout and stderr)."""
+def spy_on_engine() -> list[dict]:
+    """Have the operations' `det_poly` append every polynomial it returns to the list returned."""
+    returned = []
+    for module in (ccarb.counting, ccarb.minweight):
+        module.det_poly = lambda matrix, det_poly=module.det_poly: returned.append(det_poly(matrix)) or returned[-1]
+    return returned
+
+
+def digest(suite, workload: str, seeds: list[int], returned: list[dict]) -> tuple[int, str, int, str]:
+    """(CLI calls made, hex SHA-256 of their exit codes, stdout and stderr,
+    det_poly calls made, hex SHA-256 of the polynomials they returned)."""
     sha, calls = hashlib.sha256(), 0
+    returned.clear()
     for seed in seeds:
         timed, probes = suite.build(workload, seed)
         for op in timed + probes:
@@ -58,19 +73,23 @@ def digest(suite, workload: str, seeds: list[int]) -> tuple[int, str]:
             for extra in ([], ["--json"]):
                 sha.update(json.dumps(call(op.argv(op.instance.name) + extra)).encode() + b"\n")
                 calls += 1
-    return calls, sha.hexdigest()
+    engine = hashlib.sha256()
+    for poly in returned:
+        engine.update(repr(sorted(poly.items())).encode() + b"\n")
+    return calls, sha.hexdigest(), len(returned), engine.hexdigest()
 
 
 def main(argv: list[str]) -> None:
     seeds = [int(seed) for seed in argv] or [1]
     suite = load_suite()
+    returned = spy_on_engine()
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
             for workload in suite.WORKLOADS:
-                calls, hexdigest = digest(suite, workload, seeds)
-                print(f"{workload}\t{calls} calls\t{hexdigest}")
+                calls, cli, det_calls, engine = digest(suite, workload, seeds, returned)
+                print(f"{workload}\t{calls} calls\t{cli}\t{det_calls} det_poly\t{engine}")
         finally:
             os.chdir(home)
 

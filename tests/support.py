@@ -239,6 +239,22 @@ def random_laplacian_style_matrix(rng: random.Random, dim: int, nvars: int) -> S
     return SymbolicMatrix(nvars, rows)
 
 
+def planted_digraph(rng: random.Random, n: int, q: int, max_weight: int | None) -> tuple[ColoredDigraph, int]:
+    """A digraph on 1..n in which each vertex but the root has in-degree 3, and the root.
+
+    One in-arc of each vertex comes from the vertex before it on a path
+    from the root through every vertex in random order, so an arborescence
+    exists; the two others come from random other vertices.  Colors are
+    drawn from 1..q and weights, if max_weight is given, from 1..max_weight.
+    """
+    root = rng.randint(1, n)
+    path = [root, *rng.sample([v for v in range(1, n + 1) if v != root], n - 1)]
+    arcs = list(zip(path, path[1:]))
+    arcs += [(rng.choice([u for u in range(1, n + 1) if u != v]), v) for v in path[1:] for _ in range(2)]
+    weight = (lambda: None) if max_weight is None else (lambda: rng.randint(1, max_weight))
+    return ColoredDigraph(n, q, tuple(Edge(i, t, h, rng.randint(1, q), weight()) for i, (t, h) in enumerate(arcs))), root
+
+
 @st.composite
 def small_digraphs(draw, weights=False):
     """Loopless colored multidigraphs small enough for the oracle.

@@ -23,6 +23,7 @@ from support import (
     alphas,
     bareiss_det,
     classical_in_laplacian_minor,
+    planted_digraph,
     poly_eval,
     questions_asked,
     random_digraph,
@@ -151,6 +152,19 @@ def test_count_table_matches_the_laplacian_minor_beyond_the_oracle():
         table = count_table(graph, root)
         point = tuple(rng.randint(-9, 9) for _ in range(graph.q - 1))
         assert poly_eval(table, point) == bareiss_det(classical_in_laplacian_minor(graph, root, point))
+
+
+@pytest.mark.parametrize("n, q", [(24, 3), (20, 4), (40, 2)])
+def test_find_at_scale_returns_a_certified_arborescence(n, q):
+    # Far past the oracle, the answer is checked by its certificate: an
+    # arborescence of the planted digraph with the histogram asked for,
+    # the one with the most arborescences.
+    graph, root = planted_digraph(random.Random(n * q), n, q, None)
+    table = count_table(graph, root)
+    alpha = max(table, key=table.get)
+    arb = find(graph, root, alpha)
+    assert is_arborescence(graph, root, arb.edge_ids)
+    assert color_histogram(graph, arb.edge_ids)[:-1] == alpha
 
 
 def complete_digraph(q: int) -> ColoredDigraph:

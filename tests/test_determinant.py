@@ -23,6 +23,7 @@ from support import (
     dense_rows,
     dict_poly_mod,
     is_prime_below_2_32,
+    planted_digraph,
     poly_eval,
     random_laplacian_style_matrix,
     random_symbolic_matrix,
@@ -87,20 +88,20 @@ def zero_some_variables(rng: random.Random, m: SymbolicMatrix) -> SymbolicMatrix
 
 @st.composite
 def sparse_digraphs(draw):
-    """Digraphs on 1..6 vertices and 1..4 colors, most vertices of in-degree 1 or 2.
+    """Digraphs on 1..6 vertices and 1..4 colors, most vertices of in-degree 1 or 2, weights 1..4.
 
     Any vertex can be a tail, so self-loops and arcs from whichever vertex
     is later taken as the root occur, and an arc is sometimes doubled into
-    parallel same-color arcs.
+    parallel same-color arcs of one weight.
     """
     n = draw(st.integers(1, 6))
     q = draw(st.integers(1, 4))
     edges = []
     for head in range(1, n + 1):
         for _ in range(draw(st.sampled_from((0, 1, 1, 1, 2, 2, 3)))):
-            tail, color = draw(st.integers(1, n)), draw(st.integers(1, q))
+            tail, color, weight = draw(st.integers(1, n)), draw(st.integers(1, q)), draw(st.integers(1, 4))
             for _ in range(draw(st.sampled_from((1, 1, 1, 2)))):
-                edges.append(Edge(len(edges), tail, head, color))
+                edges.append(Edge(len(edges), tail, head, color, weight))
     return ColoredDigraph(n, q, tuple(edges))
 
 
@@ -381,13 +382,16 @@ class TestDetPoly:
                     assert det_poly(matrix) == expected
 
     @settings(max_examples=300, deadline=None)
-    @given(sparse_digraphs(), st.data())
-    def test_reduction_matches_cofactor_on_sparse_laplacians(self, graph, data):
+    @given(sparse_digraphs(), st.integers(1, 5), st.data())
+    def test_reduction_matches_cofactor_on_sparse_laplacians(self, graph, r, data):
         # Sparse rows are where the reduction acts: one-arc rows contract
         # (into another column, or alone when the arc comes from the root),
-        # single-color rows factor, and a self-loop row fails the diagonal
-        # test.  The full Laplacian keeps every column, the minor drops one.
-        laplacian = build_laplacian(graph)
+        # single-color rows shed their variable, and a self-loop row fails
+        # the forced test.  Arcs worth r^w give rows contents above 1, so a
+        # row can shed a content and later contract, or take a contracted
+        # column's terms and shed a content again.  The full Laplacian keeps
+        # every column, the minor drops one; at r = 1 it is build_laplacian.
+        laplacian = root_minor(graph.n + 1, graph.q, graph.edges, graph.n + 1, r)
         for matrix in (laplacian, minor(laplacian, data.draw(st.integers(1, graph.n)))):
             assert det_poly(matrix) == cofactor_det(matrix)
 
@@ -441,22 +445,6 @@ class TestDetPoly:
             for p in (10007, 65537):
                 point = tuple(rng.randint(0, p - 1) for _ in range(2))
                 assert poly_eval(poly, point) % p == det_mod_p(m.evaluate(point), p)
-
-
-def planted_digraph(rng: random.Random, n: int, q: int, max_weight: int | None) -> tuple[ColoredDigraph, int]:
-    """A digraph on 1..n in which each vertex but the root has in-degree 3, and the root.
-
-    One in-arc of each vertex comes from the vertex before it on a path
-    from the root through every vertex in random order, so an arborescence
-    exists; the two others come from random other vertices.  Colors are
-    drawn from 1..q and weights, if max_weight is given, from 1..max_weight.
-    """
-    root = rng.randint(1, n)
-    path = [root, *rng.sample([v for v in range(1, n + 1) if v != root], n - 1)]
-    arcs = list(zip(path, path[1:]))
-    arcs += [(rng.choice([u for u in range(1, n + 1) if u != v]), v) for v in path[1:] for _ in range(2)]
-    weight = (lambda: None) if max_weight is None else (lambda: rng.randint(1, max_weight))
-    return ColoredDigraph(n, q, tuple(Edge(i, t, h, rng.randint(1, q), weight()) for i, (t, h) in enumerate(arcs))), root
 
 
 @pytest.mark.parametrize(

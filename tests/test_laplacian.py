@@ -167,6 +167,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=re.escape(f"row 1: term {term} is outside columns 0..1 or slots 0..1")):
             SymbolicMatrix(1, (((0, 0, 1),), ((1, 1, 1), term)))
 
+    @pytest.mark.parametrize("term", [(0, 0, 1.5), (0, 0, True), (0.0, 0, 1), (0, 0)])
+    def test_term_not_three_integers_rejected(self, term):
+        # A float or bool would pass the range checks and reach the exact
+        # engine; a short term would fail later inside it.
+        with pytest.raises(ValueError, match=re.escape(f"row 1: term {term} is not three integers")):
+            SymbolicMatrix(1, (((0, 0, 1),), ((1, 1, 1), term)))
+
     def test_negative_variable_count_rejected(self):
         with pytest.raises(ValueError, match="variable count must be nonnegative"):
             SymbolicMatrix(-1, ())

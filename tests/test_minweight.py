@@ -2,6 +2,7 @@
 
 import functools
 import importlib.util
+import random
 import sys
 from pathlib import Path
 from unittest import mock
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 
 from ccarb import counting, minweight
 from ccarb.cli import main
-from ccarb.counting import Arborescence, count
+from ccarb.counting import Arborescence, count, count_table
 from ccarb.graph import parse_graph
 from ccarb.laplacian import SymbolicMatrix
 from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, is_arborescence, oracle_min_weight
 
-from support import alphas, questions_asked, recorded, small_digraphs, unusable_arcs
+from support import alphas, planted_digraph, questions_asked, recorded, small_digraphs, unusable_arcs
 
 ORACLE = settings(max_examples=100, deadline=None)
 
@@ -306,6 +307,20 @@ def test_valuation_sees_only_the_cofactor_above_the_lightest_in_weights(monkeypa
     assert min_weight(graph, 1, alpha) == expected
     assert find_min(graph, 1, alpha)[1] == expected
     assert len(values) == 2 and all(0 < value < 2**64 for value, _ in values)
+
+
+@pytest.mark.parametrize("n, q, max_weight", [(16, 2, 30), (12, 3, 60)])
+def test_find_min_at_scale_weighs_the_minimum(n, q, max_weight):
+    # Far past the oracle, find-min's arborescence is checked by its
+    # certificate and its weight against min-weight's, on a planted digraph
+    # at the histogram with the most arborescences.
+    graph, root = planted_digraph(random.Random(n * q), n, q, max_weight)
+    table = count_table(graph, root)
+    alpha = max(table, key=table.get)
+    arb, weight = find_min(graph, root, alpha)
+    assert is_arborescence(graph, root, arb.edge_ids)
+    assert color_histogram(graph, arb.edge_ids)[:-1] == alpha
+    assert sum(graph.edge(i).weight for i in arb.edge_ids) == weight == min_weight(graph, root, alpha)
 
 
 @ORACLE
