@@ -82,69 +82,60 @@ def decide(graph: ColoredDigraph, root: int, alpha) -> bool:
     return count(graph, root, alpha) > 0
 
 
-def _without(question: list[Edge], arcs) -> list[Edge]:
-    dropped = {e.id for e in arcs}
-    return [e for e in question if e.id not in dropped] if dropped else question
-
-
 def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int, above: int) -> Arborescence:
     """The first solution by the in-arc id of vertex 1, then 2, ...; a question holds unless `above` divides it.
 
-    Every question is a list of live arcs of `dedup_min_weight(graph)`,
-    deleted by id, with no arc into the root and, of a color whose room the
-    taken arcs fill, only those.  It is one `det_poly` call, on the minor
-    `root_minor` builds from it at the root with arc values r^w, and its
-    alpha coefficient modulo `above` answers it.  Each
-    non-root vertex v, in ascending order, keeps only the smallest-id
-    in-arc some solution still uses: a one-arc row, which
-    `determinant._reduce` contracts.  v's candidates are its in-arcs whose
-    tail does not lead back to v through the taken arcs, one per color and
-    "top" (where those arcs lead the tail), picked as `dedup_min_weight`
-    picks.  The first is asked about alone, with v's other candidates
-    deleted and, if it would fill its color's room, that color's arcs into
-    later vertices; if unused, it is deleted and the rest halved, keeping
-    the first half when some solution uses it.  The last is taken unasked:
-    at most 1 + ceil(log2(d - 1)) questions for d candidates.  The result
-    is certified against `graph` (ValueError if not).
+    The search's one state is `live`, each non-root vertex's list of live
+    in-arcs, at first those of `dedup_min_weight(graph)` but for colors
+    with no room.  A question is such a map; its arcs are the union of the
+    lists.  It is one `det_poly` call, on the minor `root_minor` builds
+    from them at the root with arc values r^w, and its alpha coefficient
+    modulo `above` answers it.  Each vertex v, in ascending order, is left
+    one live in-arc, the smallest-id one some solution still uses: a
+    one-arc row, which `determinant._reduce` contracts.  v's candidates
+    are its live in-arcs whose tail does not lead back to v through the
+    decided vertices' arcs, one per color and "top" (where those arcs lead
+    the tail), picked as `dedup_min_weight` picks.  The first is asked
+    about alone; that probe, like the final take, also drops its color's
+    arcs into later vertices if it fills the color's room.  If unused, the
+    rest are halved, each half asked as `{**live, v: half}` and kept when
+    some solution uses it.  The last is taken unasked: at most
+    1 + ceil(log2(d - 1)) questions for d candidates.  The result is
+    certified against `graph` (ValueError if not).
     """
     room = [*alpha, graph.n - 1 - sum(alpha)]
-    edges = dedup_min_weight(graph).edges
-    question = _without(list(edges), [e for e in edges if e.head == root or room[e.color - 1] <= 0])
-    tail: dict[int, int] = {}
+    live: dict[int, list[Edge]] = {v: [] for v in range(1, graph.n + 1) if v != root}
+    for e in dedup_min_weight(graph).edges:
+        if e.head != root and room[e.color - 1] > 0:
+            live[e.head].append(e)
+
+    def taking(arc: Edge) -> dict[int, list[Edge]]:
+        # live with arc alone into its head, and none of its color into later vertices if it fills the room.
+        lists = {**live, arc.head: [arc]}
+        if room[arc.color - 1] < 2:
+            lists.update({w: [e for e in arcs if e.color != arc.color] for w, arcs in lists.items() if w > arc.head})
+        return lists
 
     def top(vertex: int) -> int:
-        while vertex in tail:
-            vertex = tail[vertex]
+        while vertex < v and vertex != root:
+            vertex = live[vertex][0].tail
         return vertex
 
-    def filled(question: list[Edge], arc: Edge) -> list[Edge]:
-        # The arcs into later vertices of arc's color, if arc would fill its room.
-        if room[arc.color - 1] > 1:
-            return []
-        return [e for e in question if e.head > arc.head and e.color == arc.color]
-
-    taken = []
-    for v in range(1, graph.n + 1):
-        if v == root:
-            continue
-        arcs = [e for e in question if e.head == v]
-        tries = [e for e in lightest(arcs, lambda e: (top(e.tail), e.color)) if top(e.tail) != v]
-        if not tries:
-            break  # only a wrong answer leaves v no usable in-arc; the certificates refuse the result
-        candidates = {e.id for e in tries}
-        question, size = _without(question, [e for e in arcs if e.id not in candidates]), 1
+    for v in list(live):
+        tries = [e for e in lightest(live[v], lambda e: (top(e.tail), e.color)) if top(e.tail) != v]
+        if not tries:  # only a wrong answer leaves v no usable in-arc
+            raise ValueError("certificate check failed: the result is not an arborescence")
+        size = 1
         while len(tries) > 1:
             half, rest = tries[:size], tries[size:]
-            without = _without(question, rest + (filled(question, half[0]) if size == 1 else []))
-            kept = det_poly(root_minor(graph.n, graph.q, without, root, r)).get(alpha, 0) % above
-            question, tries = (without, half) if kept else (_without(question, half), rest)
+            probe = taking(half[0]) if size == 1 else {**live, v: half}
+            question = [e for arcs in probe.values() for e in arcs]
+            kept = det_poly(root_minor(graph.n, graph.q, question, root, r)).get(alpha, 0) % above
+            tries = half if kept else rest
             size = len(tries) // 2
-        arc = tries[0]
-        question = _without(question, filled(question, arc))
-        tail[v] = arc.tail
-        room[arc.color - 1] -= 1
-        taken.append(arc.id)
-    edge_ids = tuple(sorted(taken))
+        live = taking(tries[0])
+        room[tries[0].color - 1] -= 1
+    edge_ids = tuple(sorted(arcs[0].id for arcs in live.values()))
     if not is_arborescence(graph, root, edge_ids):
         raise ValueError("certificate check failed: the result is not an arborescence")
     if color_histogram(graph, edge_ids)[: graph.q - 1] != alpha:
@@ -158,16 +149,17 @@ def find(graph: ColoredDigraph, root: int, alpha) -> Arborescence | None:
     Counts the matching arborescences once (None when there are none).
     Then each non-root vertex, in ascending order, keeps the smallest-id
     in-arc that a matching arborescence still uses, and its other in-arcs
-    are deleted.  Each question is a list of the input's arcs, only usable
-    ones (the lightest, then smallest-id, of each parallel same-color
-    group; none into the root or of a color whose room is filled).  Its
-    coefficient counts its matching arborescences, at most the count, so
-    it holds unless count + 1 divides it, which is when it is nonzero:
-    `find_min`'s rule at W = 0 and r = count + 1.  A vertex with d
-    candidates asks at most 1 + ceil(log2(d - 1)) questions.  On an
-    unweighted graph the result is the first match by the in-arc id of
-    vertex 1, then 2, and so on.  It is checked to be an arborescence with
-    the requested histogram (ValueError if not).  Edge ids refer to the input.
+    are deleted.  Each question is the union of the non-root vertices'
+    lists of live in-arcs, which hold only usable arcs of the input (the
+    lightest, then smallest-id, of each parallel same-color group; none of
+    a color whose room is filled).  Its coefficient counts its matching
+    arborescences, at most the count, so it holds unless count + 1
+    divides it, which is when it is nonzero: `find_min`'s rule at W = 0
+    and r = count + 1.  A vertex with d candidates asks at most
+    1 + ceil(log2(d - 1)) questions.  On an unweighted graph the result is
+    the first match by the in-arc id of vertex 1, then 2, and so on.  It
+    is checked to be an arborescence with the requested histogram
+    (ValueError if not).  Edge ids refer to the input.
     """
     constraint = _checked_alpha(graph.q, alpha)
     matching = count_table(graph, root).get(constraint, 0)

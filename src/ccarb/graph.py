@@ -26,12 +26,11 @@ class Edge:
     weight: int | None = None
 
     def __post_init__(self):
-        check_integer(self.id, "edge id")
-        check_integer(self.tail, "edge tail")
-        check_integer(self.head, "edge head")
-        check_integer(self.color, "edge color")
-        if self.weight is not None:
-            check_integer(self.weight, "edge weight")
+        # An `operator.index` value is stored as the plain int it stands for.
+        values = (self.id, self.tail, self.head, self.color, self.weight)
+        for name, value in zip(("id", "tail", "head", "color", "weight"), values):
+            if type(value) is not int and (value is not None or name != "weight"):
+                object.__setattr__(self, name, check_integer(value, f"edge {name}"))
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,8 @@ class _Graph:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n", check_integer(self.n, "vertex count"))
+        object.__setattr__(self, "q", check_integer(self.q, "color count"))
         if self.n < 1:
             raise ValueError("vertex count must be positive")
         if self.q < 1:
@@ -163,8 +164,8 @@ def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
     ``undirected`` line may follow (default directed).  Every further line is
     one edge, ``tail head color`` or ``tail head color weight``; a file must
     not mix weighted and unweighted edge lines.  Lines starting with ``#``
-    and blank lines are ignored.  Vertex labels are arbitrary
-    whitespace-free strings, numbered 1..n by first appearance.
+    and blank lines are ignored.  Vertex labels are whitespace-free strings
+    that do not start with ``#``, numbered 1..n by first appearance.
     """
     header: tuple[int, int] | None = None
     directed: bool | None = None
@@ -175,6 +176,9 @@ def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
     def vertex(token: str, line_no: int) -> int:
         idx = labels.get(token)
         if idx is None:
+            if token.startswith("#"):
+                # A line it began would be read as a comment.
+                raise _parse_fail(line_no, f"vertex label {token!r} starts with '#'")
             if len(labels) >= header[0]:
                 raise _parse_fail(line_no, f"more than {header[0]} distinct vertex labels")
             idx = labels[token] = len(labels) + 1

@@ -92,11 +92,11 @@ def find_min(graph: ColoredDigraph, root: int, alpha) -> tuple[Arborescence, int
     Computes r and the minimum W once, as `min_weight` does, then searches
     as `find` does: the result is the first minimizer by the in-arc id of
     vertex 1, then 2, and so on, found by at most 1 + ceil(log2(d - 1))
-    questions for a vertex with d candidates.  A question, a list of the
-    graph's arcs, holds when its coefficient at r, the sum of r^w over its
-    matching arborescences, is not a multiple of r^(W + 1).  Every term is
-    a multiple of r^W, and fewer than r of them weigh W, so that is when
-    some minimizer is left.  One r serves every question: deleting arcs
+    questions for a vertex with d candidates.  A question, the union of
+    the non-root vertices' lists of live in-arcs, holds when its
+    coefficient at r, the sum of r^w over its matching arborescences, is
+    not a multiple of r^(W + 1).  Every term is a multiple of r^W, and
+    fewer than r of them weigh W, so that is when some minimizer is left.  One r serves every question: deleting arcs
     never raises the count.  The result is checked against the graph's
     weights to be an arborescence with the requested histogram and the
     minimum weight (ValueError if not).

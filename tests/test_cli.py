@@ -20,6 +20,8 @@ WEIGHTED_UNDIRECTED = "3 2\nundirected\na b 1 1\nb c 2 2\na c 1 3\n"
 ONE_COLOR = "3 1\ns a 1\ns b 1\na b 1\n"
 UNWEIGHTED_UNREACHABLE = "3 2\ns a 1\nb a 1\n"
 UNWEIGHTED_REACHABLE = "3 2\ns a 1\ns b 1\n"
+# Line 3 would read as a comment, so the head of line 2 is refused.
+HASH_LABEL = "3 1\ns #x 1\n#x y 1\n"
 # Four colors, color 3 declared but unused: rooted at s, the counts hold
 # cross terms in x1 and x2, and alpha keeps a 0 for color 3.
 THREE_VARIABLES = "3 4\ns a 1\ns a 4\ns b 2\nb a 1\na b 2\na b 1\n"
@@ -77,6 +79,7 @@ ERRORS = [
     (["find-min", "--root", "s", "--alpha", "1"], UNWEIGHTED_REACHABLE),
     (["min-weight", "--root", "a", "--alpha", "1"], WEIGHTED_UNDIRECTED),
     (["find-min", "--root", "a", "--alpha", "1"], WEIGHTED_UNDIRECTED),
+    (["count", "--root", "s"], HASH_LABEL),
 ]
 
 COMMANDS = ["count", "count-all", "decide", "find", "min-weight", "find-min", "spanning-trees"]

@@ -358,7 +358,7 @@ def always_yes(monkeypatch):
     # whole graph reads 1, `above` is 2 and every question holds.  a's first
     # candidate sa is kept, and it takes the one room of color 1, so ab and
     # sb, b's only in-arcs, are deleted: b has no candidate and the search
-    # stops on {sa}.
+    # refuses.
     monkeypatch.setattr(counting, "det_poly", lambda matrix: {(1,): 1})
     return CROSSED
 
@@ -370,19 +370,27 @@ def decide_for_alpha_2(monkeypatch):
     # ab is deleted), which has no arborescence of alpha 2, so it reads 0.
     # a takes ba unasked, which takes the one room of color 2, so sb is
     # deleted.  b's last in-arc ab leaves a, which leads back to b through
-    # ba, so b has no candidate and the search stops on {ba}.
+    # ba, so b has no candidate and the search refuses.
     real = counting.det_poly
     monkeypatch.setattr(counting, "det_poly", lambda matrix: {(1,): real(matrix).get((2,), 0)})
     return DIRECTED
 
 
-def delete_nothing(monkeypatch):
-    # Every question is then the whole graph, so every question reads yes.
-    # a takes its only in-arc sa unasked.  b's candidates are ab (color 1,
-    # from a, which leads to s) and sb (color 2, from s); the probe of ab
-    # reads yes, so b takes it.  The search ends on {sa, ab}, an
-    # arborescence of alpha 2.
-    monkeypatch.setattr(counting, "_without", lambda question, arcs: question)
+def pick_from_the_input(monkeypatch):
+    # Each vertex's candidates are picked from all its in-arcs in the input,
+    # not its live ones, and every question reads yes as in always_yes.  a
+    # takes its only in-arc sa unasked, which fills color 1's one room, so
+    # ab is no longer live.  b's candidates are still ab (color 1, from a,
+    # which leads to s) and sb (color 2, from s); the probe of ab reads yes,
+    # so b takes it.  The search ends on {sa, ab}, an arborescence of
+    # alpha 2.
+    graph, real = parse_graph(FORKED), counting.lightest
+
+    def lightest(edges, key):
+        return real([e for e in graph.edges if e.head == edges[0].head], key)
+
+    monkeypatch.setattr(counting, "lightest", lightest)
+    monkeypatch.setattr(counting, "det_poly", lambda matrix: {(1,): 1})
     return FORKED
 
 
@@ -391,7 +399,7 @@ def delete_nothing(monkeypatch):
     [
         (always_yes, "not an arborescence"),
         (decide_for_alpha_2, "not an arborescence"),
-        (delete_nothing, "color histogram"),
+        (pick_from_the_input, "color histogram"),
     ],
 )
 def test_find_refuses_an_uncertified_result(monkeypatch, tmp_path, capsys, lie, check):

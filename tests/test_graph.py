@@ -22,7 +22,8 @@ from ccarb.graph import (
     remove_in_arcs,
     reverse,
 )
-from ccarb.counting import count_table
+from ccarb.counting import count, count_table
+from ccarb.minweight import min_weight
 from ccarb.oracle import enumerate_arborescences
 
 from support import small_digraphs
@@ -110,8 +111,18 @@ class TestParse:
             ("2 2\n\na b two\n", 3, "color must be an integer"),
             ("2 1\na b 1 1.5\n", 2, "weight must be an integer"),
             ("# no header\n\n", 1, "missing header 'n q'"),
+            ("3 1\ns #x 1\n#x y 1\n", 2, "vertex label '#x' starts with '#'"),
         ],
-        ids=["header-fields", "header-integers", "header-positive", "late-orientation", "color", "weight", "no-header"],
+        ids=[
+            "header-fields",
+            "header-integers",
+            "header-positive",
+            "late-orientation",
+            "color",
+            "weight",
+            "no-header",
+            "hash-label",
+        ],
     )
     def test_malformed_files_name_the_line(self, text, line, message):
         with pytest.raises(GraphParseError, match=re.escape(f"line {line}: {message}")):
@@ -352,12 +363,48 @@ class TestValidation:
             (lambda: ColoredDigraph(2, 1, (Edge(0, 1, 2, 1), Edge(1, 2, 1, 2))), "edge 1: color out of range 1..1"),
             (lambda: ColoredDigraph(2, 1, (Edge(0, 1, 2, 1, 0),)), "edge 0: weight must be >= 1"),
             (lambda: parse_graph("3 1\ns t 1\n").vertex_label(3), "vertex 3 has no label"),
+            (lambda: ColoredDigraph(2.5, 2, ()), "vertex count 2.5 is not an integer"),
+            (lambda: ColoredDigraph(True, 2, ()), "vertex count True is not an integer"),
+            (lambda: ColoredMultigraph("3", 2, ()), "vertex count '3' is not an integer"),
+            (lambda: ColoredDigraph(3, 2.0, ()), "color count 2.0 is not an integer"),
         ],
-        ids=["no-vertices", "no-colors", "labels", "duplicate-labels", "color", "weight", "unlabelled"],
+        ids=[
+            "no-vertices",
+            "no-colors",
+            "labels",
+            "duplicate-labels",
+            "color",
+            "weight",
+            "unlabelled",
+            "fractional-n",
+            "bool-n",
+            "string-n",
+            "float-q",
+        ],
     )
     def test_invalid_graphs_are_refused(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
+
+    def test_index_fields_are_stored_as_plain_ints(self):
+        # An `operator.index` value, as numpy's integers are, is stored as
+        # the int it stands for, so every operation sees a plain int.
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        fields = [(0, 1, 2, 1, 2), (1, 1, 3, 2, 1), (2, 2, 3, 1, 4), (3, 3, 2, 2, 1)]
+        plain = ColoredDigraph(3, 2, tuple(Edge(*f) for f in fields))
+        wrapped = ColoredDigraph(Index(3), Index(2), tuple(Edge(*map(Index, f)) for f in fields))
+        assert wrapped == plain
+        assert all(type(value) is int for e in wrapped.edges for value in dataclasses.astuple(e))
+        assert type(wrapped.n) is type(wrapped.q) is int
+        for alpha in [(0,), (1,), (2,)]:
+            assert count(wrapped, 1, alpha) == count(plain, 1, alpha)
+            assert min_weight(wrapped, 1, alpha) == min_weight(plain, 1, alpha)
 
     def test_lookup_helpers(self):
         g = parse_graph("2 1\ns t 1\n")

@@ -470,7 +470,7 @@ def always_yes(monkeypatch):
     # r^W times a count below r, not a multiple of r^(W + 1): yes.
     # a's first candidate sa is kept, and it takes the one room of color 1,
     # so ab and sb, b's only in-arcs, are deleted: b has no candidate and the
-    # search stops on {sa}.
+    # search refuses.
     first = []
     lie_when_weighted(monkeypatch, lambda table: first.append(table) or first[0])
     return CROSSED
