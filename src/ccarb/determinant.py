@@ -14,20 +14,21 @@ are expanded away, and each row that changes sheds its content again.
 Then the rest is packed and interpolated.  Every entry is affine in all the
 variables together, so the reduced determinant's degree in x_c is at most
 the number d_c of its rows that contain x_c, and its total degree at most
-the number t of its rows that contain any variable.  The variables, in
-order of most rows (the first on ties), are packed while the packed values
-fit in PACKED_BITS (Kronecker substitution: L. Kronecker, J. reine angew.
-Math. 92, 1882): x_c is set to 2^(bits stride_c), stride_c the product of
-d + 1 over the variables packed before it.  The reduced matrix is evaluated
-at each point of the lower set {k : k_c <= d_c, sum(k) <= t} over the
-other variables, each determinant is taken exactly by fraction-free
-(Bareiss) elimination, and the values are interpolated over Z.  Digit i of
-an interpolated coefficient, in balanced base 2^bits, is the coefficient
-of the packed monomial with k_c = floor(i / stride_c) mod (d_c + 1); bits
-exceeds the bit length of the Leibniz bound (the product of the rows'
-absolute term sums) by one or more, so no digit carries.  With nothing
-packed there is one digit.  The factors taken out scale and shift the
-result.
+the number t of its rows that contain any variable.  A variable in no row
+has degree 0, so it takes no axis and no digit: a color declared but unused
+costs nothing.  The others, in order of most rows (the first on ties), are
+packed while the packed values fit in PACKED_BITS (Kronecker substitution:
+L. Kronecker, J. reine angew. Math. 92, 1882): x_c is set to
+2^(bits stride_c), stride_c the product of d + 1 over the variables packed
+before it.  The reduced matrix is evaluated at each point of the lower set
+{k : k_c <= d_c, sum(k) <= t} over the other variables in some row, each
+determinant is taken exactly by fraction-free (Bareiss) elimination, and
+the values are interpolated over Z.  Digit i of an interpolated
+coefficient, in balanced base 2^bits, is the coefficient of the packed
+monomial with k_c = floor(i / stride_c) mod (d_c + 1); bits exceeds the bit
+length of the Leibniz bound (the product of the rows' absolute term sums)
+by one or more, so no digit carries.  With nothing packed there is one
+digit.  The factors taken out scale and shift the result.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], SymbolicMatrix, lis
         del entries[v], row[v, 0]
         for i, other in entries.items():
             moved = False
-            for slot in range(matrix.nvars + 1):
-                coeff = other.pop((v, slot), 0)
+            for slot in [slot for j, slot in other if j == v]:
+                coeff = other.pop((v, slot))
                 if coeff:
                     moved = True
                     for u, _ in row:
@@ -167,12 +168,13 @@ def det_poly(matrix: SymbolicMatrix) -> Poly:
     scale, exponents, rest, rows, degree, bound = reduced
     # A sign bit over the Leibniz bound, in whole bytes for _digits.
     bits = 8 * -(-(bound.bit_length() + 1) // 8)
+    used = [c for c in range(rest.nvars) if rows[c]]
     strides, size = {}, 1
-    for c in sorted(range(rest.nvars), key=rows.__getitem__, reverse=True):
-        if not rows[c] or size * (rows[c] + 1) * bits > PACKED_BITS:
+    for c in sorted(used, key=rows.__getitem__, reverse=True):
+        if size * (rows[c] + 1) * bits > PACKED_BITS:
             break
         strides[c], size = size, size * (rows[c] + 1)
-    free = [c for c in range(rest.nvars) if c not in strides]
+    free = [c for c in used if c not in strides]
     x = [1 << bits * strides[c] if c in strides else 0 for c in range(rest.nvars)]
     values = {}
     for point in itertools.product(*(range(1 + rows[c]) for c in free)):
@@ -186,7 +188,7 @@ def det_poly(matrix: SymbolicMatrix) -> Poly:
         for i, digit in enumerate(_digits(value, bits, size)):
             if digit:
                 mono.update((c, i // stride % (rows[c] + 1)) for c, stride in strides.items())
-                poly[tuple(mono[c] + e for c, e in enumerate(exponents))] = scale * digit
+                poly[tuple(mono.get(c, 0) + e for c, e in enumerate(exponents))] = scale * digit
     return poly
 
 

@@ -9,8 +9,11 @@ code, stdout and stderr in run order.  The second covers every polynomial
 ``det_poly`` returned to the operations (``ccarb.counting.det_poly`` and
 ``ccarb.minweight.det_poly``), as its sorted (monomial, coefficient) pairs,
 in call order.  So two checkouts print the same line for a workload exactly
-when their CLI bytes and their engine's answers agree on it.  The suite is
-read, not changed, and ccarb is imported from this checkout's ``src``.
+when their CLI bytes and their engine's answers agree on it.  A last line
+covers argparse's own output at COLUMNS=80: the exit code, stdout and
+stderr of every ``--help`` and of the command-line refusals argparse makes
+itself.  The suite is read, not changed, and ccarb is imported from this
+checkout's ``src``.
 pytest does not collect this file.
 """
 
@@ -25,6 +28,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -32,6 +36,19 @@ sys.path.insert(0, str(ROOT / "src"))
 import ccarb.cli  # noqa: E402
 import ccarb.counting  # noqa: E402
 import ccarb.minweight  # noqa: E402
+
+COMMANDS = ["count", "count-all", "decide", "find", "min-weight", "find-min", "spanning-trees"]
+# No call here reads its graph path.
+PARSER_CALLS = [
+    ["--help"],
+    *([command, "--help"] for command in COMMANDS),
+    ["oracle-count", "graph.g"],
+    ["count", "graph.g", "--alpha", "1"],
+    ["count", "graph.g", "--root", "s", "--workers", "x"],
+    ["count-all", "graph.g", "--root", "s", "--alpha", "1"],
+    ["spanning-trees", "graph.g", "--root", "s"],
+    ["count", "--root", "s"],
+]
 
 
 def load_suite():
@@ -79,6 +96,15 @@ def digest(suite, workload: str, seeds: list[int], returned: list[dict]) -> tupl
     return calls, sha.hexdigest(), len(returned), engine.hexdigest()
 
 
+def parser_digest() -> str:
+    """Hex SHA-256 of the exit code, stdout and stderr of every PARSER_CALLS call."""
+    sha = hashlib.sha256()
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        for argv in PARSER_CALLS:
+            sha.update(json.dumps(call(argv)).encode() + b"\n")
+    return sha.hexdigest()
+
+
 def main(argv: list[str]) -> None:
     seeds = [int(seed) for seed in argv] or [1]
     suite = load_suite()
@@ -92,6 +118,7 @@ def main(argv: list[str]) -> None:
                 print(f"{workload}\t{calls} calls\t{cli}\t{det_calls} det_poly\t{engine}")
         finally:
             os.chdir(home)
+    print(f"parser\t{len(PARSER_CALLS)} calls\t{parser_digest()}")
 
 
 if __name__ == "__main__":

@@ -93,6 +93,12 @@ def run(tmp_path, capsys, argv, text):
     return code, captured.out, captured.err
 
 
+def run_module(argv):
+    """`python -m ccarb argv` in a process of its own, importing this checkout's ccarb."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "ccarb", *argv], env=env, capture_output=True, text=True, timeout=60)
+
+
 def edge_objects(lines):
     objects = []
     for line in lines:
@@ -187,9 +193,200 @@ def test_help_lists_the_seven_subcommands(capsys):
 def test_module_entry_point_exits_with_mains_status(tmp_path, alpha, code):
     path = tmp_path / "graph.g"
     path.write_text(DIRECTED, encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "ccarb", "decide", str(path), "--root", "s", "--alpha", alpha]
-    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    result = run_module(["decide", str(path), "--root", "s", "--alpha", alpha])
     assert result.returncode == code
     assert result.stdout == {0: "yes\n", 1: "no\n", 2: ""}[code]
     assert result.stderr == ("error: invalid --alpha 'x'\n" if code == 2 else "")
+
+
+# argparse's exact output at COLUMNS=80, for every --help and for the
+# refusals that argparse makes itself, each of which prints the usage block
+# of the parser that refuses it.  argparse words some of it differently in
+# other Python versions (3.10 says "optional arguments:"); these are the
+# bytes of Python 3.11.
+HELP = {
+    None: """\
+usage: ccarb [-h]
+             {count,count-all,decide,find,min-weight,find-min,spanning-trees}
+             ...
+
+Count, decide, find, and weight-minimize color-constrained arborescences.
+
+positional arguments:
+  {count,count-all,decide,find,min-weight,find-min,spanning-trees}
+    count               print the arborescence count
+    count-all           print counts for all constraints
+    decide              print yes/no
+    find                print one matching arborescence
+    min-weight          print the minimum weight
+    find-min            print a minimum-weight arborescence
+    spanning-trees      print the spanning-tree count
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "count": """\
+usage: ccarb count [-h] --root ROOT [--alpha ALPHA] [--workers WORKERS]
+                   [--json]
+                   graph
+
+positional arguments:
+  graph              graph file
+
+options:
+  -h, --help         show this help message and exit
+  --root ROOT        root vertex label
+  --alpha ALPHA      comma-separated color constraint a1,...,a_{q-1} (omit
+                     when q = 1)
+  --workers WORKERS  accepted for compatibility; no effect
+  --json             emit one JSON object
+""",
+    "count-all": """\
+usage: ccarb count-all [-h] --root ROOT [--workers WORKERS] [--json] [--poly]
+                       graph
+
+positional arguments:
+  graph              graph file
+
+options:
+  -h, --help         show this help message and exit
+  --root ROOT        root vertex label
+  --workers WORKERS  accepted for compatibility; no effect
+  --json             emit one JSON object
+  --poly             also print the counting polynomial
+""",
+    "decide": """\
+usage: ccarb decide [-h] --root ROOT [--alpha ALPHA] [--workers WORKERS]
+                    [--json]
+                    graph
+
+positional arguments:
+  graph              graph file
+
+options:
+  -h, --help         show this help message and exit
+  --root ROOT        root vertex label
+  --alpha ALPHA      comma-separated color constraint a1,...,a_{q-1} (omit
+                     when q = 1)
+  --workers WORKERS  accepted for compatibility; no effect
+  --json             emit one JSON object
+""",
+    "find": """\
+usage: ccarb find [-h] --root ROOT [--alpha ALPHA] [--workers WORKERS]
+                  [--json]
+                  graph
+
+positional arguments:
+  graph              graph file
+
+options:
+  -h, --help         show this help message and exit
+  --root ROOT        root vertex label
+  --alpha ALPHA      comma-separated color constraint a1,...,a_{q-1} (omit
+                     when q = 1)
+  --workers WORKERS  accepted for compatibility; no effect
+  --json             emit one JSON object
+""",
+    "min-weight": """\
+usage: ccarb min-weight [-h] --root ROOT [--alpha ALPHA] [--workers WORKERS]
+                        [--json]
+                        graph
+
+positional arguments:
+  graph              graph file
+
+options:
+  -h, --help         show this help message and exit
+  --root ROOT        root vertex label
+  --alpha ALPHA      comma-separated color constraint a1,...,a_{q-1} (omit
+                     when q = 1)
+  --workers WORKERS  accepted for compatibility; no effect
+  --json             emit one JSON object
+""",
+    "find-min": """\
+usage: ccarb find-min [-h] --root ROOT [--alpha ALPHA] [--workers WORKERS]
+                      [--json]
+                      graph
+
+positional arguments:
+  graph              graph file
+
+options:
+  -h, --help         show this help message and exit
+  --root ROOT        root vertex label
+  --alpha ALPHA      comma-separated color constraint a1,...,a_{q-1} (omit
+                     when q = 1)
+  --workers WORKERS  accepted for compatibility; no effect
+  --json             emit one JSON object
+""",
+    "spanning-trees": """\
+usage: ccarb spanning-trees [-h] [--alpha ALPHA] [--workers WORKERS] [--json]
+                            graph
+
+positional arguments:
+  graph              graph file
+
+options:
+  -h, --help         show this help message and exit
+  --alpha ALPHA      comma-separated color constraint a1,...,a_{q-1} (omit
+                     when q = 1)
+  --workers WORKERS  accepted for compatibility; no effect
+  --json             emit one JSON object
+""",
+}
+
+# (argv, the subcommand whose usage block is printed or None, error line).
+# A flag the chosen subcommand lacks is left over, so the top level refuses it.
+REFUSALS = [
+    (
+        ["oracle-count", "graph.g"],
+        None,
+        "ccarb: error: argument command: invalid choice: 'oracle-count' "
+        "(choose from 'count', 'count-all', 'decide', 'find', 'min-weight', 'find-min', 'spanning-trees')",
+    ),
+    (["count", "graph.g", "--alpha", "1"], "count", "ccarb count: error: the following arguments are required: --root"),
+    (["count", "graph.g", "--root", "s", "--workers", "x"], "count", "ccarb count: error: argument --workers: invalid int value: 'x'"),
+    (["count-all", "graph.g", "--root", "s", "--alpha", "1"], None, "ccarb: error: unrecognized arguments: --alpha 1"),
+    (["spanning-trees", "graph.g", "--root", "s"], None, "ccarb: error: unrecognized arguments: --root s"),
+    (["count", "--root", "s"], "count", "ccarb count: error: the following arguments are required: graph"),
+]
+
+
+def exit_and_output(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_help_bytes(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command is None else [command, "--help"]
+    assert exit_and_output(capsys, argv) == (0, HELP[command], "")
+
+
+@pytest.mark.parametrize("argv, command, error", REFUSALS)
+def test_argparse_refusal_bytes(monkeypatch, capsys, argv, command, error):
+    # No refusal reads the graph, so its path need not exist.
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = HELP[command].split("\n\n")[0] + "\n"
+    assert exit_and_output(capsys, argv) == (2, "", usage + error + "\n")
+
+
+def test_in_process_calls_share_no_state(tmp_path, capsys):
+    # The parsers' arguments outlive a call; no call may leave a value, a
+    # flag or a default behind for the next.  Each call in one process must
+    # print what it prints in a process of its own.
+    sequence = [
+        (["count-all", "--root", "s", "--poly", "--json"], THREE_VARIABLES),
+        (["count-all", "--root", "s"], THREE_VARIABLES),
+        (["find", "--root", "s", "--alpha", "1", "--json"], DIRECTED),
+        (["decide", "--root", "s"], ONE_COLOR),
+    ]
+    together = [run(tmp_path, capsys, argv, text) for argv, text in sequence]
+    for (argv, text), result in zip(sequence, together):
+        path = tmp_path / "graph.g"
+        path.write_text(text, encoding="utf-8")
+        alone = run_module([argv[0], str(path), *argv[1:]])
+        assert (alone.returncode, alone.stdout, alone.stderr) == result

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccarb import counting, minweight
+from ccarb import counting, determinant, minweight
 from ccarb.cli import main
 from ccarb.counting import count, count_functional, count_spanning_trees, count_table, decide, find
 from ccarb.graph import ColoredDigraph, Edge, parse_graph, remove_edge, remove_in_arcs
@@ -190,6 +190,40 @@ def test_unused_colors_do_not_grow_the_grid(monkeypatch):
     assert calls == [(1 << 24, 1 << 144, 0, 0, 0)]
     # Each alpha's full histogram (a, 5 - a) padded with zeros to q-1 = 5 colors.
     assert wide == {(a, 5 - a, 0, 0, 0): value for (a,), value in narrow.items()}
+
+
+# Colors 1 and 2 alone.  The 3-vertex graph and the 40-vertex path reduce
+# to the empty matrix; complete_digraph's 6 vertices keep 5 rows holding
+# both x1 and x2.
+THREE_VERTICES = "3 {q}\ns a 1\na b 2\n"
+PATH = "40 {q}\n" + "".join(f"v{i} v{i + 1} {i % 2 + 1}\n" for i in range(39))
+COMPLETE = "6 {q}\n" + "".join(f"{t} {h} {c}\n" for t in range(1, 7) for h in range(1, 7) if t != h for c in (1, 2))
+
+
+@pytest.mark.parametrize(
+    "text, packed_bits, length",
+    [
+        (THREE_VERTICES, determinant.PACKED_BITS, 0),
+        (PATH, determinant.PACKED_BITS, 0),
+        (COMPLETE, determinant.PACKED_BITS, 0),
+        (COMPLETE, 0, 2),
+    ],
+    ids=["3-vertices", "40-vertex-path", "complete-6-packed", "complete-6-unpacked"],
+)
+def test_thousands_of_unused_colors_take_no_axis(monkeypatch, text, packed_bits, length):
+    # At q = 5,000 the table is the q = 3 table padded with zeros, and every
+    # point interpolated has one coordinate per unpacked variable that a
+    # reduced row holds: none when x1 and x2 are packed or reduced away, and
+    # two when nothing is packed.  An axis per declared color costs O(q^2).
+    monkeypatch.setattr(determinant, "PACKED_BITS", packed_bits)
+    # Vertex 1, the first label read, is the root.
+    narrow = count_table(parse_graph(text.format(q=3)), 1)
+    points = []
+    real = determinant.interpolate
+    monkeypatch.setattr(determinant, "interpolate", lambda values: points.extend(values) or real(values))
+    wide = count_table(parse_graph(text.format(q=5000)), 1)
+    assert narrow and wide == {alpha + (0,) * 4997: value for alpha, value in narrow.items()}
+    assert {len(point) for point in points} == {length}
 
 
 def test_find_asks_about_the_first_in_arc_then_halves(monkeypatch):
