@@ -19,7 +19,6 @@ Output is deterministic: identical runs print identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -40,10 +39,10 @@ def _parent(*args, **kwargs) -> argparse.ArgumentParser:
 # every add_argument call costs a HelpFormatter and a terminal-size lookup,
 # and this saves 33 of them per call.  argparse keeps parsed values in
 # the namespace, never on an Action, so calls share no state.  The parser
-# itself is still built per call: caching it would save about 1.1 ms more,
-# but benchmark/loop.py keeps one log entry per execution, so the extra
-# throughput would push the benchmark's peak RSS past its bound (ROADMAP
-# item 1).
+# itself is still built per call, about 1.35 ms of a 2.0 ms op.  Caching it
+# took `search` from 442 to 1,088 ops/s, but benchmark/loop.py logs every
+# execution (about 0.48 KB each), so its 23,900 executions raised the
+# benchmark's peak RSS by 26%, past its 10% bound (ROADMAP item 1).
 GRAPH = _parent("graph", type=Path, help="graph file")
 ROOT = _parent("--root", required=True, help="root vertex label")
 ALPHA = _parent("--alpha", default=None, help="comma-separated color constraint a1,...,a_{q-1} (omit when q = 1)")
@@ -148,6 +147,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        import json  # here, so that no text call pays its import at start-up
     print(json.dumps(answer) + "\n" if args.json else _render(answer), end="")
     return int(any(value is None or value is False for value in answer.values()))
 

@@ -10,7 +10,7 @@ determinant of the full out-degree Laplacian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .determinant import det_poly
 from .graph import (
@@ -31,12 +31,10 @@ from .graph import (
 from .laplacian import build_laplacian, root_minor
 
 
-@dataclass(frozen=True)
-class Arborescence:
+class Arborescence(namedtuple("Arborescence", "root edge_ids")):
     """Spanning out-tree rooted at `root`: the ids of its n-1 edges, ascending."""
 
-    root: int
-    edge_ids: tuple[int, ...]
+    __slots__ = ()
 
 
 def _checked_alpha(q: int, alpha) -> tuple[int, ...]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .laplacian import SymbolicMatrix
 from .polynomials import Poly, interpolate

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
-from functools import cached_property
+from collections import namedtuple
 
 
 class GraphParseError(ValueError):
@@ -15,67 +14,95 @@ def _parse_fail(line_no: int, message: str) -> GraphParseError:
     return GraphParseError(f"line {line_no}: {message}")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(namedtuple("Edge", "id tail head color weight")):
     """One arc (or undirected edge): endpoints, color, optional weight."""
 
-    id: int
-    tail: int
-    head: int
-    color: int
-    weight: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        # An `operator.index` value is stored as the plain int it stands for.
-        values = (self.id, self.tail, self.head, self.color, self.weight)
-        for name, value in zip(("id", "tail", "head", "color", "weight"), values):
-            if type(value) is not int and (value is not None or name != "weight"):
-                object.__setattr__(self, name, check_integer(value, f"edge {name}"))
+    def __new__(cls, id: int, tail: int, head: int, color: int, weight: int | None = None):
+        fields = (id, tail, head, color, weight)
+        if not (type(id) is type(tail) is type(head) is type(color) is int and (weight is None or type(weight) is int)):
+            # An `operator.index` value is stored as the plain int it stands for.
+            fields = tuple(
+                value if value is None and name == "weight" else check_integer(value, f"edge {name}")
+                for name, value in zip(cls._fields, fields)
+            )
+        return tuple.__new__(cls, fields)
 
 
-@dataclass(frozen=True)
-class _Graph:
+class Frozen:
+    """A slotted value that refuses assignment and equals only its own class with equal `_fields`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _Graph(Frozen):
     """A q-colored multigraph on vertices 1..n; graphs of different kinds never compare equal.
 
     `labels[i-1]` names vertex i for the first `len(labels)` vertices.  Edge ids are input-order
     ordinals, every loop over edges runs in ascending id, and transforms return new graphs.
     """
 
-    n: int
-    q: int
-    edges: tuple[Edge, ...]
-    labels: tuple[str, ...] = ()
+    _fields = ("n", "q", "edges", "labels")
+    __slots__ = (*_fields, "_edges_by_id")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", check_integer(self.n, "vertex count"))
-        object.__setattr__(self, "q", check_integer(self.q, "color count"))
-        if self.n < 1:
+    def __init__(self, n: int, q: int, edges: tuple[Edge, ...], labels: tuple[str, ...] = ()):
+        n, q = check_integer(n, "vertex count"), check_integer(q, "color count")
+        for name, value in zip(self._fields, (n, q, edges, labels)):
+            object.__setattr__(self, name, value)
+        if n < 1:
             raise ValueError("vertex count must be positive")
-        if self.q < 1:
+        if q < 1:
             raise ValueError("color count must be positive")
-        if len(self.labels) > self.n:
+        if len(labels) > n:
             raise ValueError("more labels than vertices")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("duplicate vertex labels")
         seen_ids = set()
-        for e in self.edges:
+        for e in edges:
             if e.id in seen_ids:
                 raise ValueError(f"duplicate edge id {e.id}")
             seen_ids.add(e.id)
-            if not (1 <= e.tail <= self.n and 1 <= e.head <= self.n):
-                raise ValueError(f"edge {e.id}: endpoint out of range 1..{self.n}")
-            if not (1 <= e.color <= self.q):
-                raise ValueError(f"edge {e.id}: color out of range 1..{self.q}")
+            if not (1 <= e.tail <= n and 1 <= e.head <= n):
+                raise ValueError(f"edge {e.id}: endpoint out of range 1..{n}")
+            if not (1 <= e.color <= q):
+                raise ValueError(f"edge {e.id}: color out of range 1..{q}")
             if e.weight is not None and e.weight < 1:
                 raise ValueError(f"edge {e.id}: weight must be >= 1")
 
-    @cached_property
-    def _edges_by_id(self) -> dict[int, Edge]:
-        return {e.id: e for e in self.edges}
-
     def edge(self, edge_id: int) -> Edge:
         try:
-            return self._edges_by_id[check_integer(edge_id, "edge id")]
+            by_id = self._edges_by_id
+        except AttributeError:
+            by_id = {e.id: e for e in self.edges}
+            object.__setattr__(self, "_edges_by_id", by_id)
+        try:
+            return by_id[check_integer(edge_id, "edge id")]
         except KeyError:
             raise ValueError(f"unknown edge id {edge_id}") from None
 
@@ -99,15 +126,16 @@ class _Graph:
         return self.labels[index - 1]
 
 
-# Decorated again, so that assigning a non-field attribute is refused here too.
-@dataclass(frozen=True)
 class ColoredDigraph(_Graph):
     """A q-colored multidigraph; only the parser and the arborescence operations refuse self-loops."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class ColoredMultigraph(_Graph):
     """An undirected q-colored multigraph; `tail`/`head` are the endpoints."""
+
+    __slots__ = ()
 
 
 def check_integer(value, name: str) -> int:
@@ -238,10 +266,15 @@ def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
     return cls(header[0], header[1], tuple(edges), tuple(labels))
 
 
+def _with_edges(graph: _Graph, edges) -> _Graph:
+    """The graph, of the same kind and labels, with the given edges in place of its own; they are checked again."""
+    return type(graph)(graph.n, graph.q, tuple(edges), graph.labels)
+
+
 def reverse(graph: ColoredDigraph) -> ColoredDigraph:
     """Flip every arc; ids, colors and weights are preserved.  Only directed graphs are accepted."""
     check_directed(graph)
-    return replace(graph, edges=tuple(Edge(e.id, e.head, e.tail, e.color, e.weight) for e in graph.edges))
+    return _with_edges(graph, (Edge(e.id, e.head, e.tail, e.color, e.weight) for e in graph.edges))
 
 
 def dedup_min_weight(graph: ColoredDigraph) -> ColoredDigraph:
@@ -254,7 +287,7 @@ def dedup_min_weight(graph: ColoredDigraph) -> ColoredDigraph:
     graphs are accepted.
     """
     check_directed(graph)
-    return replace(graph, edges=tuple(lightest(graph.edges, lambda e: (e.tail, e.head, e.color))))
+    return _with_edges(graph, lightest(graph.edges, lambda e: (e.tail, e.head, e.color)))
 
 
 def lightest(edges, key) -> list[Edge]:
@@ -285,13 +318,13 @@ def remove_in_arcs(graph: ColoredDigraph, vertex: int) -> ColoredDigraph:
     """Delete every arc whose head is `vertex`.  Only directed graphs are accepted."""
     check_directed(graph)
     check_index(vertex, "vertex", graph.n)
-    return replace(graph, edges=tuple(e for e in graph.edges if e.head != vertex))
+    return _with_edges(graph, (e for e in graph.edges if e.head != vertex))
 
 
 def remove_edge(graph: _Graph, *edge_ids: int) -> _Graph:
     """Delete the edges with the given ids, keeping the graph's kind; every id must be one of the graph's."""
     dropped = {graph.edge(edge_id).id for edge_id in edge_ids}
-    return replace(graph, edges=tuple(e for e in graph.edges if e.id not in dropped))
+    return _with_edges(graph, (e for e in graph.edges if e.id not in dropped))
 
 
 def bidirect(graph: ColoredMultigraph) -> ColoredDigraph:

@@ -11,15 +11,12 @@ matrix, stays the public matrix operation and the tests' reference for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import ColoredDigraph, check_index
+from .graph import ColoredDigraph, Frozen, check_index
 
 Term = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class SymbolicMatrix:
+class SymbolicMatrix(Frozen):
     """Square matrix whose entries have degree at most one in each variable.
 
     Row i is a tuple of terms (column, slot, coefficient): columns are
@@ -27,14 +24,15 @@ class SymbolicMatrix:
     Terms with the same (column, slot) add up; an entry without terms is 0.
     """
 
-    nvars: int
-    rows: tuple[tuple[Term, ...], ...]
+    __slots__ = _fields = ("nvars", "rows")
 
-    def __post_init__(self):
-        if self.nvars < 0:
+    def __init__(self, nvars: int, rows: tuple[tuple[Term, ...], ...]):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "rows", rows)
+        if nvars < 0:
             raise ValueError("variable count must be nonnegative")
-        dim, nvars = len(self.rows), self.nvars
-        for i, row in enumerate(self.rows):
+        dim = len(rows)
+        for i, row in enumerate(rows):
             for term in row:
                 if not (type(term) is tuple and len(term) == 3 and type(term[0]) is type(term[1]) is type(term[2]) is int):
                     raise ValueError(f"row {i}: term {term} is not three integers")
@@ -73,15 +71,16 @@ def root_minor(n: int, q: int, arcs, root: int, r: int = 1) -> SymbolicMatrix:
     check_index(root, "root", n)
     column = [v - 1 - (v > root) for v in range(n + 1)]
     rows: list[list[Term]] = [[] for _ in range(n - 1)]
-    for e in arcs:
-        if e.head == root:
+    # An Edge is the tuple of its fields, and unpacking it beats reading them by name.
+    for _, tail, head, color, weight in arcs:
+        if head == root:
             continue
-        value = r ** (e.weight or 0)
-        slot = 0 if e.color == q else e.color
-        row = rows[column[e.head]]
-        row.append((column[e.head], slot, value))
-        if e.tail != e.head and e.tail != root:
-            row.append((column[e.tail], slot, -value))
+        value = r ** (weight or 0)
+        slot = 0 if color == q else color
+        row = rows[column[head]]
+        row.append((column[head], slot, value))
+        if tail != head and tail != root:
+            row.append((column[tail], slot, -value))
     return SymbolicMatrix(q - 1, tuple(map(tuple, rows)))
 
 

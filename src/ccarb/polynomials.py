@@ -11,7 +11,7 @@ coordinate) along axes of nodes 0, 1, 2, ..., and a canonical text form.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from collections.abc import Mapping
 
 Poly = dict[tuple[int, ...], int]
 

@@ -189,6 +189,16 @@ def test_help_lists_the_seven_subcommands(capsys):
     assert re.findall(r"^    (\S+)", out, re.MULTILINE) == COMMANDS
 
 
+def test_import_loads_no_heavy_standard_modules():
+    # Every CLI call imports ccarb.cli first, so each of these would cost
+    # every call its import time; -S keeps site's own imports out.
+    heavy = ["dataclasses", "inspect", "typing", "json"]
+    code = f"import sys, ccarb.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize("alpha, code", [("1", 0), ("3", 1), ("x", 2)])
 def test_module_entry_point_exits_with_mains_status(tmp_path, alpha, code):
     path = tmp_path / "graph.g"

@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import itertools
+import pickle
 import re
 from collections import Counter
 
@@ -400,7 +401,7 @@ class TestValidation:
         plain = ColoredDigraph(3, 2, tuple(Edge(*f) for f in fields))
         wrapped = ColoredDigraph(Index(3), Index(2), tuple(Edge(*map(Index, f)) for f in fields))
         assert wrapped == plain
-        assert all(type(value) is int for e in wrapped.edges for value in dataclasses.astuple(e))
+        assert all(type(value) is int for e in wrapped.edges for value in tuple(e))
         assert type(wrapped.n) is type(wrapped.q) is int
         for alpha in [(0,), (1,), (2,)]:
             assert count(wrapped, 1, alpha) == count(plain, 1, alpha)
@@ -433,5 +434,22 @@ class TestGraphKinds:
     @pytest.mark.parametrize("name", ["n", "q", "edges", "labels", "extra"])
     def test_every_attribute_is_frozen(self, kind, name):
         g = kind(3, 2, self.EDGES)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(g, name, 1)
+
+    @pytest.mark.parametrize("kind", [ColoredDigraph, ColoredMultigraph])
+    def test_copies_are_equal_and_fields_cannot_be_deleted(self, kind):
+        g = kind(3, 2, self.EDGES, ("a",))
+        g.edge(1)  # fills the id map, which is not part of the value
+        assert copy.copy(g) == copy.deepcopy(g) == pickle.loads(pickle.dumps(g)) == g
+        with pytest.raises(AttributeError):
+            del g.n
+
+    @pytest.mark.parametrize("name", ["id", "tail", "head", "color", "weight", "extra"])
+    def test_edge_fields_are_frozen(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.EDGES[0], name, 1)
+
+    def test_edge_is_the_tuple_of_its_fields(self):
+        assert Edge(0, 1, 2, 1) == (0, 1, 2, 1, None)
+        assert repr(Edge(3, 1, 2, 1, 7)) == "Edge(id=3, tail=1, head=2, color=1, weight=7)"

@@ -178,6 +178,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="variable count must be nonnegative"):
             SymbolicMatrix(-1, ())
 
+    @pytest.mark.parametrize("name", ["nvars", "rows", "extra"])
+    def test_every_attribute_is_frozen(self, name):
+        with pytest.raises(AttributeError):
+            setattr(SymbolicMatrix(1, (((0, 1, 1),),)), name, 1)
+
+    def test_equal_exactly_when_nvars_and_rows_are(self):
+        rows = (((0, 0, 2), (1, 1, -1)), ((1, 0, 3),))
+        m = SymbolicMatrix(1, rows)
+        assert m == SymbolicMatrix(1, tuple(map(tuple, rows))) and hash(m) == hash(SymbolicMatrix(1, rows))
+        assert m != SymbolicMatrix(2, rows)
+        assert m != SymbolicMatrix(1, (((0, 0, 2),), ((1, 0, 3),)))
+        assert m != (1, rows)
+
     def test_duplicate_terms_add_up(self):
         m = SymbolicMatrix(1, (((0, 1, 2), (1, 0, -1), (0, 1, 3), (0, 0, 1)), ((1, 0, 4), (1, 0, 4))))
         assert m.evaluate((10,)) == [[51, -1], [0, 8]]
