@@ -136,13 +136,13 @@ def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], SymbolicMatrix, lis
     index = {j: k for k, j in enumerate(entries)}
     rows, counts, degree, bound = [], [0] * (matrix.nvars + 1), 0, 1
     for row in entries.values():
-        rows.append(tuple((index[j], slot, coeff) for (j, slot), coeff in row.items()))
+        rows.append([(index[j], slot, coeff) for (j, slot), coeff in row.items()])
         slots = {slot for _, slot in row}
         for slot in slots:
             counts[slot] += 1
         degree += any(slots)
         bound *= sum(map(abs, row.values()))
-    return scale, exponents, SymbolicMatrix(matrix.nvars, tuple(rows)), counts[1:], degree, bound
+    return scale, exponents, SymbolicMatrix(matrix.nvars, rows), counts[1:], degree, bound
 
 
 def _digits(packed: int, bits: int, count: int) -> list[int]:

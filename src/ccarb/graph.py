@@ -64,17 +64,18 @@ class Frozen:
 class _Graph(Frozen):
     """A q-colored multigraph on vertices 1..n; graphs of different kinds never compare equal.
 
-    `labels[i-1]` names vertex i for the first `len(labels)` vertices.  Edge ids are input-order
-    ordinals, every loop over edges runs in ascending id, and transforms return new graphs.
+    `edges` (of `Edge`s or `(id, tail, head, color[, weight])` tuples, each built and checked as an
+    `Edge`) and `labels` may be any iterables; both are stored as tuples.  `labels[i-1]` names vertex
+    i for the first `len(labels)` vertices.  Edge ids are input-order ordinals, every loop over edges
+    runs in ascending id, and transforms return new graphs.
     """
 
     _fields = ("n", "q", "edges", "labels")
     __slots__ = (*_fields, "_edges_by_id")
 
-    def __init__(self, n: int, q: int, edges: tuple[Edge, ...], labels: tuple[str, ...] = ()):
+    def __init__(self, n: int, q: int, edges, labels=()):
         n, q = check_integer(n, "vertex count"), check_integer(q, "color count")
-        for name, value in zip(self._fields, (n, q, edges, labels)):
-            object.__setattr__(self, name, value)
+        edges, labels = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges), tuple(labels)
         if n < 1:
             raise ValueError("vertex count must be positive")
         if q < 1:
@@ -83,26 +84,25 @@ class _Graph(Frozen):
             raise ValueError("more labels than vertices")
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate vertex labels")
-        seen_ids = set()
+        by_id: dict[int, Edge] = {}
         for e in edges:
-            if e.id in seen_ids:
-                raise ValueError(f"duplicate edge id {e.id}")
-            seen_ids.add(e.id)
-            if not (1 <= e.tail <= n and 1 <= e.head <= n):
-                raise ValueError(f"edge {e.id}: endpoint out of range 1..{n}")
-            if not (1 <= e.color <= q):
-                raise ValueError(f"edge {e.id}: color out of range 1..{q}")
-            if e.weight is not None and e.weight < 1:
-                raise ValueError(f"edge {e.id}: weight must be >= 1")
+            id, tail, head, color, weight = e
+            if id in by_id:
+                raise ValueError(f"duplicate edge id {id}")
+            by_id[id] = e
+            if not (1 <= tail <= n and 1 <= head <= n):
+                raise ValueError(f"edge {id}: endpoint out of range 1..{n}")
+            if not (1 <= color <= q):
+                raise ValueError(f"edge {id}: color out of range 1..{q}")
+            if weight is not None and weight < 1:
+                raise ValueError(f"edge {id}: weight must be >= 1")
+        for name, value in zip(_Graph.__slots__, (n, q, edges, labels, by_id)):
+            object.__setattr__(self, name, value)
 
     def edge(self, edge_id: int) -> Edge:
+        """The stored `Edge` with this id, read from the map that `__init__` fills; ValueError if none."""
         try:
-            by_id = self._edges_by_id
-        except AttributeError:
-            by_id = {e.id: e for e in self.edges}
-            object.__setattr__(self, "_edges_by_id", by_id)
-        try:
-            return by_id[check_integer(edge_id, "edge id")]
+            return self._edges_by_id[check_integer(edge_id, "edge id")]
         except KeyError:
             raise ValueError(f"unknown edge id {edge_id}") from None
 
@@ -212,6 +212,12 @@ def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
             idx = labels[token] = len(labels) + 1
         return idx
 
+    def integer(token: str, line_no: int, message: str) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise _parse_fail(line_no, message) from None
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -220,10 +226,7 @@ def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
         if header is None:
             if len(fields) != 2:
                 raise _parse_fail(line_no, "expected header 'n q'")
-            try:
-                header = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise _parse_fail(line_no, "header values must be integers") from None
+            header = tuple(integer(token, line_no, "header values must be integers") for token in fields)
             if min(header) < 1:
                 raise _parse_fail(line_no, "vertex and color counts must be positive")
             continue
@@ -244,31 +247,23 @@ def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
         tail, head = vertex(fields[0], line_no), vertex(fields[1], line_no)
         if tail == head:
             raise _parse_fail(line_no, f"self-loop at vertex {fields[0]!r}")
-        try:
-            color = int(fields[2])
-        except ValueError:
-            raise _parse_fail(line_no, "color must be an integer") from None
+        color = integer(fields[2], line_no, "color must be an integer")
         if not (1 <= color <= header[1]):
             raise _parse_fail(line_no, f"color {color} out of range 1..{header[1]}")
-        weight = None
-        if has_weight:
-            try:
-                weight = int(fields[3])
-            except ValueError:
-                raise _parse_fail(line_no, "weight must be an integer") from None
-            if weight < 1:
-                raise _parse_fail(line_no, f"weight must be positive, got {weight}")
+        weight = integer(fields[3], line_no, "weight must be an integer") if has_weight else None
+        if has_weight and weight < 1:
+            raise _parse_fail(line_no, f"weight must be positive, got {weight}")
         edges.append(Edge(len(edges), tail, head, color, weight))
 
     if header is None:
         raise _parse_fail(1, "missing header 'n q'")
     cls = ColoredDigraph if directed in (None, True) else ColoredMultigraph
-    return cls(header[0], header[1], tuple(edges), tuple(labels))
+    return cls(header[0], header[1], edges, labels)
 
 
 def _with_edges(graph: _Graph, edges) -> _Graph:
-    """The graph, of the same kind and labels, with the given edges in place of its own; they are checked again."""
-    return type(graph)(graph.n, graph.q, tuple(edges), graph.labels)
+    """The graph, of the same kind and labels, with `edges` in place of its own; they are stored and checked again."""
+    return type(graph)(graph.n, graph.q, edges, graph.labels)
 
 
 def reverse(graph: ColoredDigraph) -> ColoredDigraph:
@@ -291,13 +286,13 @@ def dedup_min_weight(graph: ColoredDigraph) -> ColoredDigraph:
 
 
 def lightest(edges, key) -> list[Edge]:
-    """The minimum-weight edge of each group of equal `key(edge)`, the first of the group on ties, in edge order."""
+    """The minimum-weight edge of each group of equal `key(edge)`, the first of the group on ties, sorted (by id)."""
     best: dict = {}
     for e in edges:
         kept = best.setdefault(group := key(e), e)
         if (e.weight or 0) < (kept.weight or 0):
             best[group] = e
-    return sorted(best.values(), key=lambda e: e.id)
+    return sorted(best.values())
 
 
 def reaches_all(graph: ColoredDigraph, root: int) -> bool:
@@ -333,4 +328,4 @@ def bidirect(graph: ColoredMultigraph) -> ColoredDigraph:
     for e in graph.edges:
         arcs.append(Edge(len(arcs), e.tail, e.head, e.color, e.weight))
         arcs.append(Edge(len(arcs), e.head, e.tail, e.color, e.weight))
-    return ColoredDigraph(graph.n, graph.q, tuple(arcs), graph.labels)
+    return ColoredDigraph(graph.n, graph.q, arcs, graph.labels)

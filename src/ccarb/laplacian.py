@@ -2,33 +2,32 @@
 
 Row v holds only v's in-arcs, so rows are stored sparsely as terms, which
 `determinant._reduce` reads too: it rewrites them and sums them for the
-Leibniz bound.  Color q contributes to the constant term (x_q is fixed to
-1).  Every matrix the operations take is built by `root_minor`, without
-the row and column of a real root; the full Laplacian is the minor at an
-added vertex with no arcs.  `minor`, which deletes a row and column of any
-matrix, stays the public matrix operation and the tests' reference for it.
+Leibniz bound.  Builders pass lists; `SymbolicMatrix` stores tuples.
+Color q contributes to the constant term (x_q is fixed to 1).  Every
+matrix the operations take is built by `root_minor`, without the row and
+column of a real root; the full Laplacian is the minor at an added vertex
+with no arcs.  `minor`, which deletes a row and column of any matrix,
+stays the public matrix operation and the tests' reference for it.
 """
 
 from __future__ import annotations
 
 from .graph import ColoredDigraph, Frozen, check_index
 
-Term = tuple[int, int, int]
-
 
 class SymbolicMatrix(Frozen):
     """Square matrix whose entries have degree at most one in each variable.
 
-    Row i is a tuple of terms (column, slot, coefficient): columns are
-    0-based, slot 0 is the constant term and slot c the coefficient of x_c.
-    Terms with the same (column, slot) add up; an entry without terms is 0.
+    `rows` is any iterable of rows, each any iterable of terms, stored as a tuple of tuples.  A term is
+    three ints (column, slot, coefficient): columns are 0-based, slot 0 is the constant term and slot c the
+    coefficient of x_c.  Terms with the same (column, slot) add up; an entry without terms is 0.
     """
 
     __slots__ = _fields = ("nvars", "rows")
 
-    def __init__(self, nvars: int, rows: tuple[tuple[Term, ...], ...]):
+    def __init__(self, nvars: int, rows):
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", rows := tuple(map(tuple, rows)))
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")
         dim = len(rows)
@@ -70,7 +69,7 @@ def root_minor(n: int, q: int, arcs, root: int, r: int = 1) -> SymbolicMatrix:
     """
     check_index(root, "root", n)
     column = [v - 1 - (v > root) for v in range(n + 1)]
-    rows: list[list[Term]] = [[] for _ in range(n - 1)]
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n - 1)]
     # An Edge is the tuple of its fields, and unpacking it beats reading them by name.
     for _, tail, head, color, weight in arcs:
         if head == root:
@@ -81,7 +80,7 @@ def root_minor(n: int, q: int, arcs, root: int, r: int = 1) -> SymbolicMatrix:
         row.append((column[head], slot, value))
         if tail != head and tail != root:
             row.append((column[tail], slot, -value))
-    return SymbolicMatrix(q - 1, tuple(map(tuple, rows)))
+    return SymbolicMatrix(q - 1, rows)
 
 
 def build_laplacian(graph: ColoredDigraph) -> SymbolicMatrix:
@@ -94,5 +93,5 @@ def minor(matrix: SymbolicMatrix, index: int) -> SymbolicMatrix:
     check_index(index, "index", matrix.dim)
     drop = index - 1
     rows = (row for i, row in enumerate(matrix.rows) if i != drop)
-    renumbered = tuple(tuple((j - (j > drop), slot, coeff) for j, slot, coeff in row if j != drop) for row in rows)
+    renumbered = ([(j - (j > drop), slot, coeff) for j, slot, coeff in row if j != drop] for row in rows)
     return SymbolicMatrix(matrix.nvars, renumbered)

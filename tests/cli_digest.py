@@ -12,8 +12,9 @@ in call order.  So two checkouts print the same line for a workload exactly
 when their CLI bytes and their engine's answers agree on it.  A last line
 covers argparse's own output at COLUMNS=80: the exit code, stdout and
 stderr of every ``--help`` and of the command-line refusals argparse makes
-itself.  The suite is read, not changed, and ccarb is imported from this
-checkout's ``src``.
+itself.  The very last line counts the lines of ``src/ccarb``'s modules, the
+code size that ROADMAP aim 2 tracks.  The suite is read, not changed, and
+ccarb is imported from this checkout's ``src``.
 pytest does not collect this file.
 """
 
@@ -105,6 +106,11 @@ def parser_digest() -> str:
     return sha.hexdigest()
 
 
+def source_lines() -> int:
+    """Lines in the modules of this checkout's `src/ccarb`."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines()) for path in (ROOT / "src" / "ccarb").glob("*.py"))
+
+
 def main(argv: list[str]) -> None:
     seeds = [int(seed) for seed in argv] or [1]
     suite = load_suite()
@@ -119,6 +125,7 @@ def main(argv: list[str]) -> None:
         finally:
             os.chdir(home)
     print(f"parser\t{len(PARSER_CALLS)} calls\t{parser_digest()}")
+    print(f"src/ccarb\t{source_lines()} lines")
 
 
 if __name__ == "__main__":

@@ -440,7 +440,7 @@ class TestGraphKinds:
     @pytest.mark.parametrize("kind", [ColoredDigraph, ColoredMultigraph])
     def test_copies_are_equal_and_fields_cannot_be_deleted(self, kind):
         g = kind(3, 2, self.EDGES, ("a",))
-        g.edge(1)  # fills the id map, which is not part of the value
+        g.edge(1)  # the id map, filled by the constructor, is not part of the value
         assert copy.copy(g) == copy.deepcopy(g) == pickle.loads(pickle.dumps(g)) == g
         with pytest.raises(AttributeError):
             del g.n
@@ -453,3 +453,47 @@ class TestGraphKinds:
     def test_edge_is_the_tuple_of_its_fields(self):
         assert Edge(0, 1, 2, 1) == (0, 1, 2, 1, None)
         assert repr(Edge(3, 1, 2, 1, 7)) == "Edge(id=3, tail=1, head=2, color=1, weight=7)"
+
+
+class TestGraphsOwnTheirFields:
+    """A graph stores what it is given as tuples of `Edge`s and labels, whatever iterables it came in."""
+
+    EDGES = (Edge(0, 1, 2, 1, 4), Edge(1, 2, 3, 2, 1), Edge(2, 3, 1, 1, 2))
+
+    @pytest.mark.parametrize("kind", [ColoredDigraph, ColoredMultigraph])
+    def test_a_graph_built_from_lists_equals_its_tuple_built_twin(self, kind):
+        edges, labels = [list(e) for e in self.EDGES], ["a", "b"]
+        g = kind(3, 2, edges, labels)
+        twin = kind(3, 2, self.EDGES, ("a", "b"))
+        assert g == twin and hash(g) == hash(twin)
+        assert type(g.edges) is type(g.labels) is tuple
+        assert all(type(e) is Edge for e in g.edges)
+        edges.append([3, 1, 3, 1, 1])
+        edges[0][3] = 2
+        labels.append("c")
+        assert g == twin and g.edge(0).color == 1
+        with pytest.raises(AttributeError):
+            g.edges.append(Edge(3, 1, 3, 1, 1))
+
+    @pytest.mark.parametrize("kind", [ColoredDigraph, ColoredMultigraph])
+    def test_tuple_edges_are_stored_as_edges(self, kind):
+        g = kind(3, 2, [(0, 1, 2, 1), (1, 2, 3, 2, None), (2, 3, 1, 2, 5)])
+        assert g.edges == (Edge(0, 1, 2, 1), Edge(1, 2, 3, 2), Edge(2, 3, 1, 2, 5))
+        assert [type(e) for e in g.edges] == [Edge] * 3
+        assert g.edge(0).weight is None and g.edge(1).weight is None and g.edge(2).weight == 5
+        assert g == kind(3, 2, (Edge(0, 1, 2, 1), Edge(1, 2, 3, 2), Edge(2, 3, 1, 2, 5)))
+
+    @pytest.mark.parametrize("kind", [ColoredDigraph, ColoredMultigraph])
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((0, 1, 2, 1.5), "edge color 1.5"),
+            ((0.0, 1, 2, 1), "edge id 0.0"),
+            ((0, True, 2, 1), "edge tail True"),
+            ((0, 1, 2, 1, 2.0), "edge weight 2.0"),
+            ((0, 1, 2, 1, False), "edge weight False"),
+        ],
+    )
+    def test_a_tuple_edge_is_checked_as_an_edge(self, kind, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
+            kind(3, 2, [fields])

@@ -191,6 +191,19 @@ class TestEvaluate:
         assert m != SymbolicMatrix(1, (((0, 0, 2),), ((1, 0, 3),)))
         assert m != (1, rows)
 
+    def test_a_matrix_built_from_lists_equals_its_tuple_built_twin(self):
+        # The matrix stores its own tuples: a list-built one is hashable, and
+        # changing the caller's lists afterwards changes nothing.
+        rows = [[(0, 0, 2), (1, 1, -1)], [(1, 0, 3)]]
+        m = SymbolicMatrix(1, rows)
+        twin = SymbolicMatrix(1, (((0, 0, 2), (1, 1, -1)), ((1, 0, 3),)))
+        assert m == twin and hash(m) == hash(twin)
+        assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
+        rows[0].append((0, 1, 5))
+        rows.append([])
+        assert m == twin
+        assert SymbolicMatrix(1, (iter(row) for row in twin.rows)) == twin
+
     def test_duplicate_terms_add_up(self):
         m = SymbolicMatrix(1, (((0, 1, 2), (1, 0, -1), (0, 1, 3), (0, 0, 1)), ((1, 0, 4), (1, 0, 4))))
         assert m.evaluate((10,)) == [[51, -1], [0, 8]]
