@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from gettext import gettext
 from pathlib import Path
 
 from .counting import count, count_table, count_spanning_trees, decide, find
@@ -34,36 +35,41 @@ def _parent(*args, **kwargs) -> argparse.ArgumentParser:
     return parent
 
 
-# Each shared argument is built once, at import, in a parent parser of its
-# own, and each subcommand takes the parents' Action objects by reference:
-# every add_argument call costs a HelpFormatter and a terminal-size lookup,
-# and this saves 33 of them per call.  argparse keeps parsed values in
-# the namespace, never on an Action, so calls share no state.  The parser
-# itself is still built per call, about 1.35 ms of a 2.0 ms op.  Caching it
-# took `search` from 442 to 1,088 ops/s, but benchmark/loop.py logs every
-# execution (about 0.48 KB each), so its 23,900 executions raised the
-# benchmark's peak RSS by 26%, past its 10% bound (ROADMAP item 1).
+# Every argument, -h included, is built once, at import, in a parent parser
+# of its own, and each parser takes the parents' Action objects by
+# reference; add_subparsers is given its prog.  So a call adds no argument
+# (each would cost a HelpFormatter and a terminal-size lookup) and formats
+# no usage line.  argparse keeps parsed values in the namespace, never on an
+# Action, and -h prints the parser it is invoked on, so calls share no
+# state.  The eight parsers are still built per call: about 0.4 ms of a
+# 1.5 ms op, 0.7 ms under a UTF-8 locale, where each of the 16 gettext
+# lookups searches for catalogs.  Caching them about doubles throughput, but
+# benchmark/loop.py logs every execution, so the benchmark's peak RSS would
+# rise past its 10% bound (ROADMAP item 1).
+HELP = _parent("-h", "--help", action="help", default=argparse.SUPPRESS, help=gettext("show this help message and exit"))
 GRAPH = _parent("graph", type=Path, help="graph file")
 ROOT = _parent("--root", required=True, help="root vertex label")
 ALPHA = _parent("--alpha", default=None, help="comma-separated color constraint a1,...,a_{q-1} (omit when q = 1)")
 WORKERS = _parent("--workers", type=int, default=1, help="accepted for compatibility; no effect")
 JSON = _parent("--json", action="store_true", help="emit one JSON object")
+POLY = _parent("--poly", action="store_true", help="also print the counting polynomial")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccarb",
         description="Count, decide, find, and weight-minimize color-constrained arborescences.",
+        parents=[HELP],
+        add_help=False,
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True, prog="ccarb")
 
-    def subcommand(name: str, *, root: bool, alpha: bool, help_text: str):
-        parents = [GRAPH, *[ROOT] * root, *[ALPHA] * alpha, WORKERS, JSON]
-        return commands.add_parser(name, help=help_text, parents=parents)
+    def subcommand(name: str, *, root: bool, alpha: bool, help_text: str, poly: bool = False):
+        parents = [HELP, GRAPH, *[ROOT] * root, *[ALPHA] * alpha, WORKERS, JSON, *[POLY] * poly]
+        commands.add_parser(name, help=help_text, parents=parents, add_help=False)
 
     subcommand("count", root=True, alpha=True, help_text="print the arborescence count")
-    count_all = subcommand("count-all", root=True, alpha=False, help_text="print counts for all constraints")
-    count_all.add_argument("--poly", action="store_true", help="also print the counting polynomial")
+    subcommand("count-all", root=True, alpha=False, help_text="print counts for all constraints", poly=True)
     subcommand("decide", root=True, alpha=True, help_text="print yes/no")
     subcommand("find", root=True, alpha=True, help_text="print one matching arborescence")
     subcommand("min-weight", root=True, alpha=True, help_text="print the minimum weight")

@@ -12,21 +12,22 @@ stays the public matrix operation and the tests' reference for it.
 
 from __future__ import annotations
 
-from .graph import ColoredDigraph, Frozen, check_index
+from .graph import ColoredDigraph, Frozen, check_index, check_integer
 
 
 class SymbolicMatrix(Frozen):
     """Square matrix whose entries have degree at most one in each variable.
 
-    `rows` is any iterable of rows, each any iterable of terms, stored as a tuple of tuples.  A term is
-    three ints (column, slot, coefficient): columns are 0-based, slot 0 is the constant term and slot c the
-    coefficient of x_c.  Terms with the same (column, slot) add up; an entry without terms is 0.
+    `nvars`, the number of variables, is an int.  `rows` is any iterable of rows, each any iterable of
+    terms, stored as a tuple of tuples.  A term is three ints (column, slot, coefficient): columns are
+    0-based, slot 0 is the constant term and slot c the coefficient of x_c.  Terms with the same
+    (column, slot) add up; an entry without terms is 0.
     """
 
     __slots__ = _fields = ("nvars", "rows")
 
     def __init__(self, nvars: int, rows):
-        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "nvars", nvars := check_integer(nvars, "variable count"))
         object.__setattr__(self, "rows", rows := tuple(map(tuple, rows)))
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")

@@ -43,6 +43,8 @@ COMMANDS = ["count", "count-all", "decide", "find", "min-weight", "find-min", "s
 PARSER_CALLS = [
     ["--help"],
     *([command, "--help"] for command in COMMANDS),
+    ["-h"],
+    ["count-all", "-h"],
     ["oracle-count", "graph.g"],
     ["count", "graph.g", "--alpha", "1"],
     ["count", "graph.g", "--root", "s", "--workers", "x"],

@@ -1,5 +1,6 @@
 """The command-line contract: exit codes, --json mirroring the text, --workers inertness."""
 
+import argparse
 import json
 import os
 import re
@@ -400,3 +401,37 @@ def test_in_process_calls_share_no_state(tmp_path, capsys):
         path.write_text(text, encoding="utf-8")
         alone = run_module([argv[0], str(path), *argv[1:]])
         assert (alone.returncode, alone.stdout, alone.stderr) == result
+
+
+def first_cases():
+    """The first CASES entry of each subcommand, in COMMANDS order."""
+    first = {case[0][0]: case for case in reversed(CASES)}
+    return [first[command] for command in COMMANDS]
+
+
+def test_calls_add_no_argument(monkeypatch, tmp_path, capsys):
+    # Every argument, -h and --poly included, is built once, at import; a
+    # call only assembles its parsers from those parents.  Each add_argument
+    # call would cost a HelpFormatter and a terminal-size lookup.
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def spy(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
+    for argv, text, code, out in first_cases():
+        assert run(tmp_path, capsys, argv, text) == (code, out, "")
+    assert added == []
+
+
+def test_the_shared_help_prints_the_parser_it_is_invoked_on(monkeypatch, tmp_path, capsys):
+    # One -h Action serves all eight parsers, and it outlives every call.
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, text, code, out in first_cases():
+        assert run(tmp_path, capsys, argv, text) == (code, out, "")
+    for command in HELP:
+        for flag in ("--help", "-h"):
+            argv = [flag] if command is None else [command, flag]
+            assert exit_and_output(capsys, argv) == (0, HELP[command], "")

@@ -178,6 +178,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="variable count must be nonnegative"):
             SymbolicMatrix(-1, ())
 
+    @pytest.mark.parametrize("nvars", [1.0, True, "1"])
+    def test_non_integer_variable_count_rejected(self, nvars):
+        # A float count would fail later inside the engine's `[0] * nvars`,
+        # and True would be stored as the count 1.
+        with pytest.raises(ValueError, match=re.escape(f"variable count {nvars!r} is not an integer")):
+            SymbolicMatrix(nvars, (((0, 1, 2),),))
+
     @pytest.mark.parametrize("name", ["nvars", "rows", "extra"])
     def test_every_attribute_is_frozen(self, name):
         with pytest.raises(AttributeError):
