@@ -82,7 +82,7 @@ def _edge_objects(graph, arb) -> list[dict] | None:
     if arb is None:
         return None
     objects = []
-    for e in map(graph.edge, sorted(arb.edge_ids)):
+    for e in map(graph.edge, arb.edge_ids):
         obj = {
             "tail": graph.vertex_label(e.tail),
             "head": graph.vertex_label(e.head),
@@ -97,7 +97,7 @@ def _edge_objects(graph, arb) -> list[dict] | None:
 def _answer(args) -> dict:
     """The subcommand's answer: exactly the object that --json prints."""
     try:
-        text = args.graph.read_text(encoding="utf-8")
+        text = args.graph.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read {args.graph}: {exc}") from None
     graph = parse_graph(text)

@@ -255,6 +255,37 @@ def planted_digraph(rng: random.Random, n: int, q: int, max_weight: int | None) 
     return ColoredDigraph(n, q, tuple(Edge(i, t, h, rng.randint(1, q), weight()) for i, (t, h) in enumerate(arcs))), root
 
 
+def shaped_digraph(rng: random.Random, n: int, q: int, max_weight: int | None, shape: str) -> tuple[ColoredDigraph, int]:
+    """A planted digraph as above in which every third non-root vertex has a shape, and the root.
+
+    With shape "sinks" those vertices have no out-arc: the path runs through
+    the others, and each sink takes its three in-arcs from random path
+    vertices, so its column of the root minor holds only its diagonal.  With
+    shape "single_tail" each of them takes all three in-arcs from the vertex
+    before it on the path, the first two in different colors (q >= 2), so
+    its row is p on the diagonal and -p in one other column, p holding two
+    or three colors.
+    """
+    root = rng.randint(1, n)
+    others = rng.sample([v for v in range(1, n + 1) if v != root], n - 1)
+    shaped = set(others[::3])
+    path = [root, *(v for v in others if shape != "sinks" or v not in shaped)]
+    arcs = []
+    for v in others:
+        if shape == "sinks" and v in shaped:
+            arcs += [(rng.choice(path), v, rng.randint(1, q)) for _ in range(3)]
+            continue
+        tail = path[path.index(v) - 1]
+        if v in shaped:
+            first = rng.randint(1, q)
+            arcs += [(tail, v, first), (tail, v, first % q + 1), (tail, v, rng.randint(1, q))]
+        else:
+            arcs.append((tail, v, rng.randint(1, q)))
+            arcs += [(rng.choice([u for u in path if u != v]), v, rng.randint(1, q)) for _ in range(2)]
+    weight = (lambda: None) if max_weight is None else (lambda: rng.randint(1, max_weight))
+    return ColoredDigraph(n, q, tuple(Edge(i, t, h, c, weight()) for i, (t, h, c) in enumerate(arcs))), root
+
+
 @st.composite
 def small_digraphs(draw, weights=False):
     """Loopless colored multidigraphs small enough for the oracle.

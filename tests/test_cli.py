@@ -190,14 +190,36 @@ def test_help_lists_the_seven_subcommands(capsys):
     assert re.findall(r"^    (\S+)", out, re.MULTILINE) == COMMANDS
 
 
-def test_import_loads_no_heavy_standard_modules():
-    # Every CLI call imports ccarb.cli first, so each of these would cost
-    # every call its import time; -S keeps site's own imports out.
-    heavy = ["dataclasses", "inspect", "typing", "json"]
-    code = f"import sys, ccarb.cli; print([m for m in {heavy!r} if m in sys.modules])"
+def test_a_byte_order_mark_changes_no_byte(tmp_path, capsys):
+    # Some editors save UTF-8 with a byte-order mark; it is not part of the header.
+    for argv, text, code, out in CASES:
+        if text == DIRECTED:
+            assert run(tmp_path, capsys, argv, "\ufeff" + DIRECTED) == (code, out, "")
+            json_argv = argv + ["--json"]
+            assert run(tmp_path, capsys, json_argv, "\ufeff" + DIRECTED) == run(tmp_path, capsys, json_argv, DIRECTED)
+
+
+def loaded_by_importing_the_cli(modules: list[str]) -> str:
+    """The list of those of `modules` that `import ccarb.cli` loads in a fresh interpreter, printed.
+
+    -S keeps site's own imports out.
+    """
+    code = f"import sys, ccarb.cli; print([m for m in {modules!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+    assert (result.returncode, result.stderr) == (0, "")
+    return result.stdout
+
+
+def test_import_loads_no_heavy_standard_modules():
+    # Every CLI call imports ccarb.cli first, so each of these would cost
+    # every call its import time.
+    assert loaded_by_importing_the_cli(["dataclasses", "inspect", "typing", "json"]) == "[]\n"
+
+
+def test_import_loads_no_test_tooling():
+    # The brute-force oracle is the tests' reference, not part of the CLI.
+    assert loaded_by_importing_the_cli(["ccarb.oracle"]) == "[]\n"
 
 
 @pytest.mark.parametrize("alpha, code", [("1", 0), ("3", 1), ("x", 2)])

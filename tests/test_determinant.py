@@ -27,6 +27,7 @@ from support import (
     poly_eval,
     random_laplacian_style_matrix,
     random_symbolic_matrix,
+    shaped_digraph,
 )
 
 
@@ -437,6 +438,23 @@ class TestDetPoly:
             expected = cofactor_det(scaled)
             assert det_poly(scaled) == expected
 
+    @pytest.mark.parametrize("n, points", [(8, 1), (40, 41)])
+    def test_top_coefficient_reaches_the_leibniz_bound(self, evaluated, n, points):
+        # The root minor of a path whose vertices each have 1000 x1 arcs from
+        # the root and one color-2 arc from the next vertex (the last from
+        # the root): upper-triangular with 1000 x1 + 1 on the diagonal and -1
+        # above it, so no row reduces and det = (1000 x1 + 1)^n.  Its top
+        # coefficient 1000^n has the bit length of the Leibniz bound
+        # 1001 * 1002^(n - 1), and of the diagonals' product 1001^n, so a
+        # digit one byte narrower carries.  At n = 8, x1 is packed into 9
+        # digits of 88 bits; at n = 40 its 41 digits of 400 bits would pass
+        # PACKED_BITS, so it keeps its axis of 41 points and the one digit
+        # of each point must hold a 399-bit value.
+        assert (1000**n).bit_length() == (1001 * 1002 ** (n - 1)).bit_length() == (1001**n).bit_length()
+        rows = [[(i, 1, 1000), (i, 0, 1), *[(i + 1, 0, -1)] * (i + 1 < n)] for i in range(n)]
+        assert det_poly(SymbolicMatrix(1, rows)) == {(k,): math.comb(n, k) * 1000**k for k in range(n + 1)}
+        assert len(evaluated) == points
+
     def test_evaluation_consistency(self):
         rng = random.Random(15)
         for _ in range(20):
@@ -447,27 +465,40 @@ class TestDetPoly:
                 assert poly_eval(poly, point) % p == det_mod_p(m.evaluate(point), p)
 
 
+AT_SCALE = [
+    # Unweighted, sized by q; at n = 60 the packed x1 would pass
+    # PACKED_BITS, so det_poly evaluates it along its axis.
+    (60, 2, None, 1, None),
+    (30, 3, None, 1, None),
+    (20, 4, None, 1, None),
+    # Weighted at a base r: rows hold r^w and shed large contents.
+    (16, 2, 1000, 3, None),
+    (24, 3, 60, 5, None),
+    # Sink columns, and rows whose in-arcs share one tail in two or more
+    # colors: linear factors that no row content takes out.
+    (24, 3, None, 1, "sinks"),
+    (24, 3, None, 1, "single_tail"),
+    (24, 3, 60, 5, "single_tail"),
+]
+
+
 @pytest.mark.parametrize(
-    "n, q, max_weight, r",
-    [
-        # Unweighted, sized by q; at n = 60 the packed x1 would pass
-        # PACKED_BITS, so det_poly evaluates it along its axis.
-        (60, 2, None, 1),
-        (30, 3, None, 1),
-        (20, 4, None, 1),
-        # Weighted at a base r: rows hold r^w and shed large contents.
-        (16, 2, 1000, 3),
-        (24, 3, 60, 5),
-    ],
+    "n, q, max_weight, r, shape",
+    AT_SCALE,
+    # A case names its shape only when it has one.
+    ids=["-".join(map(str, case[: 4 + bool(case[4])])) for case in AT_SCALE],
 )
-def test_det_poly_matches_the_unreduced_minor_at_scale(n, q, max_weight, r):
+def test_det_poly_matches_the_unreduced_minor_at_scale(n, q, max_weight, r, shape):
     # The root minor of a seeded digraph far past the oracle's reach, reduced
     # and packed by det_poly, must equal Bareiss elimination of the same
     # minor, unreduced, at random points: a wrong nonzero difference of
     # degree d vanishes at a random point with probability at most d / 2e6
     # (Schwartz-Zippel).
     rng = random.Random(n * q)
-    graph, root = planted_digraph(rng, n, q, max_weight)
+    if shape is None:
+        graph, root = planted_digraph(rng, n, q, max_weight)
+    else:
+        graph, root = shaped_digraph(rng, n, q, max_weight, shape)
     matrix = root_minor(n, q, graph.edges, root, r)
     poly = det_poly(matrix)
     assert poly
