@@ -97,7 +97,7 @@ def _edge_objects(graph, arb) -> list[dict] | None:
 def _answer(args) -> dict:
     """The subcommand's answer: exactly the object that --json prints."""
     try:
-        text = args.graph.read_text(encoding="utf-8-sig")
+        text = args.graph.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {args.graph}: {exc}") from None
     graph = parse_graph(text)

@@ -80,17 +80,21 @@ def decide(graph: ColoredDigraph, root: int, alpha) -> bool:
     return count(graph, root, alpha) > 0
 
 
-def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int, above: int) -> Arborescence:
+def _search(
+    graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int, above: int, floor=None, slack: int = 0
+) -> Arborescence:
     """The first solution by the in-arc id of vertex 1, then 2, ...; a question holds unless `above` divides it.
 
     The search's one state is `live`, each non-root vertex's list of live
     in-arcs, at first those of `dedup_min_weight(graph)` but for colors
-    with no room.  A question is such a map; its arcs are the union of the
-    lists.  It is one `det_poly` call, on the minor `root_minor` builds
-    from them at the root with arc values r^w, and its alpha coefficient
-    modulo `above` answers it.  Each vertex v, in ascending order, is left
-    one live in-arc, the smallest-id one some solution still uses: a
-    one-arc row, which `determinant._reduce` contracts.  v's candidates
+    with no room and, given `floor` (the map of each non-root vertex v to
+    its lightest in-weight m_v), but for arcs with w - m_v > slack.  A
+    question is such a map; its arcs are the union of the lists.  It is one
+    `det_poly` call, on the minor `root_minor` builds from them at the root
+    with arc values r^w, or r^(w - m_v) given `floor`, and its alpha
+    coefficient modulo `above` answers it.  Each vertex v, in ascending
+    order, is left one live in-arc, the smallest-id one some solution still
+    uses: a one-arc row, which `determinant._reduce` contracts.  v's candidates
     are its live in-arcs whose tail does not lead back to v through the
     decided vertices' arcs, one per color and "top" (where those arcs lead
     the tail), picked as `dedup_min_weight` picks.  The first is asked
@@ -104,7 +108,7 @@ def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int, ab
     room = [*alpha, graph.n - 1 - sum(alpha)]
     live: dict[int, list[Edge]] = {v: [] for v in range(1, graph.n + 1) if v != root}
     for e in dedup_min_weight(graph).edges:
-        if e.head != root and room[e.color - 1] > 0:
+        if e.head != root and room[e.color - 1] > 0 and (floor is None or e.weight - floor[e.head] <= slack):
             live[e.head].append(e)
 
     def taking(arc: Edge) -> dict[int, list[Edge]]:
@@ -128,7 +132,7 @@ def _search(graph: ColoredDigraph, root: int, alpha: tuple[int, ...], r: int, ab
             half, rest = tries[:size], tries[size:]
             probe = taking(half[0]) if size == 1 else {**live, v: half}
             question = [e for arcs in probe.values() for e in arcs]
-            kept = det_poly(root_minor(graph.n, graph.q, question, root, r)).get(alpha, 0) % above
+            kept = det_poly(root_minor(graph.n, graph.q, question, root, r, floor)).get(alpha, 0) % above
             tries = half if kept else rest
             size = len(tries) // 2
         live = taking(tries[0])

@@ -192,8 +192,9 @@ def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
     ``undirected`` line may follow (default directed).  Every further line is
     one edge, ``tail head color`` or ``tail head color weight``; a file must
     not mix weighted and unweighted edge lines.  Lines starting with ``#``
-    and blank lines are ignored.  Vertex labels are whitespace-free strings
-    that do not start with ``#``, numbered 1..n by first appearance.
+    and blank lines are ignored, and so is a leading byte order mark.  Vertex
+    labels are whitespace-free strings that do not start with ``#``,
+    numbered 1..n by first appearance.
     """
     header: tuple[int, int] | None = None
     directed: bool | None = None
@@ -218,7 +219,7 @@ def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
         except ValueError:
             raise _parse_fail(line_no, message) from None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -57,16 +57,19 @@ class SymbolicMatrix(Frozen):
         return scalar
 
 
-def root_minor(n: int, q: int, arcs, root: int, r: int = 1) -> SymbolicMatrix:
+def root_minor(n: int, q: int, arcs, root: int, r: int = 1, floor=None) -> SymbolicMatrix:
     """The in-degree Laplacian of the arcs on vertices 1..n, without row and column `root`.
 
     Each arc u -> v of color c and weight w is worth r^w, an unweighted arc
     weighing 0 as `graph.lightest` takes it, so every arc is worth 1 at the
-    default r = 1.  It adds the term (v, c, +r^w) to row v and, unless u = v
-    or u is the root, the term (u, c, -r^w), so the terms of one entry share
-    a sign.  Arcs into the root touch only the root's row, so they are
-    skipped.  Parallel arcs add up, so the determinant sums over them as over
-    distinct arcs.
+    default r = 1.  Given `floor`, a map from each non-root vertex v with an
+    in-arc to a weight m_v no greater than any of them, the arc is worth
+    r^(w - m_v) instead: row v holds only v's in-arcs, so the determinant is
+    divided by r^low, low the sum of the m_v.  It adds the term (v, c, +value)
+    to row v and, unless u = v or u is the root, the term (u, c, -value), so
+    the terms of one entry share a sign.  Arcs into the root touch only the
+    root's row, so they are skipped.  Parallel arcs add up, so the
+    determinant sums over them as over distinct arcs.
     """
     check_index(root, "root", n)
     column = [v - 1 - (v > root) for v in range(n + 1)]
@@ -75,7 +78,7 @@ def root_minor(n: int, q: int, arcs, root: int, r: int = 1) -> SymbolicMatrix:
     for _, tail, head, color, weight in arcs:
         if head == root:
             continue
-        value = r ** (weight or 0)
+        value = r ** (weight - floor[head] if floor else weight or 0)
         slot = 0 if color == q else color
         row = rows[column[head]]
         row.append((column[head], slot, value))

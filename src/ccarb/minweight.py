@@ -8,11 +8,16 @@ therefore W exactly when r does not divide N.  N is at most count_alpha, the
 number of matching arborescences, so the base r = count_alpha + 1 makes a
 single valuation exact (r need not be prime: 0 < N < r).
 
-The coefficient is large.  The engine keeps its work small by dividing each
-row by its content: row v holds only v's in-arcs, so it sheds at least r^m_v
-for v's lightest in-weight m_v.  Every arborescence weighs at least low, the
-sum of m_v over non-root v, so `valuation` sees only the cofactor left after
-r^low is divided out; it strips r^(2^j) for falling j, not one r at a time.
+That coefficient is never built at full size.  Each arborescence takes one
+in-arc of every non-root vertex v, so it weighs at least low, the sum of
+the lightest in-weights m_v; in the reduced costs w - m_v, the first step
+of J. Edmonds, "Optimum branchings", J. Res. Nat. Bur. Standards 71B
+(1967), it weighs w(T) - low.  The minors are built at r^(w - m_v)
+(`root_minor` with the map `floor` of the m_v), so their coefficient is
+sum_T r^(w(T) - low), and the minimum is low plus its valuation, which
+strips r^(2^j) for falling j, not one r at a time.  The same reduced costs
+prune `find_min`'s search: an arc into v with w - m_v > W - low is in no
+arborescence of weight W or less.
 """
 
 from __future__ import annotations
@@ -66,46 +71,54 @@ def valuation(value: int, r: int) -> int:
 
 
 def _plan(graph: ColoredDigraph, root: int, alpha):
-    """(constraint, r, minimum weight), or None if nothing matches."""
+    """(constraint, r, floor, minimum weight), or None if nothing matches.
+
+    `floor` maps each non-root vertex to its lightest in-weight m_v.
+    """
     constraint = _checked(graph, root, alpha)
     matching = count_table(graph, root).get(constraint, 0)
     if matching == 0:
         return None
     r = matching + 1
-    low = sum(e.weight for e in lightest(graph.edges, lambda e: e.head) if e.head != root)
-    return constraint, r, low + valuation(c_alpha_r(graph, root, constraint, r) // r**low, r)
+    floor = {e.head: e.weight for e in lightest(graph.edges, lambda e: e.head) if e.head != root}
+    lowered = det_poly(root_minor(graph.n, graph.q, graph.edges, root, r, floor)).get(constraint, 0)
+    return constraint, r, floor, sum(floor.values()) + valuation(lowered, r)
 
 
 def min_weight(graph: ColoredDigraph, root: int, alpha) -> int | None:
     """Minimum weight of an arborescence matching the constraint, or None.
 
     Counts the matching arborescences (None when there are none) and takes
-    one valuation of the weighted coefficient at r = count + 1.
+    one valuation of the lowered weighted coefficient at r = count + 1.
     """
     plan = _plan(graph, root, alpha)
-    return None if plan is None else plan[2]
+    return None if plan is None else plan[3]
 
 
 def find_min(graph: ColoredDigraph, root: int, alpha) -> tuple[Arborescence, int] | None:
     """A minimum-weight arborescence matching the constraint, with its weight.
 
-    Computes r and the minimum W once, as `min_weight` does, then searches
-    as `find` does: the result is the first minimizer by the in-arc id of
-    vertex 1, then 2, and so on, found by at most 1 + ceil(log2(d - 1))
-    questions for a vertex with d candidates.  A question, the union of
-    the non-root vertices' lists of live in-arcs, holds when its
-    coefficient at r, the sum of r^w over its matching arborescences, is
-    not a multiple of r^(W + 1).  Every term is a multiple of r^W, and
-    fewer than r of them weigh W, so that is when some minimizer is left.  One r serves every question: deleting arcs
-    never raises the count.  The result is checked against the graph's
-    weights to be an arborescence with the requested histogram and the
-    minimum weight (ValueError if not).
+    Computes r, the lightest in-weights m_v and the minimum W once, as
+    `min_weight` does, then searches as `find` does: the result is the
+    first minimizer by the in-arc id of vertex 1, then 2, and so on, found
+    by at most 1 + ceil(log2(d - 1)) questions for a vertex with d
+    candidates.  An arc into v with w - m_v > W - low is in no minimizer,
+    so the search never offers it.  A question, the union of the non-root
+    vertices' lists of live in-arcs, holds when its coefficient at r, the
+    sum of r^(w(T) - low) over its matching arborescences T, is not a
+    multiple of r^(W + 1 - low).  Every term is a multiple of r^(W - low),
+    and fewer than r of them weigh W, so that is when some minimizer is
+    left.  One r serves every question: deleting arcs never raises the
+    count.  The result is checked against the graph's weights to be an
+    arborescence with the requested histogram and the minimum weight
+    (ValueError if not).
     """
     plan = _plan(graph, root, alpha)
     if plan is None:
         return None
-    constraint, r, minimum = plan
-    arb = _search(graph, root, constraint, r, r ** (minimum + 1))
+    constraint, r, floor, minimum = plan
+    slack = minimum - sum(floor.values())
+    arb = _search(graph, root, constraint, r, r ** (slack + 1), floor, slack)
     if sum(graph.edge(i).weight for i in arb.edge_ids) != minimum:
         raise ValueError("certificate check failed: the weight differs from the minimum")
     return arb, minimum

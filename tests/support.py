@@ -388,9 +388,9 @@ def questions_asked():
     minors, tables = [], []
     build, det = counting.root_minor, counting.det_poly
 
-    def root_minor(n, q, arcs, root, r=1):
+    def root_minor(n, q, arcs, root, r=1, floor=None):
         minors.append((ColoredDigraph(n, q, tuple(arcs)), r))
-        return build(n, q, arcs, root, r)
+        return build(n, q, arcs, root, r, floor)
 
     with mock.patch.multiple(counting, root_minor=root_minor, det_poly=lambda m: tables.append(det(m)) or tables[-1]):
         yield minors, tables

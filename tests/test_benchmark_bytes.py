@@ -39,7 +39,7 @@ PINS = {
     },
     "weighted": {
         "cli": (1248, "00b3d35ca46a67af7a45bb8607084455b6b2386230bfb754e9ba88c9ab49462e"),
-        "det_poly": (3674, "736f5a5c7d54d4a44719a2a7c48177902bbe360c0d603713f12c54a81d48b2f3"),
+        "det_poly": (3096, "ad7c354da06df9512016532d44d9a56e8dc7c32c2d00ce0d4fdf5e2e2df1eb6d"),
     },
 }
 

@@ -298,6 +298,9 @@ def test_search_questions_are_subgraphs_of_the_input(case):
     # in which every vertex already decided keeps only its taken in-arc.
     # Every coefficient asked is the oracle's: the sum of r^w over the
     # arborescences matching alpha, which is their number at find's r = 1.
+    # find_min builds its minors at r^(w - m_v), m_v the lightest in-weight
+    # of v in the input, so its coefficients are divided by r^low, low the
+    # sum of the m_v; find builds them at r^w.
     # The search picks each vertex's candidates with one `lightest` call,
     # which names the vertex being decided.  One rule answers every
     # question: it holds unless `above` divides its coefficient.  find's
@@ -312,9 +315,9 @@ def test_search_questions_are_subgraphs_of_the_input(case):
     for operation in (find, find_min):
         questions, tables, vertices, searches = [], [], [], []
 
-        def root_minor(n, q, live, root, r=1):
-            questions.append((ColoredDigraph(n, q, tuple(live)), r, vertices[-1:]))
-            return build(n, q, live, root, r)
+        def root_minor(n, q, live, root, r=1, floor=None):
+            questions.append((ColoredDigraph(n, q, tuple(live)), r, floor, vertices[-1:]))
+            return build(n, q, live, root, r, floor)
 
         with mock.patch.multiple(
             counting,
@@ -328,14 +331,17 @@ def test_search_questions_are_subgraphs_of_the_input(case):
         if operation is find:
             [(*_, above)] = searches
         taken = {graph.edge(i).head: i for i in (result if operation is find else result[0]).edge_ids}
-        for number, ((subgraph, r, picked), table) in enumerate(zip(questions, tables)):
+        lightest_in = {v: min(e.weight for e in graph.edges if e.head == v) for v in range(1, graph.n + 1) if v != root}
+        for number, ((subgraph, r, floor, picked), table) in enumerate(zip(questions, tables)):
             weights = [
                 sum(subgraph.edge(i).weight for i in arb.edge_ids)
                 for arb in enumerate_arborescences(subgraph, root)
                 if color_histogram(subgraph, arb.edge_ids)[: graph.q - 1] == alpha
             ]
+            assert floor == (None if r == 1 else lightest_in)
+            low = sum(floor.values()) if floor else 0
             coefficient = table.get(alpha, 0)
-            assert coefficient == sum(r**w for w in weights)
+            assert coefficient == sum(r ** (w - low) for w in weights)
             if operation is find:
                 assert 0 <= coefficient < above
             elif r > 1:

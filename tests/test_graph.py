@@ -69,6 +69,15 @@ class TestParse:
         g = parse_graph("# header comment\n\n2 1\n# edge comment\ns t 1\n")
         assert len(g.edges) == 1
 
+    def test_a_leading_byte_order_mark_is_ignored(self):
+        # Some editors save UTF-8 with a byte order mark; it is not part of the header.
+        text = "3 2\ns a 1\na b 2\n"
+        assert parse_graph("\ufeff" + text) == parse_graph(text)
+        assert parse_graph("\ufeff# comment\n" + text) == parse_graph(text)
+        # Only the first character can be a mark; a second one is read as text.
+        with pytest.raises(GraphParseError, match="line 1: header values must be integers"):
+            parse_graph("\ufeff\ufeff" + text)
+
     def test_undirected_header(self):
         g = parse_graph("2 1\nundirected\na b 1\n")
         assert isinstance(g, ColoredMultigraph)

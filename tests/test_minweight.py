@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from ccarb import counting, minweight
 from ccarb.cli import main
 from ccarb.counting import Arborescence, count, count_table
-from ccarb.graph import parse_graph
-from ccarb.laplacian import SymbolicMatrix
+from ccarb.graph import ColoredDigraph, parse_graph
+from ccarb.laplacian import SymbolicMatrix, root_minor
 from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, is_arborescence, oracle_min_weight
 
@@ -309,6 +309,69 @@ def test_valuation_sees_only_the_cofactor_above_the_lightest_in_weights(monkeypa
     assert len(values) == 2 and all(0 < value < 2**64 for value, _ in values)
 
 
+@pytest.mark.parametrize("base", [10**5, 10**6])
+def test_heavy_weights_cost_what_light_ones_do(base):
+    # Three seeded 5-vertex digraphs of in-degree 3 (12 arcs), with weights
+    # base to base + 3.  Every arborescence weighs about 4 base, so the full
+    # coefficient at r has about 4 base log2(r) bits, and the full minor's
+    # entries about base log2(r) each.  Every minor is built at
+    # r^(w - m_v) instead, whose exponents are at most 3, so these take
+    # what weights 1 to 4 take.
+    for seed in (1, 2, 3):
+        light, root = planted_digraph(random.Random(seed), 5, 2, 4)
+        graph = ColoredDigraph(5, 2, tuple(e._replace(weight=e.weight + base - 1) for e in light.edges))
+        for alpha in [(a,) for a in range(5)]:
+            expected = oracle_min_weight(graph, root, alpha)
+            assert min_weight(graph, root, alpha) == (expected and expected[0])
+            result = find_min(graph, root, alpha)
+            if expected is None:
+                assert result is None
+                continue
+            arb, weight = result
+            assert weight == expected[0] == sum(graph.edge(i).weight for i in arb.edge_ids)
+            assert is_arborescence(graph, root, arb.edge_ids)
+            assert color_histogram(graph, arb.edge_ids)[:1] == alpha
+
+
+@st.composite
+def planted(draw):
+    """A planted digraph on up to 7 vertices, its root and a histogram one of its arborescences has."""
+    n, q = draw(st.integers(2, 7)), draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    graph, root = planted_digraph(rng, n, q, draw(st.sampled_from((1, 3, 20))))
+    hists = {color_histogram(graph, arb.edge_ids)[: q - 1] for arb in enumerate_arborescences(graph, root)}
+    return graph, root, draw(st.sampled_from(sorted(hists)))
+
+
+@ORACLE
+@given(st.one_of(instances(), planted()))
+def test_the_prune_drops_no_arc_of_a_minimizer(inst):
+    # find_min hands the search `floor`, each non-root vertex's lightest
+    # in-weight m_v in the input, and the slack W - low, low the sum of the
+    # m_v.  An arc into v with w - m_v > slack is in no arborescence of
+    # weight W or less: every arc it drops is in no minimizer, and no
+    # question holds one.
+    graph, root, alpha = inst
+    expected = oracle_min_weight(*inst)
+    with mock.patch.object(minweight, "_search", wraps=counting._search) as search, questions_asked() as (minors, _):
+        result = find_min(*inst)
+    if expected is None:
+        assert result is None and not search.called
+        return
+    [call] = search.call_args_list
+    *_, floor, slack = call.args
+    assert floor == {v: min(e.weight for e in graph.edges if e.head == v) for v in range(1, graph.n + 1) if v != root}
+    assert slack == expected[0] - sum(floor.values()) >= 0
+    dropped = {e.id for e in graph.edges if e.head != root and e.weight - floor[e.head] > slack}
+    for arb in enumerate_arborescences(graph, root):
+        if color_histogram(graph, arb.edge_ids)[: graph.q - 1] == alpha:
+            weight = sum(graph.edge(i).weight for i in arb.edge_ids)
+            assert weight > expected[0] or dropped.isdisjoint(arb.edge_ids)
+    for question, _ in minors[1:]:
+        assert dropped.isdisjoint(e.id for e in question.edges)
+    assert sum(graph.edge(i).weight for i in result[0].edge_ids) == expected[0]
+
+
 @pytest.mark.parametrize("n, q, max_weight", [(16, 2, 30), (12, 3, 60)])
 def test_find_min_at_scale_weighs_the_minimum(n, q, max_weight):
     # Far past the oracle, find-min's arborescence is checked by its
@@ -327,18 +390,20 @@ def test_find_min_at_scale_weighs_the_minimum(n, q, max_weight):
 @given(instances())
 def test_valuation_base_exceeds_the_number_of_arborescences(inst):
     # The valuation is exact when r exceeds the number of minimizers, which
-    # is at most the number of arborescences matching alpha.  find_min asks
-    # every search question, a minor built in counting with a base, at the
-    # one base that min_weight uses; the count's minor is built at r = 1.
+    # is at most the number of arborescences matching alpha.  min_weight
+    # builds one minor in minweight, the target's, with a base; find_min
+    # asks every search question, a minor built in counting with a base, at
+    # that one base.  The count's minor is built in counting at r = 1.
     graph, root, alpha = inst
     matching = sum(
         color_histogram(graph, arb.edge_ids)[: graph.q - 1] == alpha for arb in enumerate_arborescences(graph, root)
     )
     for operation in (min_weight, find_min):
-        with mock.patch.object(minweight, "c_alpha_r", wraps=c_alpha_r) as spy, questions_asked() as (minors, tables):
+        with mock.patch.object(minweight, "root_minor", wraps=root_minor) as spy, questions_asked() as (minors, tables):
             operation(*inst)
         assert len(minors) == len(tables)
-        bases = {call.args[3] for call in spy.call_args_list}
+        assert len(spy.call_args_list) == (matching > 0)
+        bases = {call.args[4] for call in spy.call_args_list}
         bases |= {r for _, r in minors if r != 1}
         if matching == 0:
             assert bases == set()
@@ -394,12 +459,15 @@ b c 2 1
 
 
 def test_one_valuation_is_exact_when_a_small_prime_divides_the_minimizers(monkeypatch):
+    # r = 13 + 1 = 14.  Each of a, b and c has lightest in-weight 1, so
+    # low = 3, and each minimizer is worth r^(3 - 3) = 1 in the lowered
+    # coefficient: 13, whose one valuation at 14 is 0, for a minimum of
+    # 3 + 0.
     inst = parse_graph(THIRTEEN), 1, (2,)
     assert oracle_min_weight(*inst) == (3, 13)
-    calls = []
-    monkeypatch.setattr(minweight, "c_alpha_r", lambda *args: calls.append(args[3]) or c_alpha_r(*args))
+    values = recorded(monkeypatch, minweight, "valuation")
     assert min_weight(*inst) == 3
-    assert len(calls) == 1
+    assert values == [(13, 14)]
 
 
 def test_find_min_halves_the_in_arcs_of_each_vertex(monkeypatch):
@@ -415,29 +483,24 @@ def test_find_min_halves_the_in_arcs_of_each_vertex(monkeypatch):
     # in-arcs are 1->2 and 4->2 (color 2, weight 1), 2->3 and 5->3 (color
     # 1, 2), 3->4 (color 1, 1) and 2->5 (color 2, 1), so the minimizers take
     # those; 4->2 closes a cycle with 3->4, so 1->2 is in every one.
+    # The minimizers weigh 1 + 2 + 1 + 1 = 5, which is low, the sum of
+    # those lightest in-weights, so the slack W - low is 0: the search is
+    # offered only the arcs of weight m_v, 1->2 and 4->2 (color 2), 2->3
+    # and 5->3 (color 1), 3->4 and 2->5.
     # counting's determinants are the count's on the whole graph, then one
-    # per question (the target is c_alpha_r's, in minweight).  A tail that
-    # leads back to 1 through the taken arcs is grouped with 1, so of each
-    # color only the lightest in-arc from such tails is a candidate.
-    # - Vertex 2 has 8 usable in-arcs.  1->2 of color 1 alone: no.  The
-    #   first 3 of the other 7, with the rest deleted: yes.  1->2 of color 2
-    #   alone: yes.  3 questions.
-    # - Tail 2 now leads back to 1, and of each color the lighter of 1->3
-    #   and 2->3 is the candidate: 2->3 of color 1 and 1->3 of color 2.  Vertex
-    #   3 has 6 candidates: 1->3 (color 2), 2->3, then 4->3 and 5->3 of each
-    #   color.  1->3 alone: no.  The first 2 of the other 5: yes.  2->3
-    #   alone: yes.  3 questions.
-    # - Vertex 4 has 4 candidates: of 1->4, 2->4 and 3->4, the lightest of
-    #   color 2 (1->4) and of color 1 (3->4), then 5->4 of each color.  1->4
-    #   alone: no.  Then 3->4 alone: yes.  2 questions.
-    # - 2->3 and 3->4 used up color 1, so that question deleted the color-1
-    #   arcs into vertex 5.  Its candidate is the lightest of the color-2
-    #   ones, 2->5, from tails 1 to 4, which all lead back to 1: taken
+    # per question (the target's is in minweight).  A tail that leads back
+    # to 1 through the taken arcs is grouped with 1, so of each color only
+    # the lightest in-arc from such tails is a candidate.
+    # - Vertex 2 has 2 candidates, 1->2 and 4->2 (4 is not yet decided).
+    #   1->2 alone: yes.  1 question.
+    # - Tail 2 now leads back to 1, and 5 is undecided: 2 candidates, 2->3
+    #   and 5->3.  2->3 alone: yes.  1 question.
+    # - Vertex 4 has 1 candidate, 3->4, and vertex 5 has 1, 2->5: both taken
     #   unasked.
-    # So 1 + 3 + 3 + 2 = 9, where 1 + ceil(log2(d - 1)) questions for
-    # d = 8, 6, 4 and 1 would allow 1 + 4 + 4 + 3 = 12, and one question per
-    # arc n + m = 5 + 40.
-    assert len(determinants) == 9
+    # So 1 + 1 + 1 = 3, where 1 + ceil(log2(d - 1)) questions for d = 2, 2,
+    # 1 and 1 would allow 1 + 1 + 1 = 3, and one question per arc n + m =
+    # 5 + 40.
+    assert len(determinants) == 3
 
 
 # Rooted at s: {sa, sb} has alpha 1 and weight 3, {sa, ab} alpha 2 and
@@ -450,24 +513,30 @@ CROSSED = "3 2\ns a 1 1\na b 1 2\ns b 1 2\nb a 2 1\n"
 def lie_when_weighted(monkeypatch, lie) -> None:
     # Pass find_min's weighted determinants through lie: the target's, taken
     # in minweight, and each question's, in counting.  The count's, also in
-    # counting, is left alone: its unweighted terms are all 1 or -1, while
-    # every weighted term is r^w with r >= 2 and w >= 1, weights being
-    # positive.
-    real = counting.det_poly
+    # counting, is left alone.  Each determinant is taken of the minor built
+    # just before it, and only the count's is built at r = 1; a lowered
+    # entry r^(w - m_v) may be 1, so the matrix alone cannot tell.
+    build, real = counting.root_minor, counting.det_poly
+    bases = []
+
+    def root_minor(n, q, arcs, root, r=1, floor=None):
+        bases.append(r)
+        return build(n, q, arcs, root, r, floor)
 
     def det_poly(matrix):
-        if all(abs(coeff) == 1 for row in matrix.rows for _, _, coeff in row):
-            return real(matrix)
-        return lie(real(matrix))
+        return real(matrix) if bases[-1] == 1 else lie(real(matrix))
 
-    monkeypatch.setattr(counting, "det_poly", det_poly)
-    monkeypatch.setattr(minweight, "det_poly", det_poly)
+    for module in (counting, minweight):
+        monkeypatch.setattr(module, "root_minor", root_minor)
+        monkeypatch.setattr(module, "det_poly", det_poly)
 
 
 def always_yes(monkeypatch):
     # Every weighted determinant returns the first one's table, the target's
-    # on the whole graph, so every question reads the target's coefficient,
-    # r^W times a count below r, not a multiple of r^(W + 1): yes.
+    # on the whole graph, so every question reads the target's lowered
+    # coefficient.  Only {ba, sb} has alpha 1, so r = 2; m_a = 1 and m_b = 2,
+    # so low = 3 = W and that coefficient is r^0 = 1, not a multiple of
+    # r^(W + 1 - low) = 2: yes.  Every arc has w = m_v, so none is pruned.
     # a's first candidate sa is kept, and it takes the one room of color 1,
     # so ab and sb, b's only in-arcs, are deleted: b has no candidate and the
     # search refuses.
@@ -477,11 +546,14 @@ def always_yes(monkeypatch):
 
 
 def misreport_the_minimum(monkeypatch):
-    # Only {sa, sb} has alpha 1, so r = count + 1 = 2.  Doubling every
-    # weighted coefficient multiplies it by r, so the minimum reads one
-    # more, 4.  A question then holds when its doubled coefficient is not a
-    # multiple of r^5, so the search still follows the true minimum and
-    # ends on {sa, sb}, whose weight is not the reported minimum.
+    # Only {sa, sb} has alpha 1, so r = count + 1 = 2, and m_a = 1 and
+    # m_b = 2, so low = 3.  Doubling every weighted coefficient multiplies
+    # it by r, so the minimum reads one more, 4, and the slack 1: ab, whose
+    # w - m_b is 1, is still offered, so no arc is pruned.  A question then
+    # holds when its doubled lowered coefficient, 2 (1 + 2k) with a
+    # minimizer and 2 (2k) without, is not a multiple of r^(4 + 1 - 3) = 4,
+    # so the search still follows the true minimum and ends on {sa, sb},
+    # whose weight is not the reported minimum.
     lie_when_weighted(monkeypatch, lambda table: {key: 2 * value for key, value in table.items()})
     return WEIGHTED
 
