@@ -43,9 +43,10 @@ def _parent(*args, **kwargs) -> argparse.ArgumentParser:
 # Action, and -h prints the parser it is invoked on, so calls share no
 # state.  The eight parsers are still built per call: about 0.4 ms of a
 # 1.5 ms op, 0.7 ms under a UTF-8 locale, where each of the 16 gettext
-# lookups searches for catalogs.  Caching them about doubles throughput, but
-# benchmark/loop.py logs every execution, so the benchmark's peak RSS would
-# rise past its 10% bound (ROADMAP item 1).
+# lookups searches for catalogs.  Caching them let a 35 s `search` run make
+# 54% more executions (26,001 to 40,009 on a 2-vCPU VM), but
+# benchmark/loop.py logs every execution, so its peak RSS rose 24%, past its
+# 10% bound (ROADMAP item 1).
 HELP = _parent("-h", "--help", action="help", default=argparse.SUPPRESS, help=gettext("show this help message and exit"))
 GRAPH = _parent("graph", type=Path, help="graph file")
 ROOT = _parent("--root", required=True, help="root vertex label")

@@ -86,7 +86,9 @@ def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], SymbolicMatrix, lis
     # bound is the Leibniz bound.  Rows and columns keep their indices until
     # the end, and entries[i] maps each (column, slot) of row i to its
     # coefficient, zeros included until the row is next taken.  One worklist
-    # pass: a row is queued again only when its entries change.
+    # pass: a row is queued again only when its entries change.  rest only
+    # renumbers the columns kept and holds the slots left after shedding, so
+    # its terms are in range by construction and it is built unchecked.
     entries: dict[int, dict[tuple[int, int], int]] = {}
     for i, terms in enumerate(matrix.rows):
         entries[i] = row = {}
@@ -107,29 +109,38 @@ def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], SymbolicMatrix, lis
             return None
         if 0 in row.values():
             entries[v] = row = {key: coeff for key, coeff in row.items() if coeff}
-        slots = {slot for _, slot in row}
-        shared = min(slots) if len(slots) == 1 else 0
-        if content > 1 or shared:
+        # shared is the one slot of every term, or -1 when two differ.
+        for _, shared in row:
+            break
+        for _, slot in row:
+            if slot != shared:
+                shared = -1
+                break
+        if content > 1 or shared > 0:
             scale *= content
-            if shared:
+            if shared > 0:
                 exponents[shared - 1] += 1
-            entries[v] = row = {(j, slot - shared): coeff // content for (j, slot), coeff in row.items()}
+                entries[v] = row = {(j, 0): coeff // content for (j, _), coeff in row.items()}
+            else:
+                entries[v] = row = {key: coeff // content for key, coeff in row.items()}
         # Shed, a forced row is e_v or e_v - e_u up to sign: constants only,
         # the diagonal alone or with one term (u, 0) that cancels it.  Adding
         # column v into column u leaves the diagonal alone in row v, and
         # expanding along row v takes it out; row keeps only (u, 0), if any.
         diagonal = row.get((v, 0))
-        if len(slots) > 1 or diagonal is None or len(row) > 2 or len(row) == 2 and sum(row.values()):
+        if shared < 0 or diagonal is None or len(row) > 2 or len(row) == 2 and sum(row.values()):
             continue
         scale *= diagonal
         del entries[v], row[v, 0]
+        # Column v goes into u's, the one column row keeps, or nowhere.
+        u = next(iter(row), (None,))[0]
         for i, other in entries.items():
             moved = False
             for slot in [slot for j, slot in other if j == v]:
                 coeff = other.pop((v, slot))
                 if coeff:
                     moved = True
-                    for u, _ in row:
+                    if u is not None:
                         other[u, slot] = other.get((u, slot), 0) + coeff
             if moved:
                 queue.append(i)
@@ -142,7 +153,7 @@ def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], SymbolicMatrix, lis
             counts[slot] += 1
         degree += any(slots)
         bound *= sum(map(abs, row.values()))
-    return scale, exponents, SymbolicMatrix(matrix.nvars, rows), counts[1:], degree, bound
+    return scale, exponents, SymbolicMatrix._trusted(matrix.nvars, rows), counts[1:], degree, bound
 
 
 def _digits(packed: int, bits: int, count: int) -> list[int]:
@@ -182,13 +193,19 @@ def det_poly(matrix: SymbolicMatrix) -> Poly:
             for c, k in zip(free, point):
                 x[c] = k
             values[point] = _bareiss(rest.evaluate(tuple(x)))
+    # Digit i holds x_c^(i // stride % radix) for each packed (c, stride, radix).
+    radices = [(c, stride, rows[c] + 1) for c, stride in strides.items()]
     poly = {}
     for point, value in interpolate(values).items():
-        mono = dict(zip(free, point))
+        base = exponents.copy()
+        for c, k in zip(free, point):
+            base[c] += k
         for i, digit in enumerate(_digits(value, bits, size)):
             if digit:
-                mono.update((c, i // stride % (rows[c] + 1)) for c, stride in strides.items())
-                poly[tuple(mono.get(c, 0) + e for c, e in enumerate(exponents))] = scale * digit
+                mono = base.copy()
+                for c, stride, radix in radices:
+                    mono[c] += i // stride % radix
+                poly[tuple(mono)] = scale * digit
     return poly
 
 

@@ -8,6 +8,14 @@ matrix the operations take is built by `root_minor`, without the row and
 column of a real root; the full Laplacian is the minor at an added vertex
 with no arcs.  `minor`, which deletes a row and column of any matrix,
 stays the public matrix operation and the tests' reference for it.
+
+`SymbolicMatrix(...)` checks every term.  Two builders skip the checks
+through `SymbolicMatrix._trusted`, because their terms are three ints in
+range by construction: `root_minor`, whose arcs come from a checked graph
+(endpoints in 1..n, colors in 1..q, integer weights) and whose base r is
+checked once, and `determinant._reduce`, whose rest renumbers the columns
+it kept and keeps or lowers the slots of a matrix already built.  So no
+question of a search pays for checks of the engine's own terms.
 """
 
 from __future__ import annotations
@@ -38,6 +46,15 @@ class SymbolicMatrix(Frozen):
                     raise ValueError(f"row {i}: term {term} is not three integers")
                 if not (0 <= term[0] < dim and 0 <= term[1] <= nvars):
                     raise ValueError(f"row {i}: term {term} is outside columns 0..{dim - 1} or slots 0..{nvars}")
+
+    @classmethod
+    def _trusted(cls, nvars: int, rows) -> SymbolicMatrix:
+        # The matrix without the checks, for the engine's own builders, whose
+        # terms are three ints in range by construction (see the module docstring).
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "nvars", nvars)
+        object.__setattr__(matrix, "rows", tuple(map(tuple, rows)))
+        return matrix
 
     @property
     def dim(self) -> int:
@@ -72,6 +89,7 @@ def root_minor(n: int, q: int, arcs, root: int, r: int = 1, floor=None) -> Symbo
     determinant sums over them as over distinct arcs.
     """
     check_index(root, "root", n)
+    r = check_integer(r, "base r")
     column = [v - 1 - (v > root) for v in range(n + 1)]
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n - 1)]
     # An Edge is the tuple of its fields, and unpacking it beats reading them by name.
@@ -84,7 +102,7 @@ def root_minor(n: int, q: int, arcs, root: int, r: int = 1, floor=None) -> Symbo
         row.append((column[head], slot, value))
         if tail != head and tail != root:
             row.append((column[tail], slot, -value))
-    return SymbolicMatrix(q - 1, rows)
+    return SymbolicMatrix._trusted(q - 1, rows)
 
 
 def build_laplacian(graph: ColoredDigraph) -> SymbolicMatrix:

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccarb.graph import ColoredDigraph, Edge, reverse
+from ccarb import counting
+from ccarb.counting import find
+from ccarb.determinant import _reduce
+from ccarb.graph import ColoredDigraph, Edge, lightest, parse_graph, reverse
 from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor, root_minor
+from ccarb.minweight import find_min
 
-from support import dense_rows, entry_poly, poly_add, random_digraph, small_digraphs
+from support import dense_rows, entry_poly, poly_add, random_digraph, recorded, small_digraphs
 
 
 class TestBuild:
@@ -149,6 +153,46 @@ class TestRootMinor:
         # its head's term, and vertex 3 becomes column 1.
         arcs = (Edge(0, 1, 2, 1, 5), Edge(1, 2, 3, 2, 3), Edge(2, 3, 1, 1, 2))
         assert root_minor(3, 2, arcs, 2, 2).rows == (((0, 1, 4), (1, 1, -4)), ((1, 0, 8),))
+
+    @pytest.mark.parametrize("r", [2.0, True, "2"])
+    def test_base_must_be_an_integer(self, r):
+        # Its terms are built unchecked, so a float base would reach the engine.
+        with pytest.raises(ValueError, match=re.escape(f"base r {r!r} is not an integer")):
+            root_minor(2, 1, (Edge(0, 1, 2, 1, 1),), 1, r)
+
+
+class TestUnchecked:
+    """The engine builds its own matrices without the checks; each is one the checks accept."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans().flatmap(lambda weights: small_digraphs(weights=weights)), st.data())
+    def test_every_root_minor_and_rest_passes_the_checks(self, graph, data):
+        # At every root, at a base r from -3 to 7, and for a weighted graph
+        # also lowered by each vertex's lightest in-weight as find_min lowers it.
+        r = data.draw(st.integers(-3, 7))
+        for root in range(1, graph.n + 1):
+            floors = [None]
+            if graph.weighted and data.draw(st.booleans()):
+                floors.append({e.head: e.weight for e in lightest(graph.edges, lambda e: e.head) if e.head != root})
+            for floor in floors:
+                built = root_minor(graph.n, graph.q, graph.edges, root, r, floor)
+                assert SymbolicMatrix(built.nvars, built.rows) == built
+                reduced = _reduce(built)
+                if reduced is not None:
+                    rest = reduced[2]
+                    assert SymbolicMatrix(rest.nvars, rest.rows) == rest
+
+    def test_find_and_find_min_make_no_checked_construction(self, monkeypatch):
+        # Rooted at s, vertex a has two candidates, sa and ba, so each asks
+        # one question after its count: counting takes 2 + 2 determinants.
+        graph = parse_graph("3 2\ns a 1 1\ns b 2 2\na b 1 3\nb a 2 1\n")
+        built = recorded(monkeypatch, SymbolicMatrix, "__init__")
+        determinants = recorded(monkeypatch, counting, "det_poly")
+        assert find(graph, 1, (1,)) == (1, (0, 1)) and find_min(graph, 1, (1,)) == ((1, (0, 1)), 3)
+        assert len(determinants) == 4 and built == []
+        # The spy sees the public constructor, which keeps every check.
+        SymbolicMatrix(0, ())
+        assert len(built) == 1
 
 
 class TestEvaluate:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ccarb import counting, minweight
 from ccarb.cli import main
 from ccarb.counting import Arborescence, count, count_table
-from ccarb.graph import ColoredDigraph, parse_graph
+from ccarb.graph import ColoredDigraph, Edge, parse_graph
 from ccarb.laplacian import SymbolicMatrix, root_minor
 from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, is_arborescence, oracle_min_weight
@@ -501,6 +501,32 @@ def test_find_min_halves_the_in_arcs_of_each_vertex(monkeypatch):
     # 1 and 1 would allow 1 + 1 + 1 = 3, and one question per arc n + m =
     # 5 + 40.
     assert len(determinants) == 3
+
+
+def test_find_min_halves_the_candidates_its_slack_leaves():
+    # Rooted at 1, with one color.  3 and 4 are entered only from 2, so 3->2
+    # and 4->2 are in no arborescence, though they are 2's lightest in-arcs.
+    # 6 is entered from 2 (weight 1) or from 1 (weight 3).  Every other
+    # vertex's lightest in-weight is 1, so low = 5.
+    arcs = [(3, 2, 1), (4, 2, 1), (6, 2, 1), (1, 2, 2), (5, 2, 2), (2, 3, 1), (2, 4, 1), (1, 5, 1), (2, 6, 1), (1, 6, 3)]
+    graph = ColoredDigraph(6, 1, tuple(Edge(i, t, h, 1, w) for i, (t, h, w) in enumerate(arcs)))
+    # 2 is entered by 1->2 or 5->2 (weight 2), with 2->3, 2->4, 1->5 and
+    # 2->6: W = 6, so the slack W - low is 1.  Entered by 6->2, it needs
+    # 1->6 and weighs 7.  The prune drops 1->6 alone (3 - 1 > 1).
+    # Vertex 2 has d = 5 candidates, its in-arcs in id order: none of their
+    # tails is decided.  Each question's in-arcs of 2 are:
+    # - 3->2 alone: 3 is entered only from 2, so no.
+    # - the first half of the other 4, {4->2, 6->2}: 4, and 6 without
+    #   1->6, are entered only from 2, so no.
+    # - 1->2 alone, the first of the last 2: yes, so 1->2 is taken.
+    # Vertices 3-6 have 1 candidate each, taken unasked.  So 3 questions,
+    # 1 + ceil(log2(d - 1)) for d = 5, after the count on the whole graph.
+    with questions_asked() as (minors, _):
+        arb, weight = find_min(graph, 1, ())
+    assert (arb.edge_ids, weight) == ((3, 5, 6, 7, 8), 6)
+    assert weight == oracle_min_weight(graph, 1, ())[0]
+    into_2 = [sorted(e.id for e in question.edges if e.head == 2) for question, _ in minors[1:]]
+    assert into_2 == [[0], [1, 2], [3]]
 
 
 # Rooted at s: {sa, sb} has alpha 1 and weight 3, {sa, ab} alpha 2 and
