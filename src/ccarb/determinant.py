@@ -9,7 +9,9 @@ and a zero row, of content 0, makes the determinant 0.  Shed, a row that is
 e_v - e_u or e_v up to sign is a forced arc of Tutte's directed matrix-tree
 theorem (W. T. Tutte, Proc. Cambridge Philos. Soc. 44, 1948): adding column
 v into column u leaves the row's diagonal alone, so the row and its column
-are expanded away, and each row that changes sheds its content again.
+are expanded away: each other row gives up its entry in column v, probed
+slot by slot, to column u, and each row that changes sheds its content
+again.  The rows left are returned as they are, not built into a matrix.
 
 Then the rest is packed and interpolated.  Every entry is affine in all the
 variables together, so the reduced determinant's degree in x_c is at most
@@ -20,11 +22,12 @@ costs nothing.  The others, in order of most rows (the first on ties), are
 packed while the packed values fit in PACKED_BITS (Kronecker substitution:
 L. Kronecker, J. reine angew. Math. 92, 1882): x_c is set to
 2^(bits stride_c), stride_c the product of d + 1 over the variables packed
-before it.  The reduced matrix is evaluated at each point of the lower set
+before it.  The reduced rows are evaluated at each point of the lower set
 {k : k_c <= d_c, sum(k) <= t} over the other variables in some row, each
 determinant is taken exactly by fraction-free (Bareiss) elimination, and
-the values are interpolated over Z.  Digit i of an interpolated
-coefficient, in balanced base 2^bits, is the coefficient of the packed
+the values are interpolated over Z when some such variable is left; else
+the one value is the packed polynomial.  Digit i of a coefficient (or of
+that value), in balanced base 2^bits, is the coefficient of the packed
 monomial with k_c = floor(i / stride_c) mod (d_c + 1); bits exceeds the bit
 length of the Leibniz bound (the product of the rows' absolute term sums)
 by one or more, so no digit carries.  With nothing packed there is one
@@ -37,7 +40,7 @@ import itertools
 import math
 from collections.abc import Sequence
 
-from .laplacian import SymbolicMatrix
+from .laplacian import SymbolicMatrix, _evaluate
 from .polynomials import Poly, interpolate
 
 # CPython divides big integers in quadratic time: longer packed values cost
@@ -79,21 +82,25 @@ def _bareiss(rows: list[list[int]]) -> int:
     return sign * prev
 
 
-def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], SymbolicMatrix, list[int], int, int] | None:
-    # (scale, exponents, rest, rows, degree, bound) with det(matrix) = scale
-    # * x^exponents * det(rest), or None when a row is zero; rows[c - 1]
-    # counts rest's rows holding x_c, degree those holding any variable, and
-    # bound is the Leibniz bound.  Rows and columns keep their indices until
-    # the end, and entries[i] maps each (column, slot) of row i to its
-    # coefficient, zeros included until the row is next taken.  One worklist
-    # pass: a row is queued again only when its entries change.  rest only
-    # renumbers the columns kept and holds the slots left after shedding, so
-    # its terms are in range by construction and it is built unchecked.
+def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], dict[int, dict[tuple[int, int], int]], list[int], int, int] | None:
+    # (scale, exponents, entries, rows, degree, bound) with det(matrix) =
+    # scale * x^exponents * det(entries), or None when a row is zero.  Rows
+    # and columns keep their indices: entries maps each row i left to a map
+    # of each (column, slot) to its coefficient, zeros included until the
+    # row is next taken, and holds only the columns of the rows left.
+    # rows[c - 1] counts the rows left holding x_c, degree those holding any
+    # variable, and bound is the Leibniz bound.  One worklist pass: a row is
+    # queued again only when its entries change.
     entries: dict[int, dict[tuple[int, int], int]] = {}
+    used = set()
     for i, terms in enumerate(matrix.rows):
         entries[i] = row = {}
         for column, slot, coeff in terms:
             row[column, slot] = row.get((column, slot), 0) + coeff
+            used.add(slot)
+    # Shedding lowers slots to 0 and contracting keeps them, so the slots in
+    # use at the start, and 0, are all that a contraction needs to probe.
+    used = sorted(used | {0})
     scale, exponents = 1, [0] * matrix.nvars
     queue = list(entries)
     while queue:
@@ -132,28 +139,27 @@ def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], SymbolicMatrix, lis
             continue
         scale *= diagonal
         del entries[v], row[v, 0]
-        # Column v goes into u's, the one column row keeps, or nowhere.
+        # Column v goes into u's, the one column row keeps, or nowhere: each
+        # other row gives up its (v, slot), probed for every slot in use.
         u = next(iter(row), (None,))[0]
         for i, other in entries.items():
             moved = False
-            for slot in [slot for j, slot in other if j == v]:
-                coeff = other.pop((v, slot))
+            for slot in used:
+                coeff = other.pop((v, slot), 0)
                 if coeff:
                     moved = True
                     if u is not None:
                         other[u, slot] = other.get((u, slot), 0) + coeff
             if moved:
                 queue.append(i)
-    index = {j: k for k, j in enumerate(entries)}
-    rows, counts, degree, bound = [], [0] * (matrix.nvars + 1), 0, 1
+    counts, degree, bound = [0] * (matrix.nvars + 1), 0, 1
     for row in entries.values():
-        rows.append([(index[j], slot, coeff) for (j, slot), coeff in row.items()])
         slots = {slot for _, slot in row}
         for slot in slots:
             counts[slot] += 1
         degree += any(slots)
         bound *= sum(map(abs, row.values()))
-    return scale, exponents, SymbolicMatrix._trusted(matrix.nvars, rows), counts[1:], degree, bound
+    return scale, exponents, entries, counts[1:], degree, bound
 
 
 def _digits(packed: int, bits: int, count: int) -> list[int]:
@@ -176,27 +182,30 @@ def det_poly(matrix: SymbolicMatrix) -> Poly:
     reduced = _reduce(matrix)
     if reduced is None:
         return {}
-    scale, exponents, rest, rows, degree, bound = reduced
+    scale, exponents, entries, rows, degree, bound = reduced
+    # The rows left as terms, their columns renumbered 0..dim-1 once per call.
+    index = {j: k for k, j in enumerate(entries)}
+    terms = [[(index[j], slot, coeff) for (j, slot), coeff in row.items()] for row in entries.values()]
     # A sign bit over the Leibniz bound, in whole bytes for _digits.
     bits = 8 * -(-(bound.bit_length() + 1) // 8)
-    used = [c for c in range(rest.nvars) if rows[c]]
+    used = [c for c in range(matrix.nvars) if rows[c]]
     strides, size = {}, 1
     for c in sorted(used, key=rows.__getitem__, reverse=True):
         if size * (rows[c] + 1) * bits > PACKED_BITS:
             break
         strides[c], size = size, size * (rows[c] + 1)
     free = [c for c in used if c not in strides]
-    x = [1 << bits * strides[c] if c in strides else 0 for c in range(rest.nvars)]
+    x = [1 << bits * strides[c] if c in strides else 0 for c in range(matrix.nvars)]
     values = {}
     for point in itertools.product(*(range(1 + rows[c]) for c in free)):
         if sum(point) <= degree:
             for c, k in zip(free, point):
                 x[c] = k
-            values[point] = _bareiss(rest.evaluate(tuple(x)))
+            values[point] = _bareiss(_evaluate(terms, tuple(x)))
     # Digit i holds x_c^(i // stride % radix) for each packed (c, stride, radix).
     radices = [(c, stride, rows[c] + 1) for c, stride in strides.items()]
     poly = {}
-    for point, value in interpolate(values).items():
+    for point, value in (interpolate(values) if free else values).items():
         base = exponents.copy()
         for c, k in zip(free, point):
             base[c] += k

@@ -67,7 +67,10 @@ class _Graph(Frozen):
     `edges` (of `Edge`s or `(id, tail, head, color[, weight])` tuples, each built and checked as an
     `Edge`) and `labels` may be any iterables; both are stored as tuples.  `labels[i-1]` names vertex
     i for the first `len(labels)` vertices.  Edge ids are input-order ordinals, every loop over edges
-    runs in ascending id, and transforms return new graphs.
+    runs in ascending id, and transforms return new graphs.  Both public constructors check every
+    field; `_trusted` builds, unchecked, the graphs whose fields are checked already: the parser's,
+    which checks each field as it reads it, the transforms' of a checked graph and the reachability
+    graph of `is_arborescence`.
     """
 
     _fields = ("n", "q", "edges", "labels")
@@ -99,8 +102,18 @@ class _Graph(Frozen):
         for name, value in zip(_Graph.__slots__, (n, q, edges, labels, by_id)):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _trusted(cls, n: int, q: int, edges: tuple, labels: tuple = ()) -> _Graph:
+        # The graph without the checks, for fields already checked (see the
+        # class docstring): `edges`, a tuple of `Edge`s with distinct ids, and
+        # `labels` are stored as they are.
+        graph = object.__new__(cls)
+        for name, value in zip(_Graph.__slots__, (n, q, edges, labels, {e[0]: e for e in edges})):
+            object.__setattr__(graph, name, value)
+        return graph
+
     def edge(self, edge_id: int) -> Edge:
-        """The stored `Edge` with this id, read from the map that `__init__` fills; ValueError if none."""
+        """The stored `Edge` with this id, read from the map that each constructor fills; ValueError if none."""
         try:
             return self._edges_by_id[check_integer(edge_id, "edge id")]
         except KeyError:
@@ -182,7 +195,7 @@ def is_arborescence(graph: ColoredDigraph, root: int, edge_ids) -> bool:
         return False
     if sorted([root, *(e.head for e in arcs)]) != list(range(1, graph.n + 1)):
         return False
-    return reaches_all(ColoredDigraph(graph.n, graph.q, arcs), root)
+    return reaches_all(ColoredDigraph._trusted(graph.n, graph.q, arcs), root)
 
 
 def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
@@ -254,17 +267,21 @@ def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
         weight = integer(fields[3], line_no, "weight must be an integer") if has_weight else None
         if has_weight and weight < 1:
             raise _parse_fail(line_no, f"weight must be positive, got {weight}")
-        edges.append(Edge(len(edges), tail, head, color, weight))
+        # Every field is checked above, so the Edge is built as the plain tuple it is.
+        edges.append(tuple.__new__(Edge, (len(edges), tail, head, color, weight)))
 
     if header is None:
         raise _parse_fail(1, "missing header 'n q'")
     cls = ColoredDigraph if directed in (None, True) else ColoredMultigraph
-    return cls(header[0], header[1], edges, labels)
+    return cls._trusted(header[0], header[1], tuple(edges), tuple(labels))
 
 
 def _with_edges(graph: _Graph, edges) -> _Graph:
-    """The graph, of the same kind and labels, with `edges` in place of its own; they are stored and checked again."""
-    return type(graph)(graph.n, graph.q, edges, graph.labels)
+    """The graph, of the same kind and labels, with `edges` in place of its own.
+
+    Each transform passes `Edge`s of the checked `graph`, or their flips, so they are stored unchecked.
+    """
+    return type(graph)._trusted(graph.n, graph.q, tuple(edges), graph.labels)
 
 
 def reverse(graph: ColoredDigraph) -> ColoredDigraph:

@@ -2,20 +2,21 @@
 
 Row v holds only v's in-arcs, so rows are stored sparsely as terms, which
 `determinant._reduce` reads too: it rewrites them and sums them for the
-Leibniz bound.  Builders pass lists; `SymbolicMatrix` stores tuples.
+Leibniz bound.  `det_poly` evaluates the rows it leaves at each point
+through `_evaluate`, which `SymbolicMatrix.evaluate` calls once it has
+checked the point.  Builders pass lists; `SymbolicMatrix` stores tuples.
 Color q contributes to the constant term (x_q is fixed to 1).  Every
 matrix the operations take is built by `root_minor`, without the row and
 column of a real root; the full Laplacian is the minor at an added vertex
 with no arcs.  `minor`, which deletes a row and column of any matrix,
 stays the public matrix operation and the tests' reference for it.
 
-`SymbolicMatrix(...)` checks every term.  Two builders skip the checks
-through `SymbolicMatrix._trusted`, because their terms are three ints in
-range by construction: `root_minor`, whose arcs come from a checked graph
-(endpoints in 1..n, colors in 1..q, integer weights) and whose base r is
-checked once, and `determinant._reduce`, whose rest renumbers the columns
-it kept and keeps or lowers the slots of a matrix already built.  So no
-question of a search pays for checks of the engine's own terms.
+`SymbolicMatrix(...)` checks every term.  `root_minor` is the only builder
+that skips the checks, through `SymbolicMatrix._trusted`, because its terms
+are three ints in range by construction: its arcs come from a checked graph
+(endpoints in 1..n, colors in 1..q, integer weights) and its base r is
+checked once.  So no question of a search pays for checks of the engine's
+own terms.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class SymbolicMatrix(Frozen):
 
     @classmethod
     def _trusted(cls, nvars: int, rows) -> SymbolicMatrix:
-        # The matrix without the checks, for the engine's own builders, whose
-        # terms are three ints in range by construction (see the module docstring).
+        # The matrix without the checks, for root_minor, whose terms are
+        # three ints in range by construction (see the module docstring).
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "nvars", nvars)
         object.__setattr__(matrix, "rows", tuple(map(tuple, rows)))
@@ -64,14 +65,19 @@ class SymbolicMatrix(Frozen):
         """Substitute integers for x_1..x_nvars; the entries are exact integers."""
         if len(point) != self.nvars:
             raise ValueError("point length does not match variable count")
-        values = (1, *point)
-        scalar = []
-        for row in self.rows:
-            out = [0] * len(self.rows)
-            for column, slot, coeff in row:
-                out[column] += coeff * values[slot]
-            scalar.append(out)
-        return scalar
+        return _evaluate(self.rows, point)
+
+
+def _evaluate(rows, point: tuple[int, ...]) -> list[list[int]]:
+    # The integer rows of square rows of terms at x_1..x_nvars = point, unchecked.
+    values = (1, *point)
+    scalar = []
+    for row in rows:
+        out = [0] * len(rows)
+        for column, slot, coeff in row:
+            out[column] += coeff * values[slot]
+        scalar.append(out)
+    return scalar
 
 
 def root_minor(n: int, q: int, arcs, root: int, r: int = 1, floor=None) -> SymbolicMatrix:

@@ -9,8 +9,10 @@ pinned with their call counts: the SHA-256 of each call's exit code, stdout
 and stderr, in run order, and the SHA-256 of every polynomial `det_poly`
 returned to the operations (`ccarb.counting.det_poly` and
 `ccarb.minweight.det_poly`), as its sorted (monomial, coefficient) pairs,
-in call order.  A change that alters either on purpose updates its pin
-here and says why in CHANGES.md.  The suite is read, not changed.
+in call order.  Next to them is pinned the engine's work: the number of
+points at which `det_poly` evaluates its reduced rows.  A change that
+alters any of them on purpose updates its pin here and says why in
+CHANGES.md.  The suite is read, not changed.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import ccarb.counting
+import ccarb.determinant
 import ccarb.minweight
 from ccarb.cli import main
 
@@ -32,14 +35,17 @@ PINS = {
     "count_all": {
         "cli": (1524, "8a1b3f2a0b1efb4b059c19730ffda06e900ea2b13b6b909c4a38161fbab64759"),
         "det_poly": (1524, "47923f158d13422707f820bd991e622ed4ffe1b4ef74395d503595d3562d1e7e"),
+        "points": 1584,
     },
     "search": {
         "cli": (1248, "ac7968609f1baef29159cbf55ff69506010366a8bbc744a61331deec966dac9b"),
         "det_poly": (3302, "fbb18b18a1807c8168f43178777eee935daa83d9c3e8fe87b976396af982484c"),
+        "points": 3048,
     },
     "weighted": {
         "cli": (1248, "00b3d35ca46a67af7a45bb8607084455b6b2386230bfb754e9ba88c9ab49462e"),
         "det_poly": (3096, "ad7c354da06df9512016532d44d9a56e8dc7c32c2d00ce0d4fdf5e2e2df1eb6d"),
+        "points": 3022,
     },
 }
 
@@ -62,6 +68,8 @@ def test_cli_bytes_and_polynomials_match_their_pins(monkeypatch, tmp_path, capsy
     returned = []
     for module in (ccarb.counting, ccarb.minweight):
         monkeypatch.setattr(module, "det_poly", lambda matrix, det_poly=module.det_poly: returned.append(det_poly(matrix)) or returned[-1])
+    points, evaluate = [], ccarb.determinant._evaluate
+    monkeypatch.setattr(ccarb.determinant, "_evaluate", lambda rows, point: points.append(None) or evaluate(rows, point))
     # Relative paths, so no message can differ by where it ran.
     monkeypatch.chdir(tmp_path)
     cli, calls = hashlib.sha256(), 0
@@ -77,5 +85,5 @@ def test_cli_bytes_and_polynomials_match_their_pins(monkeypatch, tmp_path, capsy
     engine = hashlib.sha256()
     for poly in returned:
         engine.update(repr(sorted(poly.items())).encode() + b"\n")
-    digests = {"cli": (calls, cli.hexdigest()), "det_poly": (len(returned), engine.hexdigest())}
+    digests = {"cli": (calls, cli.hexdigest()), "det_poly": (len(returned), engine.hexdigest()), "points": len(points)}
     assert digests == PINS[workload]

@@ -15,7 +15,7 @@ from ccarb import counting, determinant, minweight
 from ccarb.cli import main
 from ccarb.counting import count, count_functional, count_spanning_trees, count_table, decide, find
 from ccarb.graph import ColoredDigraph, Edge, parse_graph, remove_edge, remove_in_arcs
-from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor
+from ccarb.laplacian import build_laplacian, minor
 from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, enumerate_functional, is_arborescence
 
@@ -176,8 +176,8 @@ def complete_digraph(q: int) -> ColoredDigraph:
 def test_unused_colors_do_not_grow_the_grid(monkeypatch):
     narrow = count_table(complete_digraph(2), 1)
     calls = []
-    real = SymbolicMatrix.evaluate
-    monkeypatch.setattr(SymbolicMatrix, "evaluate", lambda matrix, point: calls.append(point) or real(matrix, point))
+    real = determinant._evaluate
+    monkeypatch.setattr(determinant, "_evaluate", lambda rows, point: calls.append(point) or real(rows, point))
     wide = count_table(complete_digraph(6), 1)
     # Colors 3-6 are declared but unused, so only x1 and x2 need more than
     # one node.  Each of the 5 minor rows holds both.  A row's absolute
@@ -211,19 +211,25 @@ COMPLETE = "6 {q}\n" + "".join(f"{t} {h} {c}\n" for t in range(1, 7) for h in ra
     ids=["3-vertices", "40-vertex-path", "complete-6-packed", "complete-6-unpacked"],
 )
 def test_thousands_of_unused_colors_take_no_axis(monkeypatch, text, packed_bits, length):
-    # At q = 5,000 the table is the q = 3 table padded with zeros, and every
+    # At q = 5,000 the table is the q = 3 table padded with zeros.  Every
     # point interpolated has one coordinate per unpacked variable that a
-    # reduced row holds: none when x1 and x2 are packed or reduced away, and
-    # two when nothing is packed.  An axis per declared color costs O(q^2).
+    # reduced row holds: two when nothing is packed, and none when x1 and x2
+    # are packed or reduced away, which leaves nothing to interpolate.  The
+    # complete graph's 5 rows give degree 5 on each such axis, so the points
+    # evaluated are the C(5 + length, length) with coordinates summing to at
+    # most 5: one, or 21.  An axis per declared color costs O(q^2).
     monkeypatch.setattr(determinant, "PACKED_BITS", packed_bits)
     # Vertex 1, the first label read, is the root.
     narrow = count_table(parse_graph(text.format(q=3)), 1)
-    points = []
-    real = determinant.interpolate
-    monkeypatch.setattr(determinant, "interpolate", lambda values: points.extend(values) or real(values))
+    evaluated, interpolated = [], []
+    evaluate, interpolate = determinant._evaluate, determinant.interpolate
+    monkeypatch.setattr(determinant, "_evaluate", lambda rows, point: evaluated.append(point) or evaluate(rows, point))
+    monkeypatch.setattr(determinant, "interpolate", lambda values: interpolated.extend(values) or interpolate(values))
     wide = count_table(parse_graph(text.format(q=5000)), 1)
     assert narrow and wide == {alpha + (0,) * 4997: value for alpha, value in narrow.items()}
-    assert {len(point) for point in points} == {length}
+    assert {len(point) for point in interpolated} == ({length} if length else set())
+    assert len(evaluated) == math.comb(5 + length, length)
+    assert {len(point) for point in evaluated} == {4999}
 
 
 def test_find_asks_about_the_first_in_arc_then_halves(monkeypatch):

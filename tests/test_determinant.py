@@ -31,22 +31,22 @@ from support import (
 )
 
 
-EVALUATE = SymbolicMatrix.evaluate
+EVALUATE = determinant._evaluate
 
 
 @pytest.fixture
 def evaluated(monkeypatch):
-    """The points at which SymbolicMatrix.evaluate is called, in call order."""
+    """The points at which det_poly evaluates its reduced rows, in call order."""
     points = []
-    monkeypatch.setattr(SymbolicMatrix, "evaluate", lambda matrix, point: points.append(point) or EVALUATE(matrix, point))
+    monkeypatch.setattr(determinant, "_evaluate", lambda rows, point: points.append(point) or EVALUATE(rows, point))
     return points
 
 
 def det_poly_and_points(matrix: SymbolicMatrix) -> tuple[dict, list]:
-    """det_poly(matrix) and the points at which it evaluates the matrix, in call order."""
+    """det_poly(matrix) and the points at which it evaluates its reduced rows, in call order."""
     points = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SymbolicMatrix, "evaluate", lambda m, point: points.append(point) or EVALUATE(m, point))
+        patch.setattr(determinant, "_evaluate", lambda rows, point: points.append(point) or EVALUATE(rows, point))
         return det_poly(matrix), points
 
 
@@ -223,7 +223,7 @@ class TestDetPoly:
             assert det_poly(m) == expected
             nonzero += bool(expected)
             for point in evaluated:
-                swapped += EVALUATE(m, point)[0][0] == 0
+                swapped += m.evaluate(point)[0][0] == 0
                 singular += poly_eval(expected, point) == 0
         assert swapped and singular and nonzero
 

@@ -3,16 +3,20 @@ import itertools
 import pickle
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccarb import graph as graph_module
+from ccarb.cli import main
 from ccarb.graph import (
     ColoredDigraph,
     ColoredMultigraph,
     Edge,
     GraphParseError,
+    _Graph,
     bidirect,
     color_histogram,
     dedup_min_weight,
@@ -27,7 +31,7 @@ from ccarb.counting import count, count_table
 from ccarb.minweight import min_weight
 from ccarb.oracle import enumerate_arborescences
 
-from support import small_digraphs
+from support import recorded, small_digraphs
 
 
 @st.composite
@@ -315,6 +319,61 @@ class TestIsArborescence:
         assert not is_arborescence(g, 1, (0, 1))
         assert not is_arborescence(g, 1, (0, 2))
         assert not is_arborescence(ColoredDigraph(1, 1, (Edge(0, 1, 1, 1),)), 1, (0,))
+
+
+def assert_rebuilds(g) -> None:
+    """`g`, built unchecked, is a graph the checks accept: its checked rebuild equals it, id map included."""
+    assert all(type(e) is Edge for e in g.edges)
+    rebuilt = type(g)(g.n, g.q, g.edges, g.labels)
+    assert rebuilt == g and rebuilt._edges_by_id == g._edges_by_id
+
+
+def graph_file(g, orientation: str | None) -> str:
+    """`g` as a graph file, its vertices labelled v1..vn, with the orientation line if one is given."""
+    lines = [f"{g.n} {g.q}", *([orientation] if orientation else [])]
+    lines += [" ".join(str(field) for field in (f"v{e.tail}", f"v{e.head}", e.color, e.weight) if field is not None) for e in g.edges]
+    return "\n".join(lines) + "\n"
+
+
+class TestUnchecked:
+    """The parser and the transforms build their graphs without the checks; each is one the checks accept."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans().flatmap(lambda weights: small_digraphs(weights=weights)), st.sampled_from([None, "directed", "undirected"]), st.data())
+    def test_every_graph_built_unchecked_equals_its_checked_rebuild(self, g, orientation, data):
+        parsed = parse_graph(graph_file(g, orientation))
+        assert_rebuilds(parsed)
+        assert_rebuilds(remove_edge(parsed, *data.draw(st.lists(st.sampled_from([e.id for e in g.edges]))) if g.edges else ()))
+        if orientation == "undirected":
+            return
+        reachability, asked = [], 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_module, "reaches_all", lambda built, root: reachability.append(built) or reaches_all(built, root))
+            for root in range(1, g.n + 1):
+                # One in-arc of every other vertex, where each has one: its heads pass, so its graph is built.
+                firsts = {e.head: e.id for e in parsed.edges if e.head != root}
+                if len(firsts) == g.n - 1:
+                    is_arborescence(parsed, root, firsts.values())
+                    asked += 1
+                assert_rebuilds(remove_in_arcs(parsed, root))
+        assert len(reachability) == asked
+        for built in (reverse(parsed), dedup_min_weight(parsed), *reachability):
+            assert_rebuilds(built)
+
+    def test_cli_operations_make_no_checked_construction(self, monkeypatch, tmp_path, capsys):
+        # Rooted at s, the trees {sb, ba}, {sa, sb} and {sa, ab} take 0, 1 and
+        # 2 arcs of color 1; a has two candidates, sa and ba, so find and
+        # find-min each ask one question, and find-min takes {sa, sb}, of weight 3.
+        monkeypatch.chdir(tmp_path)
+        Path("g").write_text("3 2\ns a 1 1\ns b 2 2\na b 1 3\nb a 2 1\n", encoding="utf-8")
+        built = recorded(monkeypatch, _Graph, "__init__")
+        for command in ("count-all", "find", "min-weight", "find-min"):
+            assert main([command, "g", "--root", "s", *(["--alpha", "1"] if command != "count-all" else [])]) == 0
+        assert capsys.readouterr().out == "0\t1\n1\t1\n2\t1\ns a 1 1\ns b 2 2\n3\n3\ns a 1 1\ns b 2 2\n"
+        assert built == []
+        # The spy sees the public constructor, which keeps every check.
+        ColoredDigraph(1, 1, ())
+        assert len(built) == 1
 
 
 class TestBidirect:

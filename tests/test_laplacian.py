@@ -166,9 +166,11 @@ class TestUnchecked:
 
     @settings(max_examples=200, deadline=None)
     @given(st.booleans().flatmap(lambda weights: small_digraphs(weights=weights)), st.data())
-    def test_every_root_minor_and_rest_passes_the_checks(self, graph, data):
+    def test_every_root_minor_passes_the_checks_and_reduces_in_range(self, graph, data):
         # At every root, at a base r from -3 to 7, and for a weighted graph
-        # also lowered by each vertex's lightest in-weight as find_min lowers it.
+        # also lowered by each vertex's lightest in-weight as find_min lowers
+        # it.  det_poly evaluates the reduced rows unchecked, so each must
+        # hold only the columns of the rows kept and slots 0..nvars.
         r = data.draw(st.integers(-3, 7))
         for root in range(1, graph.n + 1):
             floors = [None]
@@ -179,8 +181,10 @@ class TestUnchecked:
                 assert SymbolicMatrix(built.nvars, built.rows) == built
                 reduced = _reduce(built)
                 if reduced is not None:
-                    rest = reduced[2]
-                    assert SymbolicMatrix(rest.nvars, rest.rows) == rest
+                    entries = reduced[2]
+                    assert set(entries) <= set(range(built.dim))
+                    for row in entries.values():
+                        assert all(j in entries and 0 <= slot <= built.nvars for j, slot in row)
 
     def test_find_and_find_min_make_no_checked_construction(self, monkeypatch):
         # Rooted at s, vertex a has two candidates, sa and ba, so each asks

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccarb import counting, minweight
+from ccarb import counting, determinant, minweight
 from ccarb.cli import main
 from ccarb.counting import Arborescence, count, count_table
 from ccarb.graph import ColoredDigraph, Edge, parse_graph
-from ccarb.laplacian import SymbolicMatrix, root_minor
+from ccarb.laplacian import root_minor
 from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, is_arborescence, oracle_min_weight
 
@@ -224,10 +224,10 @@ def test_heavy_weights_take_few_evaluations(monkeypatch, operation, points_taken
     graphs = {extra: parse_graph(raised(HEAVY, "c", extra)) for extra in (0, 1000)}
     assert [count(graph, 1, (3,)) for graph in graphs.values()] == [21, 21]
     points = {}
-    real = SymbolicMatrix.evaluate
+    real = determinant._evaluate
     for extra, graph in graphs.items():
         taken = points[extra] = []
-        monkeypatch.setattr(SymbolicMatrix, "evaluate", lambda matrix, point: taken.append(point) or real(matrix, point))
+        monkeypatch.setattr(determinant, "_evaluate", lambda rows, point: taken.append(point) or real(rows, point))
         result = operation(graph, 1, (3,))
         assert (result if operation is min_weight else result[1]) == 1200 + extra
         assert len(taken) == points_taken
