@@ -18,11 +18,9 @@ from .graph import (
     bidirect,
     dedup_min_weight,
     parse_graph,
-    remove_edge,
-    remove_in_arcs,
     reverse,
 )
-from .laplacian import SymbolicMatrix, build_laplacian, minor
+from .laplacian import SymbolicMatrix, build_laplacian
 from .minweight import c_alpha_r, find_min, min_weight
 from .polynomials import render_poly
 
@@ -48,10 +46,7 @@ __all__ = [
     "find",
     "find_min",
     "min_weight",
-    "minor",
     "parse_graph",
-    "remove_edge",
-    "remove_in_arcs",
     "render_poly",
     "reverse",
 ]

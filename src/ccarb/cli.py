@@ -99,7 +99,7 @@ def _answer(args) -> dict:
     """The subcommand's answer: exactly the object that --json prints."""
     try:
         text = args.graph.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {args.graph}: {exc}") from None
     graph = parse_graph(text)
     # count-all takes no --alpha; the library checks the entry count and signs.

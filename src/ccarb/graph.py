@@ -69,8 +69,8 @@ class _Graph(Frozen):
     i for the first `len(labels)` vertices.  Edge ids are input-order ordinals, every loop over edges
     runs in ascending id, and transforms return new graphs.  Both public constructors check every
     field; `_trusted` builds, unchecked, the graphs whose fields are checked already: the parser's,
-    which checks each field as it reads it, the transforms' of a checked graph and the reachability
-    graph of `is_arborescence`.
+    which checks each field as it reads it, the transforms' of a checked graph, `bidirect`'s arcs of
+    a checked multigraph and the reachability graph of `is_arborescence`.
     """
 
     _fields = ("n", "q", "edges", "labels")
@@ -327,6 +327,7 @@ def reaches_all(graph: ColoredDigraph, root: int) -> bool:
     return len(seen) == graph.n
 
 
+# No operation calls these two; kept for benchmark/spans.py's tracer and the tests until ROADMAP items 1 and 12.
 def remove_in_arcs(graph: ColoredDigraph, vertex: int) -> ColoredDigraph:
     """Delete every arc whose head is `vertex`.  Only directed graphs are accepted."""
     check_directed(graph)
@@ -344,6 +345,6 @@ def bidirect(graph: ColoredMultigraph) -> ColoredDigraph:
     """Replace each undirected edge {u, v} by the arc pair (u, v), (v, u)."""
     arcs: list[Edge] = []
     for e in graph.edges:
-        arcs.append(Edge(len(arcs), e.tail, e.head, e.color, e.weight))
-        arcs.append(Edge(len(arcs), e.head, e.tail, e.color, e.weight))
-    return ColoredDigraph(graph.n, graph.q, arcs, graph.labels)
+        arcs.append(tuple.__new__(Edge, (len(arcs), e.tail, e.head, e.color, e.weight)))
+        arcs.append(tuple.__new__(Edge, (len(arcs), e.head, e.tail, e.color, e.weight)))
+    return ColoredDigraph._trusted(graph.n, graph.q, tuple(arcs), graph.labels)

@@ -8,15 +8,14 @@ checked the point.  Builders pass lists; `SymbolicMatrix` stores tuples.
 Color q contributes to the constant term (x_q is fixed to 1).  Every
 matrix the operations take is built by `root_minor`, without the row and
 column of a real root; the full Laplacian is the minor at an added vertex
-with no arcs.  `minor`, which deletes a row and column of any matrix,
-stays the public matrix operation and the tests' reference for it.
+with no arcs.
 
-`SymbolicMatrix(...)` checks every term.  `root_minor` is the only builder
-that skips the checks, through `SymbolicMatrix._trusted`, because its terms
-are three ints in range by construction: its arcs come from a checked graph
-(endpoints in 1..n, colors in 1..q, integer weights) and its base r is
-checked once.  So no question of a search pays for checks of the engine's
-own terms.
+`SymbolicMatrix(...)` checks every term.  `root_minor`, the only builder
+that skips the checks (through `SymbolicMatrix._trusted`), trusts its
+callers: its arcs come from a checked graph (endpoints in 1..n, colors in
+1..q, integer weights), its root is a checked vertex or the added one, and
+its base r is an int, checked where it enters, in `minweight.c_alpha_r`.
+So no question of a search pays for checks of the engine's own terms.
 """
 
 from __future__ import annotations
@@ -94,8 +93,6 @@ def root_minor(n: int, q: int, arcs, root: int, r: int = 1, floor=None) -> Symbo
     root's row, so they are skipped.  Parallel arcs add up, so the
     determinant sums over them as over distinct arcs.
     """
-    check_index(root, "root", n)
-    r = check_integer(r, "base r")
     column = [v - 1 - (v > root) for v in range(n + 1)]
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n - 1)]
     # An Edge is the tuple of its fields, and unpacking it beats reading them by name.
@@ -116,6 +113,7 @@ def build_laplacian(graph: ColoredDigraph) -> SymbolicMatrix:
     return root_minor(graph.n + 1, graph.q, graph.edges, graph.n + 1)
 
 
+# No operation calls `minor`; kept for benchmark/spans.py's tracer and the tests until ROADMAP items 1 and 12.
 def minor(matrix: SymbolicMatrix, index: int) -> SymbolicMatrix:
     """Delete row and column `index` (1-based); remaining order is preserved."""
     check_index(index, "index", matrix.dim)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .counting import Arborescence, _checked_alpha, _checked_root, _search, count_table
 from .determinant import det_poly
-from .graph import ColoredDigraph, lightest, reaches_all
+from .graph import ColoredDigraph, check_integer, lightest, reaches_all
 from .laplacian import root_minor
 
 
@@ -44,8 +44,10 @@ def c_alpha_r(graph: ColoredDigraph, root: int, alpha, r: int) -> int:
     Laplacian minor at the root that `root_minor` builds from the arcs with
     the values r^w(e).  A graph with a vertex unreachable from the root has
     no arborescence and sums to 0 without a determinant.  Raises ValueError
-    where `count` does, and on an unweighted graph even if that sum is 0.
+    where `count` does, on an unweighted graph even if that sum is 0, and
+    on an r that is not an integer (`root_minor` trusts its base).
     """
+    r = check_integer(r, "base r")
     constraint = _checked(graph, root, alpha)
     if not reaches_all(graph, root):
         return 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccarb import graph as graph_module
+from ccarb import graph as graph_module, laplacian
 from ccarb.cli import main
 from ccarb.graph import (
     ColoredDigraph,
@@ -28,10 +28,11 @@ from ccarb.graph import (
     reverse,
 )
 from ccarb.counting import count, count_table
+from ccarb.laplacian import SymbolicMatrix
 from ccarb.minweight import min_weight
 from ccarb.oracle import enumerate_arborescences
 
-from support import recorded, small_digraphs
+from support import recorded, small_digraphs, small_multigraphs
 
 
 @st.composite
@@ -343,6 +344,7 @@ class TestUnchecked:
     def test_every_graph_built_unchecked_equals_its_checked_rebuild(self, g, orientation, data):
         parsed = parse_graph(graph_file(g, orientation))
         assert_rebuilds(parsed)
+        assert_rebuilds(bidirect(data.draw(small_multigraphs())))
         assert_rebuilds(remove_edge(parsed, *data.draw(st.lists(st.sampled_from([e.id for e in g.edges]))) if g.edges else ()))
         if orientation == "undirected":
             return
@@ -364,13 +366,20 @@ class TestUnchecked:
         # Rooted at s, the trees {sb, ba}, {sa, sb} and {sa, ab} take 0, 1 and
         # 2 arcs of color 1; a has two candidates, sa and ba, so find and
         # find-min each ask one question, and find-min takes {sa, sb}, of weight 3.
+        # The triangle u has two spanning trees with one edge of color 1,
+        # {sa, ab} and {sb, ab}.  Every input is checked once, as it is parsed:
+        # no graph or matrix is built checked, and no minor checks its root or base.
         monkeypatch.chdir(tmp_path)
         Path("g").write_text("3 2\ns a 1 1\ns b 2 2\na b 1 3\nb a 2 1\n", encoding="utf-8")
+        Path("u").write_text("3 2\nundirected\ns a 1\ns b 2\na b 1\n", encoding="utf-8")
         built = recorded(monkeypatch, _Graph, "__init__")
-        for command in ("count-all", "find", "min-weight", "find-min"):
+        matrices = recorded(monkeypatch, SymbolicMatrix, "__init__")
+        checks = [recorded(monkeypatch, laplacian, name) for name in ("check_index", "check_integer")]
+        for command in ("count-all", "count", "decide", "find", "min-weight", "find-min"):
             assert main([command, "g", "--root", "s", *(["--alpha", "1"] if command != "count-all" else [])]) == 0
-        assert capsys.readouterr().out == "0\t1\n1\t1\n2\t1\ns a 1 1\ns b 2 2\n3\n3\ns a 1 1\ns b 2 2\n"
-        assert built == []
+        assert main(["spanning-trees", "u", "--alpha", "1"]) == 0
+        assert capsys.readouterr().out == "0\t1\n1\t1\n2\t1\n1\nyes\ns a 1 1\ns b 2 2\n3\n3\ns a 1 1\ns b 2 2\n2\n"
+        assert built == [] and matrices == [] and checks == [[], []]
         # The spy sees the public constructor, which keeps every check.
         ColoredDigraph(1, 1, ())
         assert len(built) == 1

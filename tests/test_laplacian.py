@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccarb import counting
+from ccarb import counting, laplacian
 from ccarb.counting import find
 from ccarb.determinant import _reduce
 from ccarb.graph import ColoredDigraph, Edge, lightest, parse_graph, reverse
@@ -154,12 +154,6 @@ class TestRootMinor:
         arcs = (Edge(0, 1, 2, 1, 5), Edge(1, 2, 3, 2, 3), Edge(2, 3, 1, 1, 2))
         assert root_minor(3, 2, arcs, 2, 2).rows == (((0, 1, 4), (1, 1, -4)), ((1, 0, 8),))
 
-    @pytest.mark.parametrize("r", [2.0, True, "2"])
-    def test_base_must_be_an_integer(self, r):
-        # Its terms are built unchecked, so a float base would reach the engine.
-        with pytest.raises(ValueError, match=re.escape(f"base r {r!r} is not an integer")):
-            root_minor(2, 1, (Edge(0, 1, 2, 1, 1),), 1, r)
-
 
 class TestUnchecked:
     """The engine builds its own matrices without the checks; each is one the checks accept."""
@@ -188,15 +182,18 @@ class TestUnchecked:
 
     def test_find_and_find_min_make_no_checked_construction(self, monkeypatch):
         # Rooted at s, vertex a has two candidates, sa and ba, so each asks
-        # one question after its count: counting takes 2 + 2 determinants.
+        # one question after its count: counting takes 2 + 2 determinants,
+        # and find_min's lowered minor makes a fifth.  root_minor trusts its
+        # callers, so none of the five minors checks its root or its base.
         graph = parse_graph("3 2\ns a 1 1\ns b 2 2\na b 1 3\nb a 2 1\n")
         built = recorded(monkeypatch, SymbolicMatrix, "__init__")
+        checks = [recorded(monkeypatch, laplacian, name) for name in ("check_index", "check_integer")]
         determinants = recorded(monkeypatch, counting, "det_poly")
         assert find(graph, 1, (1,)) == (1, (0, 1)) and find_min(graph, 1, (1,)) == ((1, (0, 1)), 3)
-        assert len(determinants) == 4 and built == []
-        # The spy sees the public constructor, which keeps every check.
+        assert len(determinants) == 4 and built == [] and checks == [[], []]
+        # The spies see the public constructor, which keeps every check.
         SymbolicMatrix(0, ())
-        assert len(built) == 1
+        assert len(built) == 1 and checks == [[], [(0, "variable count")]]
 
 
 class TestEvaluate:

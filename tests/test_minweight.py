@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 import random
+import re
 import sys
 from pathlib import Path
 from unittest import mock
@@ -107,6 +108,14 @@ def test_c_alpha_r_is_the_weight_enumerator_at_r(inst, r):
         if color_histogram(graph, arb.edge_ids)[: graph.q - 1] == alpha
     )
     assert c_alpha_r(graph, root, alpha, r) == expected
+
+
+@pytest.mark.parametrize("r", [2.0, True, "2"])
+def test_c_alpha_r_base_must_be_an_integer(r):
+    # root_minor builds its terms unchecked and trusts its base, so c_alpha_r,
+    # where a base enters from outside, checks it before a float reaches the engine.
+    with pytest.raises(ValueError, match=re.escape(f"base r {r!r} is not an integer")):
+        c_alpha_r(parse_graph("2 1\ns a 1 1\n"), 1, (), r)
 
 
 def test_parallel_arcs_of_one_color_are_all_counted():
