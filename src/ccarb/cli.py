@@ -24,7 +24,7 @@ from gettext import gettext
 from pathlib import Path
 
 from .counting import count, count_table, count_spanning_trees, decide, find
-from .graph import parse_graph
+from .graph import decimal, parse_graph
 from .minweight import find_min, min_weight
 from .polynomials import render_poly
 
@@ -105,7 +105,7 @@ def _answer(args) -> dict:
     # count-all takes no --alpha; the library checks the entry count and signs.
     alpha_text = getattr(args, "alpha", None) or ""
     try:
-        alpha = tuple(int(part) for part in alpha_text.split(",")) if alpha_text.strip() else ()
+        alpha = tuple(decimal(part) for part in alpha_text.split(",")) if alpha_text.strip() else ()
     except ValueError:
         raise ValueError(f"invalid --alpha {alpha_text!r}") from None
     if args.command == "spanning-trees":
@@ -158,7 +158,3 @@ def main(argv: list[str] | None = None) -> int:
         import json  # here, so that no text call pays its import at start-up
     print(json.dumps(answer) + "\n" if args.json else _render(answer), end="")
     return int(any(value is None or value is False for value in answer.values()))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -16,22 +16,21 @@ again.  The rows left are returned as they are, not built into a matrix.
 Then the rest is packed and interpolated.  Every entry is affine in all the
 variables together, so the reduced determinant's degree in x_c is at most
 the number d_c of its rows that contain x_c, and its total degree at most
-the number t of its rows that contain any variable.  A variable in no row
-has degree 0, so it takes no axis and no digit: a color declared but unused
-costs nothing.  The others, in order of most rows (the first on ties), are
-packed while the packed values fit in PACKED_BITS (Kronecker substitution:
-L. Kronecker, J. reine angew. Math. 92, 1882): x_c is set to
-2^(bits stride_c), stride_c the product of d + 1 over the variables packed
-before it.  The reduced rows are evaluated at each point of the lower set
-{k : k_c <= d_c, sum(k) <= t} over the other variables in some row, each
-determinant is taken exactly by fraction-free (Bareiss) elimination, and
-the values are interpolated over Z when some such variable is left; else
-the one value is the packed polynomial.  Digit i of a coefficient (or of
-that value), in balanced base 2^bits, is the coefficient of the packed
-monomial with k_c = floor(i / stride_c) mod (d_c + 1); bits exceeds the bit
-length of the Leibniz bound (the product of the rows' absolute term sums)
-by one or more, so no digit carries.  With nothing packed there is one
-digit.  The factors taken out scale and shift the result.
+the number t of its rows that contain any variable.  The variables that
+some row holds are put in one order, most rows first (the first on ties).
+Its prefix is packed while the values fit in PACKED_BITS (Kronecker
+substitution: L. Kronecker, J. reine angew. Math. 92, 1882), x_c set to
+2^(bits stride_c), stride_c the product of d + 1 over the variables before
+it.  The rows are evaluated at the packed values followed by each point of
+the lower set {k : k_c <= d_c, sum(k) <= t} over the rest, so an unused
+color costs nothing per point; each determinant is exact by fraction-free
+(Bareiss) elimination, and the values are interpolated over Z when a free
+variable is left, else the one value is the packed polynomial.  Digit i of
+a coefficient (or of that value), in balanced base 2^bits, is the
+coefficient of the packed monomial with k_c = floor(i / stride_c) mod
+(d_c + 1); bits exceeds the bit length of the Leibniz bound (the product of
+the rows' absolute term sums) by one or more, so no digit carries.  The
+factors taken out scale and shift the result.
 """
 
 from __future__ import annotations
@@ -82,15 +81,15 @@ def _bareiss(rows: list[list[int]]) -> int:
     return sign * prev
 
 
-def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], dict[int, dict[tuple[int, int], int]], list[int], int, int] | None:
-    # (scale, exponents, entries, rows, degree, bound) with det(matrix) =
-    # scale * x^exponents * det(entries), or None when a row is zero.  Rows
-    # and columns keep their indices: entries maps each row i left to a map
-    # of each (column, slot) to its coefficient, zeros included until the
-    # row is next taken, and holds only the columns of the rows left.
-    # rows[c - 1] counts the rows left holding x_c, degree those holding any
-    # variable, and bound is the Leibniz bound.  One worklist pass: a row is
-    # queued again only when its entries change.
+def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], dict[int, dict[tuple[int, int], int]], dict[int, int], int, int] | None:
+    # (scale, exponents, entries, rows, degree, bound) with det(matrix) = scale * x^exponents *
+    # det(entries), or None when a row is zero.  Rows and columns keep their indices: entries maps
+    # each row i left to a map of each (column, slot) to its coefficient, zeros included until the
+    # row is next taken, and holds only the columns of the rows left.  rows maps each x_c that a row
+    # left holds to its row count: det_poly orders these alone, most rows first, packs a prefix and
+    # makes a point the packed values, then the free ones, so an unused color costs nothing per
+    # point.  degree counts the rows holding any variable, and bound is the Leibniz bound.  One
+    # worklist pass: a row is queued again only when its entries change.
     entries: dict[int, dict[tuple[int, int], int]] = {}
     used = set()
     for i, terms in enumerate(matrix.rows):
@@ -152,14 +151,14 @@ def _reduce(matrix: SymbolicMatrix) -> tuple[int, list[int], dict[int, dict[tupl
                         other[u, slot] = other.get((u, slot), 0) + coeff
             if moved:
                 queue.append(i)
-    counts, degree, bound = [0] * (matrix.nvars + 1), 0, 1
+    counts, degree, bound = {}, 0, 1
     for row in entries.values():
-        slots = {slot for _, slot in row}
+        slots = {slot for _, slot in row if slot}
         for slot in slots:
-            counts[slot] += 1
-        degree += any(slots)
+            counts[slot] = counts.get(slot, 0) + 1
+        degree += bool(slots)
         bound *= sum(map(abs, row.values()))
-    return scale, exponents, entries, counts[1:], degree, bound
+    return scale, exponents, entries, counts, degree, bound
 
 
 def _digits(packed: int, bits: int, count: int) -> list[int]:
@@ -175,45 +174,43 @@ def det_poly(matrix: SymbolicMatrix) -> Poly:
     """Exact integer determinant polynomial of a symbolic matrix.
 
     Every coefficient is returned as its exact, possibly negative, integer.
-    The matrix is reduced, the variables that fit in PACKED_BITS are packed
-    into mixed-radix base-2^bits digits, and the lower set of the others is
-    evaluated and interpolated (see the module docstring).
+    The matrix is reduced, and in one order of its variables a prefix is
+    packed and the rest interpolated (see the module docstring).
     """
     reduced = _reduce(matrix)
     if reduced is None:
         return {}
     scale, exponents, entries, rows, degree, bound = reduced
-    # The rows left as terms, their columns renumbered 0..dim-1 once per call.
-    index = {j: k for k, j in enumerate(entries)}
-    terms = [[(index[j], slot, coeff) for (j, slot), coeff in row.items()] for row in entries.values()]
     # A sign bit over the Leibniz bound, in whole bytes for _digits.
     bits = 8 * -(-(bound.bit_length() + 1) // 8)
-    used = [c for c in range(matrix.nvars) if rows[c]]
-    strides, size = {}, 1
-    for c in sorted(used, key=rows.__getitem__, reverse=True):
+    # One order, most rows first (the first on ties): a packed prefix, digit i holding x_c^(i // stride % radix)
+    # for each (c, stride, radix), then the free axes.  The rows left become terms in it, columns 0..dim-1.
+    order = sorted(rows, key=lambda c: (-rows[c], c))
+    radices, size = [], 1
+    for c in order:
         if size * (rows[c] + 1) * bits > PACKED_BITS:
             break
-        strides[c], size = size, size * (rows[c] + 1)
-    free = [c for c in used if c not in strides]
-    x = [1 << bits * strides[c] if c in strides else 0 for c in range(matrix.nvars)]
+        radices.append((c, size, rows[c] + 1))
+        size *= rows[c] + 1
+    free = order[len(radices) :]
+    index = {j: k for k, j in enumerate(entries)}
+    place = {c: k for k, c in enumerate([0, *order])}
+    terms = [[(index[j], place[slot], coeff) for (j, slot), coeff in row.items()] for row in entries.values()]
+    packed = tuple(1 << bits * stride for _, stride, _ in radices)
     values = {}
     for point in itertools.product(*(range(1 + rows[c]) for c in free)):
         if sum(point) <= degree:
-            for c, k in zip(free, point):
-                x[c] = k
-            values[point] = _bareiss(_evaluate(terms, tuple(x)))
-    # Digit i holds x_c^(i // stride % radix) for each packed (c, stride, radix).
-    radices = [(c, stride, rows[c] + 1) for c, stride in strides.items()]
+            values[point] = _bareiss(_evaluate(terms, packed + point))
     poly = {}
     for point, value in (interpolate(values) if free else values).items():
         base = exponents.copy()
         for c, k in zip(free, point):
-            base[c] += k
+            base[c - 1] += k
         for i, digit in enumerate(_digits(value, bits, size)):
             if digit:
                 mono = base.copy()
                 for c, stride, radix in radices:
-                    mono[c] += i // stride % radix
+                    mono[c - 1] += i // stride % radix
                 poly[tuple(mono)] = scale * digit
     return poly
 

@@ -163,6 +163,13 @@ def check_integer(value, name: str) -> int:
     raise ValueError(f"{name} {value!r} is not an integer")
 
 
+def decimal(text: str) -> int:
+    """An optional sign and ASCII digits, spaces around, as an int; int() alone also reads 1_000 and non-ASCII digits."""
+    if text.isascii() and "_" not in text:
+        return int(text)
+    raise ValueError(f"{text!r} is not a decimal integer")
+
+
 def check_index(value, name: str, top: int) -> None:
     """Refuse `value` unless it is an integer in 1..top; the message names it."""
     if not (1 <= check_integer(value, name) <= top):
@@ -228,7 +235,7 @@ def parse_graph(text: str) -> ColoredDigraph | ColoredMultigraph:
 
     def integer(token: str, line_no: int, message: str) -> int:
         try:
-            return int(token)
+            return decimal(token)
         except ValueError:
             raise _parse_fail(line_no, message) from None
 

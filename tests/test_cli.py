@@ -1,8 +1,11 @@
 """The command-line contract: exit codes, --json mirroring the text, --workers inertness.
 
-The help and argparse refusal pins are the bytes of Python 3.10, 3.11 and
-3.12; 3.13's argparse wraps the top-level usage line differently.  The CLI
-was run on all four, but the suite itself only on 3.11.
+The help and argparse refusal pins hold on Python 3.10 to 3.13.  3.13's
+argparse wraps the top-level usage block onto two lines where 3.10 to 3.12
+use three, so that block (TOP_USAGE) is pinned per version; every other
+byte is the same on all four.  The CLI's help and refusals were compared on
+all four, and the suite itself has run on 3.11, 3.12 and 3.13; on 3.10 only
+tests/test_python_floor.py's grammar check stands for it.
 """
 
 import argparse
@@ -60,6 +63,20 @@ CASES = [
     ),
 ]
 
+# Integer fields are an optional sign and ASCII digits, refused with the
+# message of any other non-integer: int() alone would read 1_000 as 1000
+# and a non-ASCII digit (Arabic-Indic 3, fullwidth 1) as its value.
+SPELLINGS = [
+    (
+        ["min-weight", "--root", "s", "--alpha", "2"],
+        WEIGHTED.replace("a b 1 3", "a b 1 1_000"),
+        "line 4: weight must be an integer",
+    ),
+    (["count", "--root", "s", "--alpha", "2"], "\u0663" + DIRECTED[1:], "line 1: header values must be integers"),
+    (["count", "--root", "s", "--alpha", "\uff11"], DIRECTED, "invalid --alpha '\uff11'"),
+    (["count", "--root", "s", "--alpha", "1_0"], DIRECTED, "invalid --alpha '1_0'"),
+]
+
 # Inputs every subcommand must reject with exit code 2 and a message.
 ERRORS = [
     (["count", "--root", "s", "--alpha", "1"], UNDIRECTED),
@@ -86,6 +103,7 @@ ERRORS = [
     (["min-weight", "--root", "a", "--alpha", "1"], WEIGHTED_UNDIRECTED),
     (["find-min", "--root", "a", "--alpha", "1"], WEIGHTED_UNDIRECTED),
     (["count", "--root", "s"], HASH_LABEL),
+    *((argv, text) for argv, text, _ in SPELLINGS),
 ]
 
 COMMANDS = ["count", "count-all", "decide", "find", "min-weight", "find-min", "spanning-trees"]
@@ -156,6 +174,12 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, argv, text):
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert err.endswith("\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, text, error", SPELLINGS)
+def test_integer_fields_are_ascii_decimal(tmp_path, capsys, argv, text, error):
+    for extra in ([], ["--json"]):
+        assert run(tmp_path, capsys, argv + extra, text) == (2, "", f"error: {error}\n")
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
@@ -249,13 +273,25 @@ def test_module_entry_point_exits_with_mains_status(tmp_path, alpha, code):
 
 # argparse's exact output at COLUMNS=80, for every --help and for the
 # refusals that argparse makes itself, each of which prints the usage block
-# of the parser that refuses it: the bytes of Python 3.10 to 3.12 (see the
-# module docstring).
-HELP = {
-    None: """\
+# of the parser that refuses it (see the module docstring for the versions).
+# The top-level usage block: 3.13's argparse keeps the choices' "..." on
+# their line, where 3.10 to 3.12 give it a line of its own.
+TOP_USAGE = (
+    """\
 usage: ccarb [-h]
              {count,count-all,decide,find,min-weight,find-min,spanning-trees}
              ...
+"""
+    if sys.version_info < (3, 13)
+    else """\
+usage: ccarb [-h]
+             {count,count-all,decide,find,min-weight,find-min,spanning-trees} ...
+"""
+)
+
+HELP = {
+    None: TOP_USAGE
+    + """\
 
 Count, decide, find, and weight-minimize color-constrained arborescences.
 

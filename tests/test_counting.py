@@ -184,10 +184,11 @@ def test_unused_colors_do_not_grow_the_grid(monkeypatch):
     # terms sum to 5 + 5 on the diagonal plus 2 in each of the 4 other
     # columns, 18, and 18^5 < 2^21 makes digits of 24 bits.  x1 is packed
     # into 6 digits and x2 into 6 more with stride 6: 36 digits, 864 bits,
-    # below PACKED_BITS.  x3, x4 and x5 sit in no row and take their one
-    # node, 0: 1 point, where the grid without packing takes a, b <= 5 with
-    # a + b <= 5, C(7, 2) = 21, and n^(q-1) = 7,776.
-    assert calls == [(1 << 24, 1 << 144, 0, 0, 0)]
+    # below PACKED_BITS.  x3, x4 and x5 sit in no row and take no place in
+    # the point, which is x1's and x2's packed values: 1 point, where the
+    # grid without packing takes a, b <= 5 with a + b <= 5, C(7, 2) = 21,
+    # and n^(q-1) = 7,776.
+    assert calls == [(1 << 24, 1 << 144)]
     # Each alpha's full histogram (a, 5 - a) padded with zeros to q-1 = 5 colors.
     assert wide == {(a, 5 - a, 0, 0, 0): value for (a,), value in narrow.items()}
 
@@ -201,23 +202,26 @@ COMPLETE = "6 {q}\n" + "".join(f"{t} {h} {c}\n" for t in range(1, 7) for h in ra
 
 
 @pytest.mark.parametrize(
-    "text, packed_bits, length",
+    "text, packed_bits, length, held",
     [
-        (THREE_VERTICES, determinant.PACKED_BITS, 0),
-        (PATH, determinant.PACKED_BITS, 0),
-        (COMPLETE, determinant.PACKED_BITS, 0),
-        (COMPLETE, 0, 2),
+        (THREE_VERTICES, determinant.PACKED_BITS, 0, 0),
+        (PATH, determinant.PACKED_BITS, 0, 0),
+        (COMPLETE, determinant.PACKED_BITS, 0, 2),
+        (COMPLETE, 0, 2, 2),
     ],
     ids=["3-vertices", "40-vertex-path", "complete-6-packed", "complete-6-unpacked"],
 )
-def test_thousands_of_unused_colors_take_no_axis(monkeypatch, text, packed_bits, length):
+def test_thousands_of_unused_colors_take_no_axis(monkeypatch, text, packed_bits, length, held):
     # At q = 5,000 the table is the q = 3 table padded with zeros.  Every
     # point interpolated has one coordinate per unpacked variable that a
     # reduced row holds: two when nothing is packed, and none when x1 and x2
     # are packed or reduced away, which leaves nothing to interpolate.  The
     # complete graph's 5 rows give degree 5 on each such axis, so the points
     # evaluated are the C(5 + length, length) with coordinates summing to at
-    # most 5: one, or 21.  An axis per declared color costs O(q^2).
+    # most 5: one, or 21.  Each point evaluated is the packed values, then
+    # the free coordinates: one coordinate per variable that a reduced row
+    # holds, two for the complete graph and none when the rows reduce away.
+    # An axis per declared color costs O(q^2).
     monkeypatch.setattr(determinant, "PACKED_BITS", packed_bits)
     # Vertex 1, the first label read, is the root.
     narrow = count_table(parse_graph(text.format(q=3)), 1)
@@ -229,7 +233,7 @@ def test_thousands_of_unused_colors_take_no_axis(monkeypatch, text, packed_bits,
     assert narrow and wide == {alpha + (0,) * 4997: value for alpha, value in narrow.items()}
     assert {len(point) for point in interpolated} == ({length} if length else set())
     assert len(evaluated) == math.comb(5 + length, length)
-    assert {len(point) for point in evaluated} == {4999}
+    assert {len(point) for point in evaluated} == {held}
 
 
 def test_find_asks_about_the_first_in_arc_then_halves(monkeypatch):

@@ -306,6 +306,21 @@ class TestDetPoly:
         assert scaled_det == {mono: factor * coeff for mono, coeff in det.items()}
         assert scaled_points == points
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(0, 3), st.integers(1, 50))
+    def test_unused_variables_change_nothing(self, rng, dim, nvars, k):
+        # k variables in no row, declared after the used ones (the same rows,
+        # nvars + k variables) or before them (every slot >= 1 shifted up by
+        # k), take no place in the variable order: the polynomial is the
+        # unpadded one with k zero exponents inserted, and every point that
+        # det_poly evaluates is the same.
+        m = random_symbolic_matrix(rng, dim, nvars)
+        det, points = det_poly_and_points(m)
+        after = SymbolicMatrix(nvars + k, m.rows)
+        before = SymbolicMatrix(nvars + k, [[(j, slot + k if slot else 0, coeff) for j, slot, coeff in row] for row in m.rows])
+        assert det_poly_and_points(after) == ({mono + (0,) * k: coeff for mono, coeff in det.items()}, points)
+        assert det_poly_and_points(before) == ({(0,) * k + mono: coeff for mono, coeff in det.items()}, points)
+
     @pytest.mark.parametrize(
         "rows, expected",
         [
@@ -400,11 +415,12 @@ class TestDetPoly:
         # Rooted at 1, vertices 2..5 have one in-arc each, of colors 1, 2, 1
         # and 3.  Every row of the minor contracts: det = x1^2 x2, and only
         # the empty matrix is evaluated, once.  No row holds x1 or x2, so
-        # neither is packed and both take their one node, 0.  Unreduced, x1
-        # sits in 2 rows and x2 in 1: both would pack, x2 with stride 3.
+        # neither is in the variable order and the one point is empty.
+        # Unreduced, x1 sits in 2 rows and x2 in 1: both would pack, x2 with
+        # stride 3.
         g = ColoredDigraph(5, 3, (Edge(0, 1, 2, 1), Edge(1, 2, 3, 2), Edge(2, 2, 4, 1), Edge(3, 4, 5, 3)))
         assert det_poly(minor(build_laplacian(g), 1)) == {(2, 1): 1}
-        assert evaluated == [(0, 0)]
+        assert evaluated == [()]
 
     def test_single_color_row_shortens_its_axis(self, evaluated):
         # Rooted at 1, vertex 2 has in-arcs 1 -> 2 and 3 -> 2, both of color

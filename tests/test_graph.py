@@ -19,6 +19,7 @@ from ccarb.graph import (
     _Graph,
     bidirect,
     color_histogram,
+    decimal,
     dedup_min_weight,
     is_arborescence,
     parse_graph,
@@ -116,6 +117,19 @@ class TestParse:
         assert g.weighted
         assert g.edges[0].weight == 7
 
+    def test_signed_and_zero_padded_fields(self):
+        g = parse_graph("+2 01\ns t +1 007\n")
+        assert (g.n, g.q, g.edges) == (2, 1, (Edge(0, 1, 2, 1, 7),))
+
+    @pytest.mark.parametrize("text, value", [("7", 7), ("+7", 7), ("-7", -7), ("007", 7), (" 7\t", 7)])
+    def test_decimal_reads_a_sign_and_ascii_digits(self, text, value):
+        assert decimal(text) == value
+
+    @pytest.mark.parametrize("text", ["1_000", "\u0663", "\uff11", "7.0", "", " ", "+-7", "0x7", "\u00a07"])
+    def test_decimal_refuses_every_other_spelling(self, text):
+        with pytest.raises(ValueError):
+            decimal(text)
+
     @pytest.mark.parametrize(
         "text, line, message",
         [
@@ -127,6 +141,9 @@ class TestParse:
             ("2 1\na b 1 1.5\n", 2, "weight must be an integer"),
             ("# no header\n\n", 1, "missing header 'n q'"),
             ("3 1\ns #x 1\n#x y 1\n", 2, "vertex label '#x' starts with '#'"),
+            ("\u0663 2\na b 1\n", 1, "header values must be integers"),
+            ("2 2\na b \uff12\n", 2, "color must be an integer"),
+            ("2 1\na b 1 1_000\n", 2, "weight must be an integer"),
         ],
         ids=[
             "header-fields",
@@ -137,6 +154,9 @@ class TestParse:
             "weight",
             "no-header",
             "hash-label",
+            "header-non-ascii-digit",
+            "color-fullwidth-digit",
+            "weight-underscore",
         ],
     )
     def test_malformed_files_name_the_line(self, text, line, message):
