@@ -13,7 +13,8 @@ with no arcs.
 `SymbolicMatrix(...)` checks every term.  `root_minor`, the only builder
 that skips the checks (through `SymbolicMatrix._trusted`), trusts its
 callers: its arcs come from a checked graph (endpoints in 1..n, colors in
-1..q, integer weights), its root is a checked vertex or the added one, and
+1..q, integer weights, which `minweight` may lower to reduced costs that
+are never negative), its root is a checked vertex or the added one, and
 its base r is an int, checked where it enters, in `minweight.c_alpha_r`.
 So no question of a search pays for checks of the engine's own terms.
 """
@@ -79,19 +80,16 @@ def _evaluate(rows, point: tuple[int, ...]) -> list[list[int]]:
     return scalar
 
 
-def root_minor(n: int, q: int, arcs, root: int, r: int = 1, floor=None) -> SymbolicMatrix:
+def root_minor(n: int, q: int, arcs, root: int, r: int = 1) -> SymbolicMatrix:
     """The in-degree Laplacian of the arcs on vertices 1..n, without row and column `root`.
 
     Each arc u -> v of color c and weight w is worth r^w, an unweighted arc
     weighing 0 as `graph.lightest` takes it, so every arc is worth 1 at the
-    default r = 1.  Given `floor`, a map from each non-root vertex v with an
-    in-arc to a weight m_v no greater than any of them, the arc is worth
-    r^(w - m_v) instead: row v holds only v's in-arcs, so the determinant is
-    divided by r^low, low the sum of the m_v.  It adds the term (v, c, +value)
-    to row v and, unless u = v or u is the root, the term (u, c, -value), so
-    the terms of one entry share a sign.  Arcs into the root touch only the
-    root's row, so they are skipped.  Parallel arcs add up, so the
-    determinant sums over them as over distinct arcs.
+    default r = 1.  It adds the term (v, c, +value) to row v and, unless
+    u = v or u is the root, the term (u, c, -value), so the terms of one
+    entry share a sign.  Arcs into the root touch only the root's row, so
+    they are skipped.  Parallel arcs add up, so the determinant sums over
+    them as over distinct arcs.
     """
     column = [v - 1 - (v > root) for v in range(n + 1)]
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n - 1)]
@@ -99,7 +97,7 @@ def root_minor(n: int, q: int, arcs, root: int, r: int = 1, floor=None) -> Symbo
     for _, tail, head, color, weight in arcs:
         if head == root:
             continue
-        value = r ** (weight - floor[head] if floor else weight or 0)
+        value = r ** (weight or 0)
         slot = 0 if color == q else color
         row = rows[column[head]]
         row.append((column[head], slot, value))

@@ -12,9 +12,9 @@ That coefficient is never built at full size.  Each arborescence takes one
 in-arc of every non-root vertex v, so it weighs at least low, the sum of
 the lightest in-weights m_v; in the reduced costs w - m_v, the first step
 of J. Edmonds, "Optimum branchings", J. Res. Nat. Bur. Standards 71B
-(1967), it weighs w(T) - low.  The minors are built at r^(w - m_v)
-(`root_minor` with the map `floor` of the m_v), so their coefficient is
-sum_T r^(w(T) - low), and the minimum is low plus its valuation, which
+(1967), it weighs w(T) - low.  The minors are built from the arcs at
+their reduced costs (`_reduced`), worth r^(w - m_v), so their coefficient
+is sum_T r^(w(T) - low), and the minimum is low plus its valuation, which
 strips r^(2^j) for falling j, not one r at a time.  The same reduced costs
 prune `find_min`'s search: an arc into v with w - m_v > W - low is in no
 arborescence of weight W or less.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .counting import Arborescence, _checked_alpha, _checked_root, _search, count_table
 from .determinant import det_poly
-from .graph import ColoredDigraph, check_integer, lightest, reaches_all
+from .graph import ColoredDigraph, Edge, check_integer, dedup_min_weight, lightest, reaches_all
 from .laplacian import root_minor
 
 
@@ -72,19 +72,23 @@ def valuation(value: int, r: int) -> int:
     return k
 
 
-def _plan(graph: ColoredDigraph, root: int, alpha):
-    """(constraint, r, floor, minimum weight), or None if nothing matches.
+def _reduced(edges, root: int) -> tuple[list[Edge], int]:
+    """Each arc into a non-root vertex v at its reduced cost w - m_v, m_v v's lightest in-weight, and low = sum m_v."""
+    floor = {e.head: e.weight for e in lightest(edges, lambda e: e.head) if e.head != root}
+    arcs = [tuple.__new__(Edge, (i, u, v, c, w - floor[v])) for i, u, v, c, w in edges if v != root]
+    return arcs, sum(floor.values())
 
-    `floor` maps each non-root vertex to its lightest in-weight m_v.
-    """
+
+def _plan(graph: ColoredDigraph, root: int, alpha):
+    """(constraint, r, slack W - low, minimum weight W), or None if nothing matches."""
     constraint = _checked(graph, root, alpha)
     matching = count_table(graph, root).get(constraint, 0)
     if matching == 0:
         return None
     r = matching + 1
-    floor = {e.head: e.weight for e in lightest(graph.edges, lambda e: e.head) if e.head != root}
-    lowered = det_poly(root_minor(graph.n, graph.q, graph.edges, root, r, floor)).get(constraint, 0)
-    return constraint, r, floor, sum(floor.values()) + valuation(lowered, r)
+    arcs, low = _reduced(graph.edges, root)
+    slack = valuation(det_poly(root_minor(graph.n, graph.q, arcs, root, r)).get(constraint, 0), r)
+    return constraint, r, slack, low + slack
 
 
 def min_weight(graph: ColoredDigraph, root: int, alpha) -> int | None:
@@ -101,26 +105,26 @@ def find_min(graph: ColoredDigraph, root: int, alpha) -> tuple[Arborescence, int
     """A minimum-weight arborescence matching the constraint, with its weight.
 
     Computes r, the lightest in-weights m_v and the minimum W once, as
-    `min_weight` does, then searches as `find` does: the result is the
-    first minimizer by the in-arc id of vertex 1, then 2, and so on, found
-    by at most 1 + ceil(log2(d - 1)) questions for a vertex with d
-    candidates.  An arc into v with w - m_v > W - low is in no minimizer,
-    so the search never offers it.  A question, the union of the non-root
-    vertices' lists of live in-arcs, holds when its coefficient at r, the
-    sum of r^(w(T) - low) over its matching arborescences T, is not a
-    multiple of r^(W + 1 - low).  Every term is a multiple of r^(W - low),
-    and fewer than r of them weigh W, so that is when some minimizer is
-    left.  One r serves every question: deleting arcs never raises the
-    count.  The result is checked against the graph's weights to be an
-    arborescence with the requested histogram and the minimum weight
-    (ValueError if not).
+    `min_weight` does, then searches as `find` does: the result is the first
+    minimizer by the in-arc id of vertex 1, then 2, and so on, found by at
+    most 1 + ceil(log2(d - 1)) questions for a vertex with d candidates.
+    The search is offered the arcs of `dedup_min_weight(graph)` at their
+    reduced costs w - m_v, but none above the slack W - low: no minimizer
+    uses one.  A question, the union of the non-root vertices' lists of live
+    in-arcs, holds when its coefficient at r, the sum of r^(w(T) - low) over
+    its matching arborescences T, is not a multiple of r^(W + 1 - low).
+    Every term is a multiple of r^(W - low), and fewer than r of them weigh
+    W, so that is when some minimizer is left.  One r serves every question:
+    deleting arcs never raises the count.  The result is checked against the
+    graph's weights to be an arborescence with the requested histogram and
+    the minimum weight (ValueError if not).
     """
     plan = _plan(graph, root, alpha)
     if plan is None:
         return None
-    constraint, r, floor, minimum = plan
-    slack = minimum - sum(floor.values())
-    arb = _search(graph, root, constraint, r, r ** (slack + 1), floor, slack)
+    constraint, r, slack, minimum = plan
+    offered = [e for e in _reduced(dedup_min_weight(graph).edges, root)[0] if e.weight <= slack]
+    arb = _search(graph, root, constraint, offered, r, r ** (slack + 1))
     if sum(graph.edge(i).weight for i in arb.edge_ids) != minimum:
         raise ValueError("certificate check failed: the weight differs from the minimum")
     return arb, minimum

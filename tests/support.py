@@ -383,14 +383,16 @@ def questions_asked():
     """Capture every minor `counting` builds, as (graph of its arcs, r), and every table its det_poly returns.
 
     The first minor is that of the whole graph, for the count that find and
-    find_min each make once; each later one is a search question's.
+    find_min each make once; each later one is a search question's.  A
+    question of find_min holds its arcs at their reduced costs, 0 among
+    them, which no checked graph accepts, so every graph is built unchecked.
     """
     minors, tables = [], []
     build, det = counting.root_minor, counting.det_poly
 
-    def root_minor(n, q, arcs, root, r=1, floor=None):
-        minors.append((ColoredDigraph(n, q, tuple(arcs)), r))
-        return build(n, q, arcs, root, r, floor)
+    def root_minor(n, q, arcs, root, r=1):
+        minors.append((ColoredDigraph._trusted(n, q, tuple(arcs)), r))
+        return build(n, q, arcs, root, r)
 
     with mock.patch.multiple(counting, root_minor=root_minor, det_poly=lambda m: tables.append(det(m)) or tables[-1]):
         yield minors, tables

@@ -142,6 +142,20 @@ def test_count_functional_matches_enumeration(graph):
         assert count_functional(graph, alpha) == enumerate_functional(graph, alpha)
 
 
+def test_count_functional_answers_a_vertex_without_an_out_arc_without_a_determinant(monkeypatch):
+    # A functional subgraph takes one out-arc of every vertex, so a vertex
+    # with none leaves nothing to count.  With 10^5 declared vertices and one
+    # arc, the full Laplacian would have 10^5 rows; no determinant is taken.
+    # A self-loop is an out-arc: once the sink 2 of 1 -> 2 has one, the
+    # determinant is taken, and the count is 1.
+    determinants = recorded(monkeypatch, counting, "det_poly")
+    assert count_functional(ColoredDigraph(10**5, 2, [(0, 1, 2, 1)]), (1,)) == 0
+    assert count_functional(ColoredDigraph(2, 2, [(0, 1, 2, 1)]), (1,)) == 0
+    assert determinants == []
+    assert count_functional(ColoredDigraph(2, 2, [(0, 1, 2, 1), (1, 2, 2, 1)]), (2,)) == 1
+    assert len(determinants) == 1
+
+
 def test_count_table_matches_the_laplacian_minor_beyond_the_oracle():
     # Graphs of 10 to 16 vertices, too large to enumerate: the table, read as
     # a polynomial, must equal the minor's determinant at an integer point.
@@ -308,9 +322,10 @@ def test_search_questions_are_subgraphs_of_the_input(case):
     # in which every vertex already decided keeps only its taken in-arc.
     # Every coefficient asked is the oracle's: the sum of r^w over the
     # arborescences matching alpha, which is their number at find's r = 1.
-    # find_min builds its minors at r^(w - m_v), m_v the lightest in-weight
-    # of v in the input, so its coefficients are divided by r^low, low the
-    # sum of the m_v; find builds them at r^w.
+    # find_min's search builds its minors from arcs at their reduced costs
+    # w - m_v >= 0, m_v the lightest in-weight of v in the input, so its
+    # coefficients are divided by r^low, low the sum of the m_v; find's
+    # arcs, and the count's, keep their input weights.
     # The search picks each vertex's candidates with one `lightest` call,
     # which names the vertex being decided.  One rule answers every
     # question: it holds unless `above` divides its coefficient.  find's
@@ -325,9 +340,9 @@ def test_search_questions_are_subgraphs_of_the_input(case):
     for operation in (find, find_min):
         questions, tables, vertices, searches = [], [], [], []
 
-        def root_minor(n, q, live, root, r=1, floor=None):
-            questions.append((ColoredDigraph(n, q, tuple(live)), r, floor, vertices[-1:]))
-            return build(n, q, live, root, r, floor)
+        def root_minor(n, q, live, root, r=1):
+            questions.append((ColoredDigraph._trusted(n, q, tuple(live)), r, vertices[-1:]))
+            return build(n, q, live, root, r)
 
         with mock.patch.multiple(
             counting,
@@ -342,14 +357,15 @@ def test_search_questions_are_subgraphs_of_the_input(case):
             [(*_, above)] = searches
         taken = {graph.edge(i).head: i for i in (result if operation is find else result[0]).edge_ids}
         lightest_in = {v: min(e.weight for e in graph.edges if e.head == v) for v in range(1, graph.n + 1) if v != root}
-        for number, ((subgraph, r, floor, picked), table) in enumerate(zip(questions, tables)):
+        for number, ((subgraph, r, picked), table) in enumerate(zip(questions, tables)):
             weights = [
-                sum(subgraph.edge(i).weight for i in arb.edge_ids)
+                sum(graph.edge(i).weight for i in arb.edge_ids)
                 for arb in enumerate_arborescences(subgraph, root)
                 if color_histogram(subgraph, arb.edge_ids)[: graph.q - 1] == alpha
             ]
-            assert floor == (None if r == 1 else lightest_in)
-            low = sum(floor.values()) if floor else 0
+            floor = lightest_in if r > 1 else dict.fromkeys(range(1, graph.n + 1), 0)
+            assert all(e.weight == graph.edge(e.id).weight - floor[e.head] >= 0 for e in subgraph.edges)
+            low = sum(floor.values())
             coefficient = table.get(alpha, 0)
             assert coefficient == sum(r ** (w - low) for w in weights)
             if operation is find:

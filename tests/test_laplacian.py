@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from ccarb import counting, laplacian
 from ccarb.counting import find
 from ccarb.determinant import _reduce
-from ccarb.graph import ColoredDigraph, Edge, lightest, parse_graph, reverse
+from ccarb.graph import ColoredDigraph, Edge, parse_graph, reverse
 from ccarb.laplacian import SymbolicMatrix, build_laplacian, minor, root_minor
-from ccarb.minweight import find_min
+from ccarb.minweight import _reduced, find_min
 
 from support import dense_rows, entry_poly, poly_add, random_digraph, recorded, small_digraphs
 
@@ -162,16 +162,16 @@ class TestUnchecked:
     @given(st.booleans().flatmap(lambda weights: small_digraphs(weights=weights)), st.data())
     def test_every_root_minor_passes_the_checks_and_reduces_in_range(self, graph, data):
         # At every root, at a base r from -3 to 7, and for a weighted graph
-        # also lowered by each vertex's lightest in-weight as find_min lowers
-        # it.  det_poly evaluates the reduced rows unchecked, so each must
+        # also on the arcs at their reduced costs, as find_min lowers its
+        # minors.  det_poly evaluates the reduced rows unchecked, so each must
         # hold only the columns of the rows kept and slots 0..nvars.
         r = data.draw(st.integers(-3, 7))
         for root in range(1, graph.n + 1):
-            floors = [None]
+            arc_lists = [graph.edges]
             if graph.weighted and data.draw(st.booleans()):
-                floors.append({e.head: e.weight for e in lightest(graph.edges, lambda e: e.head) if e.head != root})
-            for floor in floors:
-                built = root_minor(graph.n, graph.q, graph.edges, root, r, floor)
+                arc_lists.append(_reduced(graph.edges, root)[0])
+            for arcs in arc_lists:
+                built = root_minor(graph.n, graph.q, arcs, root, r)
                 assert SymbolicMatrix(built.nvars, built.rows) == built
                 reduced = _reduce(built)
                 if reduced is not None:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ccarb import counting, determinant, minweight
 from ccarb.cli import main
 from ccarb.counting import Arborescence, count, count_table
-from ccarb.graph import ColoredDigraph, Edge, parse_graph
+from ccarb.graph import ColoredDigraph, Edge, dedup_min_weight, parse_graph
 from ccarb.laplacian import root_minor
 from ccarb.minweight import c_alpha_r, find_min, min_weight
 from ccarb.oracle import color_histogram, enumerate_arborescences, is_arborescence, oracle_min_weight
@@ -355,11 +355,12 @@ def planted(draw):
 @ORACLE
 @given(st.one_of(instances(), planted()))
 def test_the_prune_drops_no_arc_of_a_minimizer(inst):
-    # find_min hands the search `floor`, each non-root vertex's lightest
-    # in-weight m_v in the input, and the slack W - low, low the sum of the
+    # find_min offers the search the arcs of dedup_min_weight(graph) at their
+    # reduced costs w - m_v, m_v each non-root vertex's lightest in-weight
+    # in the input, but none above the slack W - low, low the sum of the
     # m_v.  An arc into v with w - m_v > slack is in no arborescence of
-    # weight W or less: every arc it drops is in no minimizer, and no
-    # question holds one.
+    # weight W or less, so the representative of every arc of every
+    # minimizer is offered, and no question holds an arc not offered.
     graph, root, alpha = inst
     expected = oracle_min_weight(*inst)
     with mock.patch.object(minweight, "_search", wraps=counting._search) as search, questions_asked() as (minors, _):
@@ -368,17 +369,42 @@ def test_the_prune_drops_no_arc_of_a_minimizer(inst):
         assert result is None and not search.called
         return
     [call] = search.call_args_list
-    *_, floor, slack = call.args
-    assert floor == {v: min(e.weight for e in graph.edges if e.head == v) for v in range(1, graph.n + 1) if v != root}
-    assert slack == expected[0] - sum(floor.values()) >= 0
-    dropped = {e.id for e in graph.edges if e.head != root and e.weight - floor[e.head] > slack}
+    offered = call.args[3]
+    floor = {v: min(e.weight for e in graph.edges if e.head == v) for v in range(1, graph.n + 1) if v != root}
+    slack = expected[0] - sum(floor.values())
+    assert slack >= 0 and all(0 <= e.weight <= slack for e in offered)
+    assert all(e.weight == graph.edge(e.id).weight - floor[e.head] for e in offered)
+    representative = {(e.tail, e.head, e.color): e.id for e in dedup_min_weight(graph).edges}
+    ids = {e.id for e in offered}
     for arb in enumerate_arborescences(graph, root):
-        if color_histogram(graph, arb.edge_ids)[: graph.q - 1] == alpha:
-            weight = sum(graph.edge(i).weight for i in arb.edge_ids)
-            assert weight > expected[0] or dropped.isdisjoint(arb.edge_ids)
+        arcs = [graph.edge(i) for i in arb.edge_ids]
+        if color_histogram(graph, arb.edge_ids)[: graph.q - 1] == alpha and sum(e.weight for e in arcs) == expected[0]:
+            assert {representative[e.tail, e.head, e.color] for e in arcs} <= ids
     for question, _ in minors[1:]:
-        assert dropped.isdisjoint(e.id for e in question.edges)
+        assert {e.id for e in question.edges} <= ids
     assert sum(graph.edge(i).weight for i in result[0].edge_ids) == expected[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_digraphs(weights=True), planted().map(lambda inst: inst[0])), st.integers(-3, 6))
+def test_a_reduced_cost_minor_is_the_full_minor_divided_by_r_to_the_low(graph, r):
+    # At every root, each arc into a non-root vertex v comes back with its
+    # id, ends and color at w - m_v, m_v the lightest in-weight of v, so
+    # each v with an in-arc keeps one of weight 0; arcs into the root are
+    # left out.  Row v of the minor holds only v's in-arcs, so valuing them
+    # at r^(w - m_v) instead of r^w divides the row by r^(m_v) and the
+    # determinant by r^low, low the sum of the m_v, at every integer r: each
+    # reduced coefficient times r^low, zero products dropped, is the full
+    # minor's.
+    for root in range(1, graph.n + 1):
+        arcs, low = minweight._reduced(graph.edges, root)
+        into = [e for e in graph.edges if e.head != root]
+        lightest_in = {v: min(e.weight for e in into if e.head == v) for v in {e.head for e in into}}
+        assert [e[:4] for e in arcs] == [e[:4] for e in into] and low == sum(lightest_in.values())
+        assert [e.weight for e in arcs] == [e.weight - lightest_in[e.head] for e in into]
+        reduced = determinant.det_poly(root_minor(graph.n, graph.q, arcs, root, r))
+        full = determinant.det_poly(root_minor(graph.n, graph.q, graph.edges, root, r))
+        assert {mono: c * r**low for mono, c in reduced.items() if c * r**low} == full
 
 
 @pytest.mark.parametrize("n, q, max_weight", [(16, 2, 30), (12, 3, 60)])
@@ -554,9 +580,9 @@ def lie_when_weighted(monkeypatch, lie) -> None:
     build, real = counting.root_minor, counting.det_poly
     bases = []
 
-    def root_minor(n, q, arcs, root, r=1, floor=None):
+    def root_minor(n, q, arcs, root, r=1):
         bases.append(r)
-        return build(n, q, arcs, root, r, floor)
+        return build(n, q, arcs, root, r)
 
     def det_poly(matrix):
         return real(matrix) if bases[-1] == 1 else lie(real(matrix))
